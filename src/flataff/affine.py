@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import GaussRat, ExactMatrix, ZERO, ONE
+from .exact import ExactMatrix, as_gauss, ZERO, ONE
 from .liealg import LieAlgebra, builtin
 from .connections import InvariantConnection, is_flat, is_torsion_free
 
@@ -55,10 +55,6 @@ class NotFlatTorsionFree(ValueError):
     """Connection is not flat or not torsion-free."""
 
 
-def _as_gauss(x) -> GaussRat:
-    return x if isinstance(x, GaussRat) else GaussRat(x)
-
-
 class AffElement:
     """Element (A, v) of gl(n,C) ⋉ C^n."""
 
@@ -67,7 +63,7 @@ class AffElement:
     def __init__(self, A: ExactMatrix, v):
         if A.rows != A.cols:
             raise ValueError("linear part must be square")
-        v = [_as_gauss(x) for x in v]
+        v = [as_gauss(x) for x in v]
         if len(v) != A.rows:
             raise ValueError("translation length does not match linear part")
         object.__setattr__(self, "A", A)
@@ -89,7 +85,7 @@ class AffElement:
         return cls(A, [ZERO] * A.rows)
 
     def scale(self, c) -> "AffElement":
-        c = _as_gauss(c)
+        c = as_gauss(c)
         return AffElement(self.A.scale(c), [c * x for x in self.v])
 
     def __add__(self, other):
@@ -155,7 +151,7 @@ class AffMap:
 
     def apply(self, x) -> AffElement:
         """Image of the coordinate vector x."""
-        x = [_as_gauss(t) for t in x]
+        x = [as_gauss(t) for t in x]
         if len(x) != self.g.n:
             raise ValueError("coordinate length mismatch")
         acc = AffElement(
@@ -218,9 +214,12 @@ def is_etale(m: AffMap) -> bool:
         raise NotHomomorphism(
             f"bracket mismatch at basis pair {verdict.counterexample}"
         )
-    if m.ambient != m.g.n:
-        return False
-    return m.translation_matrix().rank() == m.g.n
+    return _translations_form_basis(m)
+
+
+def _translations_form_basis(m: AffMap) -> bool:
+    """The rank half of is_etale, without the homomorphism check."""
+    return m.ambient == m.g.n and m.translation_matrix().rank() == m.g.n
 
 
 def canonical_embedding(kind: str) -> AffMap:
@@ -261,6 +260,12 @@ def lsa_from_etale(m: AffMap) -> InvariantConnection:
     Γ[i][j][·] = V^{-1} (A_i v_j) with V the translation matrix."""
     if not is_etale(m):
         raise NotEtale("translation parts are not a basis")
+    return _connection_from_map(m)
+
+
+def _connection_from_map(m: AffMap) -> InvariantConnection:
+    """lsa_from_etale without the étale check; a map whose translation
+    matrix is singular raises ValueError."""
     n = m.g.n
     V = m.translation_matrix()
     Vinv = V.inverse()
@@ -282,6 +287,11 @@ def etale_from_lsa(conn: InvariantConnection) -> AffMap:
         raise NotFlatTorsionFree(
             "connection must be flat and torsion-free"
         )
+    return _map_from_connection(conn)
+
+
+def _map_from_connection(conn: InvariantConnection) -> AffMap:
+    """etale_from_lsa without the flatness and torsion checks."""
     g = conn.g
     n = g.n
     images = []

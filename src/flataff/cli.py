@@ -15,11 +15,9 @@ import json
 import re
 import sys
 
-from .exact import GaussRat
+from .exact import GaussRat, ExactMatrix
 from .liealg import (
     LieAlgebra,
-    JacobiViolation,
-    InconsistentEntry,
     from_structure_constants,
     builtin,
     BUILTIN_NAMES,
@@ -41,8 +39,6 @@ from .affine import (
 )
 from .obstructions import decide_existence
 from .search import SearchConfig, run_search
-
-from .exact import ExactMatrix
 
 __all__ = [
     "ParseError",
@@ -208,8 +204,13 @@ def parse_affmap(path: str, g: LieAlgebra) -> AffMap:
 # ---------------------------------------------------------------- reports
 
 
+class _Pair(list):
+    """A ["re", "im"] coefficient pair. json writes it as a plain list;
+    the text renderer tells it apart from other two-string lists."""
+
+
 def _pair(x: GaussRat) -> list:
-    return x.to_pair()
+    return _Pair(x.to_pair())
 
 
 def _gamma_payload(conn: InvariantConnection) -> list:
@@ -361,43 +362,17 @@ def search_report(g: LieAlgebra, cfg: SearchConfig,
 # ----------------------------------------------------------- text output
 
 
-def _is_pair(x) -> bool:
-    return (
-        isinstance(x, list)
-        and len(x) == 2
-        and all(isinstance(p, str) and _COEFF_RE.match(p) for p in x)
-    )
-
-
-def _is_tensor3(x) -> bool:
-    return (
-        isinstance(x, list)
-        and bool(x)
-        and all(
-            isinstance(p, list)
-            and bool(p)
-            and all(
-                isinstance(r, list) and bool(r) and all(_is_pair(e) for e in r)
-                for r in p
-            )
-            for p in x
-        )
-    )
-
-
-def _is_matrix(x) -> bool:
-    return (
-        isinstance(x, list)
-        and bool(x)
-        and all(
-            isinstance(r, list) and bool(r) and all(_is_pair(e) for e in r)
-            for r in x
-        )
-    )
-
-
-def _is_vector(x) -> bool:
-    return isinstance(x, list) and bool(x) and all(_is_pair(e) for e in x)
+def _pair_depth(x):
+    """0 for a coefficient pair, d for a nonempty list whose items all
+    have depth d - 1 (vector 1, matrix 2, tensor 3), else None."""
+    if isinstance(x, _Pair):
+        return 0
+    if not isinstance(x, list) or not x:
+        return None
+    depths = {_pair_depth(e) for e in x}
+    if len(depths) != 1 or None in depths:
+        return None
+    return depths.pop() + 1
 
 
 def _fmt_pair(pair) -> str:
@@ -422,15 +397,16 @@ def _render(obj, lines, indent):
 
 def _render_entry(key, val, lines, indent):
     pad = "  " * indent
+    depth = _pair_depth(val)
     if val is None:
         lines.append(f"{pad}{key}: none")
     elif isinstance(val, bool):
         lines.append(f"{pad}{key}: {'yes' if val else 'no'}")
     elif isinstance(val, (int, float, str)):
         lines.append(f"{pad}{key}: {val}")
-    elif _is_pair(val):
+    elif depth == 0:
         lines.append(f"{pad}{key}: {_fmt_pair(val)}")
-    elif _is_tensor3(val):
+    elif depth == 3:
         lines.append(f"{pad}{key}:")
         n = len(val)
         nonzero = []
@@ -447,12 +423,12 @@ def _render_entry(key, val, lines, indent):
             lines.append(f"{inner}(all other entries zero)")
         else:
             lines.append(f"{inner}(all entries zero)")
-    elif _is_matrix(val):
+    elif depth == 2:
         lines.append(f"{pad}{key}:")
         inner = "  " * (indent + 1)
         for row in val:
             lines.append(f"{inner}[" + ", ".join(_fmt_pair(e) for e in row) + "]")
-    elif _is_vector(val):
+    elif depth == 1:
         lines.append(
             f"{pad}{key}: [" + ", ".join(_fmt_pair(e) for e in val) + "]"
         )
@@ -485,10 +461,8 @@ def _algebra_from_args(args) -> tuple:
     if getattr(args, "builtin", None):
         return builtin(args.builtin), args.builtin
     if getattr(args, "path", None):
-        g = parse_algebra(args.path)
         data = _load_json(args.path)
-        name = data.get("name") if isinstance(data, dict) else None
-        return g, name
+        return parse_algebra_data(data, source=args.path), data.get("name")
     raise ParseError("<args>", "need an algebra file or --builtin NAME")
 
 
@@ -563,13 +537,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = _dispatch(args)
-    except (ParseError, JacobiViolation, InconsistentEntry) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     sys.stdout.write(emit(payload, args.format))

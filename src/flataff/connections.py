@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import GaussRat, ExactMatrix, ZERO, HALF
+from .exact import GaussRat, ExactMatrix, as_gauss, ZERO, HALF
 from .liealg import LieAlgebra
 
 __all__ = [
@@ -46,10 +46,6 @@ class DimensionTooSmall(ValueError):
     """Projective flatness via the Weyl tensor needs dimension >= 3."""
 
 
-def _as_gauss(x) -> GaussRat:
-    return x if isinstance(x, GaussRat) else GaussRat(x)
-
-
 class InvariantConnection:
     """A left-invariant holomorphic affine connection, determined by its
     constant Christoffel array gamma[i][j][k]."""
@@ -61,7 +57,7 @@ class InvariantConnection:
             raise ValueError("Christoffel array has wrong shape")
         self.gamma = tuple(
             tuple(
-                tuple(_as_gauss(gamma[i][j][k]) for k in range(n))
+                tuple(as_gauss(gamma[i][j][k]) for k in range(n))
                 for j in range(n)
             )
             for i in range(n)
@@ -81,8 +77,8 @@ class InvariantConnection:
     def nabla(self, x, y) -> list:
         """nabla_x y for coordinate vectors x, y."""
         n = self.g.n
-        x = [_as_gauss(t) for t in x]
-        y = [_as_gauss(t) for t in y]
+        x = [as_gauss(t) for t in x]
+        y = [as_gauss(t) for t in y]
         out = [ZERO] * n
         for i in range(n):
             if x[i].is_zero():
@@ -94,22 +90,6 @@ class InvariantConnection:
                 for k in range(n):
                     out[k] = out[k] + f * self.gamma[i][j][k]
         return out
-
-    # thin delegations so call sites can stay method-style
-    def torsion(self):
-        return torsion(self)
-
-    def curvature(self):
-        return curvature(self)
-
-    def ricci(self):
-        return ricci(curvature(self))
-
-    def is_flat(self) -> bool:
-        return is_flat(self)
-
-    def is_torsion_free(self) -> bool:
-        return is_torsion_free(self)
 
     def __repr__(self):
         nz = sum(
@@ -216,7 +196,7 @@ def projective_change(conn: InvariantConnection, phi) -> InvariantConnection:
     gamma'[i][j][k] = gamma[i][j][k] + delta[i][k] phi[j] + delta[j][k] phi[i].
     """
     n = conn.g.n
-    phi = [_as_gauss(p) for p in phi]
+    phi = [as_gauss(p) for p in phi]
     if len(phi) != n:
         raise ValueError("covector length mismatch")
     gm = conn.gamma

@@ -15,6 +15,7 @@ __all__ = [
     "ExactMatrix",
     "MultiPoly",
     "poly_det",
+    "as_gauss",
     "ZERO",
     "ONE",
     "I",
@@ -175,15 +176,18 @@ I = GaussRat(0, 1)
 HALF = GaussRat(Fraction(1, 2))
 
 
+def as_gauss(x) -> GaussRat:
+    """x itself if it is a GaussRat, else GaussRat(x)."""
+    return x if isinstance(x, GaussRat) else GaussRat(x)
+
+
 class ExactMatrix:
     """Dense matrix over GaussRat, row-major storage."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(
-            e if isinstance(e, GaussRat) else GaussRat(e) for e in entries
-        )
+        entries = tuple(as_gauss(e) for e in entries)
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries, got {len(entries)}"
@@ -267,7 +271,7 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, [-e for e in self.entries])
 
     def scale(self, c) -> "ExactMatrix":
-        c = c if isinstance(c, GaussRat) else GaussRat(c)
+        c = as_gauss(c)
         return ExactMatrix(self.rows, self.cols, [c * e for e in self.entries])
 
     def __matmul__(self, other):
@@ -288,7 +292,7 @@ class ExactMatrix:
     def mul_vec(self, v) -> list:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        v = [x if isinstance(x, GaussRat) else GaussRat(x) for x in v]
+        v = [as_gauss(x) for x in v]
         out = []
         for i in range(self.rows):
             acc = ZERO
@@ -348,18 +352,10 @@ class ExactMatrix:
 
     def nullspace(self) -> list:
         """Basis of the right nullspace, one list of GaussRat per vector."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [ZERO] * self.cols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r, fc]
-            basis.append(v)
-        return basis
+        return self.rank_nullspace()[1]
 
     def rank_nullspace(self):
+        """(rank, nullspace basis) from one row reduction."""
         red, pivots = self.rref()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
@@ -478,7 +474,7 @@ class MultiPoly:
                 raise ValueError(
                     f"total degree {sum(exps)} exceeds cap {MAX_POLY_DEGREE}"
                 )
-            coeff = coeff if isinstance(coeff, GaussRat) else GaussRat(coeff)
+            coeff = as_gauss(coeff)
             if not coeff.is_zero():
                 clean[exps] = clean.get(exps, ZERO) + coeff
                 if clean[exps].is_zero():
@@ -527,7 +523,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (GaussRat, int, Fraction)):
-            c = other if isinstance(other, GaussRat) else GaussRat(other)
+            c = as_gauss(other)
             return MultiPoly(
                 self.nvars, {e: c * v for e, v in self.terms.items()}
             )
@@ -546,7 +542,7 @@ class MultiPoly:
     def evaluate(self, point) -> GaussRat:
         if len(point) != self.nvars:
             raise ValueError("point length mismatch")
-        point = [x if isinstance(x, GaussRat) else GaussRat(x) for x in point]
+        point = [as_gauss(x) for x in point]
         acc = ZERO
         for exps, coeff in self.terms.items():
             term = coeff

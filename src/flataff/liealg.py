@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import GaussRat, ExactMatrix, ZERO, ONE
+from .exact import ExactMatrix, as_gauss, ZERO, ONE
 
 __all__ = [
     "LieAlgebra",
@@ -37,12 +37,8 @@ class InconsistentEntry(ValueError):
     """Bracket table contradicts antisymmetry."""
 
 
-def _as_gauss(x) -> GaussRat:
-    return x if isinstance(x, GaussRat) else GaussRat(x)
-
-
 def _coerce_vector(v, n) -> list:
-    v = [_as_gauss(x) for x in v]
+    v = [as_gauss(x) for x in v]
     if len(v) != n:
         raise ValueError(f"expected a vector of length {n}, got {len(v)}")
     return v
@@ -55,13 +51,13 @@ class LieAlgebra:
     the full constant array directly.
     """
 
-    def __init__(self, n: int, c, names=None, validate: bool = True):
+    def __init__(self, n: int, c, names=None):
         if n < 0:
             raise ValueError("dimension must be nonnegative")
         self.n = n
         self.c = tuple(
             tuple(
-                tuple(_as_gauss(c[i][j][k]) for k in range(n))
+                tuple(as_gauss(c[i][j][k]) for k in range(n))
                 for j in range(n)
             )
             for i in range(n)
@@ -71,9 +67,8 @@ class LieAlgebra:
         if len(names) != n:
             raise ValueError("need one name per basis element")
         self.names = tuple(str(s) for s in names)
-        if validate:
-            self._check_antisymmetry()
-            self._check_jacobi()
+        self._check_antisymmetry()
+        self._check_jacobi()
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -232,15 +227,20 @@ class LieAlgebra:
         return self.n > 0 and self.killing_rank() == self.n
 
     def structural_profile(self) -> "StructuralProfile":
+        """All profile fields from one Killing rank, one derived series
+        and one lower central series."""
+        rank = self.killing_rank()
+        derived = self.derived_series_dims()
+        lower = self.lower_central_dims()
         return StructuralProfile(
             abelian=self.is_abelian(),
-            solvable=self.is_solvable(),
-            nilpotent=self.is_nilpotent(),
+            solvable=derived[-1] == 0,
+            nilpotent=lower[-1] == 0,
             unimodular=self.is_unimodular(),
-            semisimple=self.is_semisimple(),
-            killing_rank=self.killing_rank(),
-            derived_series_dims=self.derived_series_dims(),
-            lower_central_dims=self.lower_central_dims(),
+            semisimple=self.n > 0 and rank == self.n,
+            killing_rank=rank,
+            derived_series_dims=derived,
+            lower_central_dims=lower,
         )
 
     def same_constants(self, other: "LieAlgebra") -> bool:

@@ -2,19 +2,20 @@
 pipeline for existence of a flat torsion-free invariant connection.
 
 The NO side rests on the semisimplicity obstruction: a semisimple
-algebra admits no flat torsion-free invariant connection. The verdict
+algebra admits no flat torsion-free invariant connection (surveyed in
+Burde, arXiv:math-ph/0509016). The verdict
 is theorem-backed; alongside it we attach the evidence the proof runs
-on, computed exactly: vanishing first cohomology of the adjoint
-representation (Whitehead) and the identically zero fundamental
-determinant polynomial (no open orbit for the infinitesimal affine
-action of a unimodular algebra with trace-free isotropy parts).
+on: vanishing first cohomology of the adjoint representation
+(Whitehead), computed exactly, and the identically zero fundamental
+determinant polynomial of the adjoint representation, which holds for
+every Lie algebra (see ObstructionEvidence) and so is not computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import ExactMatrix, MultiPoly, poly_det, ZERO, ONE
+from .exact import ExactMatrix, MultiPoly, poly_det, ZERO
 from .liealg import LieAlgebra, builtin
 from .connections import (
     InvariantConnection,
@@ -26,10 +27,10 @@ from .affine import (
     AffMap,
     DimensionMismatch,
     canonical_embedding,
-    lsa_from_etale,
-    etale_from_lsa,
     check_homomorphism,
-    is_etale,
+    _connection_from_map,
+    _map_from_connection,
+    _translations_form_basis,
 )
 from .search import SearchConfig, run_search
 
@@ -85,7 +86,14 @@ class LinearRep:
 
     @classmethod
     def adjoint(cls, g: LieAlgebra) -> "LinearRep":
-        return cls(g, g.adjoint_rep())
+        """The adjoint representation, built without the matrix-product
+        check: ad is a representation exactly when the Jacobi identity
+        holds, and every LieAlgebra checks it at construction."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "g", g)
+        object.__setattr__(rep, "V_dim", g.n)
+        object.__setattr__(rep, "rho", tuple(g.adjoint_rep()))
+        return rep
 
     @classmethod
     def trivial(cls, g: LieAlgebra, dim: int = 1) -> "LinearRep":
@@ -170,6 +178,16 @@ def fundamental_det_poly(rep: LinearRep):
 
 @dataclass(frozen=True)
 class ObstructionEvidence:
+    """Evidence attached to a semisimple NO.
+
+    det_poly_is_zero is known without computing the polynomial: column
+    i of the fundamental determinant matrix of the adjoint
+    representation is [e_i, p] = -ad(p) e_i, so the matrix is -ad(p),
+    and ad(p) p = [p, p] = 0 makes it singular at every p. Hence the
+    determinant polynomial vanishes identically for every Lie algebra
+    (fundamental_det_poly computes it where a check is wanted).
+    """
+
     killing_rank: int
     h1_adjoint: int
     det_poly_is_zero: bool
@@ -186,15 +204,17 @@ class DecisionReport:
 
 
 def _verify_certificate(conn: InvariantConnection, emb: AffMap):
-    """Exact re-verification of a YES certificate; raises on failure."""
+    """The one exact re-verification of a YES certificate; raises on
+    failure. It checks flatness, torsion-freeness, the homomorphism
+    property and the étale rank, once each; the builders that made the
+    certificate check none of them."""
     if not is_flat(conn):
         raise RuntimeError("certificate connection is not flat")
     if not is_torsion_free(conn):
         raise RuntimeError("certificate connection has torsion")
-    verdict = check_homomorphism(emb)
-    if not verdict.ok:
+    if not check_homomorphism(emb).ok:
         raise RuntimeError("certificate map is not a homomorphism")
-    if not is_etale(emb):
+    if not _translations_form_basis(emb):
         raise RuntimeError("certificate map is not etale")
 
 
@@ -223,7 +243,7 @@ def decide_existence(g: LieAlgebra,
 
     if g.is_abelian():
         conn = zero_connection(g)
-        emb = etale_from_lsa(conn)
+        emb = _map_from_connection(conn)
         return _yes(
             conn,
             emb,
@@ -233,7 +253,7 @@ def decide_existence(g: LieAlgebra,
     for name, kind in (("heis3", "heis"), ("sol3", "sol")):
         if g.same_constants(builtin(name)):
             emb = canonical_embedding(kind)
-            conn = lsa_from_etale(emb)
+            conn = _connection_from_map(emb)
             return _yes(
                 conn,
                 emb,
@@ -244,13 +264,12 @@ def decide_existence(g: LieAlgebra,
             )
 
     if g.is_semisimple():
-        adj = LinearRep.adjoint(g)
-        h1 = h1_dim(adj)
-        _, open_orbit = fundamental_det_poly(adj)
+        h1 = h1_dim(LinearRep.adjoint(g))
         evidence = ObstructionEvidence(
-            killing_rank=g.killing_rank(),
+            # the gate passed, so the Killing form has full rank
+            killing_rank=g.n,
             h1_adjoint=h1,
-            det_poly_is_zero=not open_orbit,
+            det_poly_is_zero=True,
             statement=(
                 "semisimple algebras admit no flat torsion-free invariant "
                 "connection; verdict by theorem, with computed evidence"
@@ -264,16 +283,14 @@ def decide_existence(g: LieAlgebra,
             notes=(
                 "Killing form is nondegenerate (semisimple obstruction)",
                 f"evidence: H1(adjoint) = {h1}, fundamental determinant "
-                "polynomial vanishes identically"
-                if not open_orbit
-                else f"evidence: H1(adjoint) = {h1}",
+                "polynomial vanishes identically",
             ),
         )
 
     outcome = run_search(g, cfg)
     if outcome.found:
         conn = outcome.certificate
-        emb = etale_from_lsa(conn)
+        emb = _map_from_connection(conn)
         return _yes(
             conn,
             emb,

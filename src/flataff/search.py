@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import GaussRat, ZERO, HALF
+from .exact import GaussRat, HALF
 from .liealg import LieAlgebra
 from .connections import InvariantConnection, is_flat, is_torsion_free
 

@@ -348,3 +348,10 @@ def test_search_report_certificate_is_exact():
     ]
     conn = InvariantConnection(g, gamma)
     assert is_flat(conn) and is_torsion_free(conn)
+
+
+def test_text_report_prints_numeric_basis_labels(tmp_path, capsys):
+    # two rational-looking labels are labels, not a coefficient pair
+    path = _write(tmp_path, "a.json", {"dim": 2, "basis": ["1", "2"]})
+    assert main(["analyze", path]) == 0
+    assert "  basis: [1, 2]\n" in capsys.readouterr().out

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from flataff import affine, connections, obstructions
 from flataff.exact import GaussRat, ExactMatrix, MultiPoly, ZERO, ONE
-from flataff.liealg import builtin, from_structure_constants
+from flataff.liealg import LieAlgebra, builtin, from_structure_constants
 from flataff.connections import is_flat, is_torsion_free, zero_connection
 from flataff.affine import (
     DimensionMismatch,
@@ -222,3 +223,119 @@ def test_report_invariants():
         if r.verdict == "NO":
             assert r.obstruction is not None
         assert r.notes
+
+
+def _sl2_plus_sl2():
+    sl2 = {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}
+    brackets = {}
+    for (i, j), v in sl2.items():
+        brackets[(i, j)] = v + [0, 0, 0]
+        brackets[(i + 3, j + 3)] = [0, 0, 0] + v
+    return from_structure_constants(6, brackets=brackets)
+
+
+def _sl3():
+    """sl3 from commutators of 3x3 matrices, in the basis E12, E13,
+    E21, E23, E31, E32, E11 - E22, E22 - E33."""
+    offdiag = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+
+    def unit(r, c):
+        return ExactMatrix.from_rows(
+            [[int((a, b) == (r, c)) for b in range(3)] for a in range(3)]
+        )
+
+    basis = [unit(r, c) for r, c in offdiag]
+    basis += [unit(0, 0) - unit(1, 1), unit(1, 1) - unit(2, 2)]
+
+    def coords(m):
+        # diag(d0, d1, d2) with zero trace is d0 H1 + (d0 + d1) H2
+        return [m[r, c] for r, c in offdiag] + [m[0, 0], m[0, 0] + m[1, 1]]
+
+    brackets = {}
+    for i in range(8):
+        for j in range(i + 1, 8):
+            x, y = basis[i], basis[j]
+            brackets[(i, j)] = coords(x @ y - y @ x)
+    return from_structure_constants(8, brackets=brackets)
+
+
+def test_decide_sl3_semisimple_no():
+    report = decide_existence(_sl3())
+    assert report.verdict == "NO"
+    ev = report.obstruction
+    assert ev.killing_rank == 8
+    assert ev.h1_adjoint == 0
+    assert ev.det_poly_is_zero
+
+
+def test_each_certificate_is_verified_once(monkeypatch):
+    counts = {"curvature": 0, "check_homomorphism": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        connections, "curvature",
+        counting("curvature", connections.curvature),
+    )
+    hom = counting("check_homomorphism", affine.check_homomorphism)
+    monkeypatch.setattr(affine, "check_homomorphism", hom)
+    monkeypatch.setattr(obstructions, "check_homomorphism", hom)
+    # k, the exact snap checks of the search, is the curvature count
+    # when run_search returns
+    snap_checks = []
+    search = obstructions.run_search
+
+    def run_search(*args):
+        outcome = search(*args)
+        snap_checks.append(counts["curvature"])
+        return outcome
+
+    monkeypatch.setattr(obstructions, "run_search", run_search)
+
+    def per_yes(g, cfg=None):
+        counts.update(curvature=0, check_homomorphism=0)
+        assert decide_existence(g, cfg).verdict == "YES"
+        return counts["curvature"], counts["check_homomorphism"]
+
+    for name in ("abelian3", "heis3", "sol3"):
+        assert per_yes(builtin(name)) == (1, 1)
+    g = from_structure_constants(
+        3, brackets={(0, 1): [0, 1, 1], (0, 2): [0, 0, -1]}
+    )
+    curvature_calls, hom_calls = per_yes(g, SearchConfig(starts=20, seed=1))
+    (k,) = snap_checks
+    assert k >= 1
+    assert (curvature_calls, hom_calls) == (k + 1, 1)
+
+    # a semisimple NO: one Killing rank, no determinant polynomial
+    def refuse(rep):
+        raise AssertionError("fundamental_det_poly called")
+
+    monkeypatch.setattr(obstructions, "fundamental_det_poly", refuse)
+    ranks = []
+    killing_rank = LieAlgebra.killing_rank
+
+    def counted_rank(self):
+        ranks.append(self.n)
+        return killing_rank(self)
+
+    monkeypatch.setattr(LieAlgebra, "killing_rank", counted_rank)
+    for g in (builtin("sl2"), _sl2_plus_sl2()):
+        ranks.clear()
+        report = decide_existence(g)
+        assert report.verdict == "NO"
+        assert report.obstruction.det_poly_is_zero
+        assert report.obstruction.killing_rank == g.n
+        assert ranks == [g.n]
+
+
+def test_adjoint_matches_the_validated_representation():
+    algebras = [builtin(name) for name in ("abelian3", "heis3", "sol3", "sl2")]
+    for g in algebras + [_sl2_plus_sl2()]:
+        adj = LinearRep.adjoint(g)
+        assert LinearRep(g, g.adjoint_rep()).rho == adj.rho
+        assert adj.V_dim == g.n and adj.g is g
