@@ -306,7 +306,9 @@ def decide_existence(g: LieAlgebra,
         embedding=None,
         obstruction=None,
         notes=(
-            f"numeric search exhausted {outcome.starts_run} starts without "
-            "an exactly verifiable candidate",
+            f"numeric search exhausted {outcome.starts_run} starts: "
+            f"{len(outcome.candidates)} converged numerically, none snapped "
+            "to an exactly verified certificate (denominators up to "
+            f"{cfg.rationalize_denominator_bound})",
         ),
     )

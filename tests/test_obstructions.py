@@ -339,3 +339,15 @@ def test_adjoint_matches_the_validated_representation():
         adj = LinearRep.adjoint(g)
         assert LinearRep(g, g.adjoint_rep()).rho == adj.rho
         assert adj.V_dim == g.n and adj.g is g
+
+
+def test_unknown_note_counts_the_search():
+    g = from_structure_constants(
+        3, brackets={(0, 1): [0, 1, 1], (0, 2): [0, 0, -1]}
+    )
+    report = decide_existence(g, SearchConfig(starts=1, max_iters=1, seed=1))
+    assert report.notes == (
+        "numeric search exhausted 1 starts: 0 converged numerically, none "
+        "snapped to an exactly verified certificate (denominators up to "
+        "10000)",
+    )

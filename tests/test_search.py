@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flataff import search
 from flataff.exact import GaussRat
 from flataff.liealg import builtin, from_structure_constants
 from flataff.connections import curvature, is_flat, is_torsion_free
@@ -190,3 +191,112 @@ def test_run_search_sl2_finds_nothing():
     assert not out.found
     assert out.certificate is None
     assert out.candidates == ()
+
+
+def test_config_rejects_non_integer_counts():
+    for field in ("starts", "max_iters", "seed",
+                  "rationalize_denominator_bound"):
+        for bad in (1.5, 10.5, True, "3"):
+            with pytest.raises(ValueError, match=field):
+                SearchConfig(**{field: bad})
+
+
+def _reference_jacobian(sys, s):
+    """The per-column einsum Jacobian: direction d gives
+    B(d, Gamma) + B(Gamma, d) - L(d)."""
+    n = sys.n
+    gm = sys.gamma_from_s(s)
+    cols = []
+    for i0, j0 in sys.pairs:
+        for k0 in range(n):
+            d = np.zeros((n, n, n), dtype=complex)
+            d[i0, j0, k0] = 1.0
+            if i0 != j0:
+                d[j0, i0, k0] = 1.0
+            dr = (
+                np.einsum("jkm,iml->lkij", d, gm)
+                + np.einsum("jkm,iml->lkij", gm, d)
+                - np.einsum("ikm,jml->lkij", d, gm)
+                - np.einsum("ikm,jml->lkij", gm, d)
+                - np.einsum("ijm,mkl->lkij", sys.c_float, d)
+            )
+            cols.append(
+                [dr[l, k, i, j] for (l, k, i, j) in sys.residual_components]
+            )
+    return np.array(cols, dtype=complex).T
+
+
+def _gl2():
+    # basis E11, E12, E21, E22
+    return from_structure_constants(4, brackets={
+        (0, 1): [0, 1, 0, 0], (0, 2): [0, 0, -1, 0], (1, 2): [1, 0, 0, -1],
+        (1, 3): [0, 1, 0, 0], (2, 3): [0, 0, -1, 0],
+    })
+
+
+def test_jacobian_matches_reference_and_is_affine():
+    rng = np.random.default_rng(11)
+    algebras = [builtin(name) for name in ("abelian3", "heis3", "sol3", "sl2")]
+    for g in algebras + [_gl2()]:
+        sys = assemble(g)
+        m = sys.unknown_count
+        points = [rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m)
+                  for _ in range(4)]
+        for s in points:
+            J = sys.jacobian(s)
+            assert J.shape == (sys.residual_count, m)
+            assert np.max(np.abs(J - _reference_jacobian(sys, s))) < 1e-12
+        a, b = points[:2]
+        J0 = sys.jacobian(np.zeros(m, dtype=complex))
+        affine = sys.jacobian(a) + sys.jacobian(b) - J0
+        assert np.max(np.abs(affine - sys.jacobian(a + b))) < 1e-12
+
+
+def test_float_gate_keeps_flat_snaps():
+    # heis3 with e1.e1 = a e2 + b e3 and e1.e2 = e3 is left-symmetric for
+    # every a, b: the snap is exactly flat, so the gate must pass it
+    g = builtin("heis3")
+    sys = assemble(g)
+    rng = random.Random(29)
+    for _ in range(10):
+        s = [GaussRat(0)] * sys.unknown_count
+        pair_00, pair_01 = sys.pair_index[(0, 0)], sys.pair_index[(0, 1)]
+        for k in (1, 2):
+            s[pair_00 * 3 + k] = GaussRat(
+                Fraction(rng.randint(-10**7, 10**7), rng.randint(1, 9973)),
+                Fraction(rng.randint(-10**7, 10**7), rng.randint(1, 9973)),
+            )
+        s[pair_01 * 3 + 2] = GaussRat(Fraction(1, 2))
+        assert is_flat(sys.connection_from_rational_s(s))
+        assert search._snap_may_be_flat(sys, s)
+
+
+def test_float_gate_rejects_only_curved_snaps(monkeypatch):
+    # gl2 converges to irrational points of a solution family, so its
+    # snaps are curved; each one the gate drops must fail the exact check
+    sys = assemble(_gl2())
+    cfg = SearchConfig(starts=8, seed=0)
+    gate = search._snap_may_be_flat
+    rejected = []
+
+    def recording_gate(sys_, s_exact):
+        passed = gate(sys_, s_exact)
+        if not passed:
+            rejected.append(list(s_exact))
+        return passed
+
+    monkeypatch.setattr(search, "_snap_may_be_flat", recording_gate)
+    candidates = newton_multistart(sys, cfg)
+    assert candidates
+    for cand in candidates:
+        assert rationalize_and_verify(cand, sys, cfg) is None
+    assert len(rejected) >= 4
+    for s_exact in rejected[:4]:
+        assert not is_flat(sys.connection_from_rational_s(s_exact))
+
+
+def test_run_search_pins_certificate_starts():
+    cfg = SearchConfig(starts=200, seed=1)
+    assert run_search(builtin("heis3"), cfg).certificate_start == 0
+    assert run_search(builtin("sol3"), cfg).certificate_start == 12
+    assert run_search(builtin("sl2"), cfg).candidates == ()
