@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 
 from .exact import GaussRat, ExactMatrix
 from .liealg import (
@@ -26,16 +27,19 @@ from .connections import (
     InvariantConnection,
     zero_connection,
     standard_connection,
+    curvature,
+    torsion,
     is_flat,
     is_torsion_free,
-    is_projectively_flat,
+    _tensor_is_zero,
+    _weyl,
 )
 from .affine import (
     AffElement,
     AffMap,
     check_homomorphism,
-    is_etale,
-    lsa_from_etale,
+    _connection_from_map,
+    _translations_form_basis,
 )
 from .obstructions import decide_existence
 from .search import SearchConfig, run_search
@@ -77,17 +81,36 @@ def _coeff(value, position: str) -> GaussRat:
                 position,
                 f"coefficient {part!r} does not match -?digits(/digits)?",
             )
-    return GaussRat(value[0], value[1])
+    try:
+        return GaussRat(value[0], value[1])
+    except ZeroDivisionError:
+        raise ParseError(position, f"zero denominator in {value}") from None
 
 
-def _load_json(path: str) -> dict:
+def _coeffs(value, shape: tuple, position: str):
+    """Nested lists of GaussRat of the given shape, read from nested
+    lists of ["re", "im"] pairs; () reads one pair."""
+    if not shape:
+        return _coeff(value, position)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ParseError(position, f"expected {shape[0]} entries")
+    return [
+        _coeffs(x, shape[1:], f"{position}[{t}]")
+        for t, x in enumerate(value)
+    ]
+
+
+def _load_object(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(
             f"{path}:{e.lineno}:{e.colno}", f"invalid JSON ({e.msg})"
         ) from None
+    if not isinstance(data, dict):
+        raise ParseError(path, "top level must be an object")
+    return data
 
 
 def _require_int(data, key, position, minimum=0):
@@ -102,6 +125,8 @@ def _require_int(data, key, position, minimum=0):
 def parse_algebra_data(data, source: str = "<input>") -> LieAlgebra:
     if not isinstance(data, dict):
         raise ParseError(source, "top level must be an object")
+    if "name" in data and not isinstance(data["name"], str):
+        raise ParseError(f"{source}.name", "expected a string")
     n = _require_int(data, "dim", source)
     basis = data.get("basis")
     if basis is not None:
@@ -121,15 +146,7 @@ def parse_algebra_data(data, source: str = "<input>") -> LieAlgebra:
         right = _require_int(item, "right", where)
         if left >= n or right >= n:
             raise ParseError(where, f"index out of range for dim {n}")
-        result = item.get("result")
-        if not isinstance(result, list) or len(result) != n:
-            raise ParseError(
-                f"{where}.result", f"expected {n} coefficient pairs"
-            )
-        vec = [
-            _coeff(pair, f"{where}.result[{s}]")
-            for s, pair in enumerate(result)
-        ]
+        vec = _coeffs(item.get("result"), (n,), f"{where}.result")
         if (left, right) in table:
             raise ParseError(where, f"bracket ({left}, {right}) given twice")
         table[(left, right)] = vec
@@ -137,43 +154,18 @@ def parse_algebra_data(data, source: str = "<input>") -> LieAlgebra:
 
 
 def parse_algebra(path: str) -> LieAlgebra:
-    return parse_algebra_data(_load_json(path), source=path)
+    return parse_algebra_data(_load_object(path), source=path)
 
 
 def parse_connection(path: str, g: LieAlgebra) -> InvariantConnection:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(path, "top level must be an object")
     n = g.n
-    gm = data.get("gamma")
-    if not isinstance(gm, list) or len(gm) != n:
-        raise ParseError(f"{path}.gamma", f"expected {n} planes")
-    gamma = []
-    for i in range(n):
-        if not isinstance(gm[i], list) or len(gm[i]) != n:
-            raise ParseError(f"{path}.gamma[{i}]", f"expected {n} rows")
-        plane = []
-        for j in range(n):
-            row = gm[i][j]
-            if not isinstance(row, list) or len(row) != n:
-                raise ParseError(
-                    f"{path}.gamma[{i}][{j}]", f"expected {n} pairs"
-                )
-            plane.append(
-                [
-                    _coeff(row[k], f"{path}.gamma[{i}][{j}][{k}]")
-                    for k in range(n)
-                ]
-            )
-        gamma.append(plane)
+    gamma = _coeffs(_load_object(path).get("gamma"), (n, n, n),
+                    f"{path}.gamma")
     return InvariantConnection(g, gamma)
 
 
 def parse_affmap(path: str, g: LieAlgebra) -> AffMap:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(path, "top level must be an object")
-    images_data = data.get("images")
+    images_data = _load_object(path).get("images")
     if not isinstance(images_data, list) or len(images_data) != g.n:
         raise ParseError(f"{path}.images", f"expected {g.n} images")
     images = []
@@ -181,23 +173,15 @@ def parse_affmap(path: str, g: LieAlgebra) -> AffMap:
         where = f"{path}.images[{t}]"
         if not isinstance(item, dict):
             raise ParseError(where, "expected an object with A and v")
-        A_data = item.get("A")
-        v_data = item.get("v")
-        if not isinstance(A_data, list) or not A_data:
-            raise ParseError(f"{where}.A", "expected a square matrix")
-        m = len(A_data)
-        ents = []
-        for r in range(m):
-            if not isinstance(A_data[r], list) or len(A_data[r]) != m:
-                raise ParseError(
-                    f"{where}.A[{r}]", f"expected {m} pairs"
-                )
-            for c in range(m):
-                ents.append(_coeff(A_data[r][c], f"{where}.A[{r}][{c}]"))
-        if not isinstance(v_data, list) or len(v_data) != m:
-            raise ParseError(f"{where}.v", f"expected {m} pairs")
-        v = [_coeff(v_data[r], f"{where}.v[{r}]") for r in range(m)]
-        images.append(AffElement(ExactMatrix(m, m, ents), v))
+        if t == 0:
+            # the first image fixes the ambient dimension m of all
+            A0 = item.get("A")
+            if not isinstance(A0, list) or not A0:
+                raise ParseError(f"{where}.A", "expected a square matrix")
+            m = len(A0)
+        A = _coeffs(item.get("A"), (m, m), f"{where}.A")
+        v = _coeffs(item.get("v"), (m,), f"{where}.v")
+        images.append(AffElement(ExactMatrix.from_rows(A), v))
     return AffMap(g, images)
 
 
@@ -205,31 +189,26 @@ def parse_affmap(path: str, g: LieAlgebra) -> AffMap:
 
 
 class _Pair(list):
-    """A ["re", "im"] coefficient pair. json writes it as a plain list;
-    the text renderer tells it apart from other two-string lists."""
+    """A coefficient in a report: json writes it as the ["re", "im"]
+    list, the text renderer prints its `text`."""
+
+    def __init__(self, x: GaussRat):
+        super().__init__(x.to_pair())
+        self.text = str(x)
 
 
-def _pair(x: GaussRat) -> list:
-    return _Pair(x.to_pair())
-
-
-def _gamma_payload(conn: InvariantConnection) -> list:
-    n = conn.g.n
-    return [
-        [[_pair(conn.gamma[i][j][k]) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _matrix_payload(m: ExactMatrix) -> list:
-    return [[_pair(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+def _pairs(x):
+    """The report form of a GaussRat, or of nested sequences of them."""
+    if isinstance(x, GaussRat):
+        return _Pair(x)
+    return [_pairs(e) for e in x]
 
 
 def _embedding_payload(m: AffMap) -> dict:
     return {
         "ambient": m.ambient,
         "images": [
-            {"A": _matrix_payload(im.A), "v": [_pair(x) for x in im.v]}
+            {"A": _pairs(im.A.to_lists()), "v": _pairs(im.v)}
             for im in m.images
         ],
     }
@@ -243,54 +222,28 @@ def _algebra_payload(g: LieAlgebra, name: str | None) -> dict:
     }
 
 
-def _profile_payload(g: LieAlgebra) -> dict:
-    p = g.structural_profile()
+def _decision_payload(report) -> dict:
+    # a missing certificate or obstruction is None, and stays None
+    conn, emb, ev = report.connection, report.embedding, report.obstruction
     return {
-        "abelian": p.abelian,
-        "solvable": p.solvable,
-        "nilpotent": p.nilpotent,
-        "unimodular": p.unimodular,
-        "semisimple": p.semisimple,
-        "killing_rank": p.killing_rank,
-        "derived_series_dims": p.derived_series_dims,
-        "lower_central_dims": p.lower_central_dims,
+        "verdict": report.verdict,
+        "notes": list(report.notes),
+        "certificate_connection": conn and _pairs(conn.gamma),
+        "certificate_embedding": emb and _embedding_payload(emb),
+        "obstruction": ev and asdict(ev),
     }
 
 
-def _decision_payload(report) -> dict:
-    out = {"verdict": report.verdict, "notes": list(report.notes)}
-    if report.connection is not None:
-        out["certificate_connection"] = _gamma_payload(report.connection)
-    else:
-        out["certificate_connection"] = None
-    if report.embedding is not None:
-        out["certificate_embedding"] = _embedding_payload(report.embedding)
-    else:
-        out["certificate_embedding"] = None
-    if report.obstruction is not None:
-        ev = report.obstruction
-        out["obstruction"] = {
-            "killing_rank": ev.killing_rank,
-            "h1_adjoint": ev.h1_adjoint,
-            "det_poly_is_zero": ev.det_poly_is_zero,
-            "statement": ev.statement,
-        }
-    else:
-        out["obstruction"] = None
-    return out
-
-
 def _connection_analysis(conn: InvariantConnection) -> dict:
-    flat = is_flat(conn)
-    tf = is_torsion_free(conn)
-    if tf and conn.g.n >= 3:
-        projectively_flat = is_projectively_flat(conn)
-    else:
-        projectively_flat = None
+    curv = curvature(conn)
+    tf = _tensor_is_zero(torsion(conn))
     return {
-        "flat": flat,
+        "flat": _tensor_is_zero(curv),
         "torsion_free": tf,
-        "projectively_flat": projectively_flat,
+        # the projective Weyl tensor needs zero torsion and n >= 3
+        "projectively_flat": (
+            _tensor_is_zero(_weyl(curv)) if tf and conn.g.n >= 3 else None
+        ),
     }
 
 
@@ -301,7 +254,7 @@ def analyze(g: LieAlgebra, cfg: SearchConfig | None = None,
     decision = decide_existence(g, cfg)
     return {
         "algebra": _algebra_payload(g, name),
-        "profile": _profile_payload(g),
+        "profile": asdict(g.structural_profile()),
         "decision": _decision_payload(decision),
         "connection_analyses": {
             "zero": _connection_analysis(zero_connection(g)),
@@ -350,9 +303,7 @@ def search_report(g: LieAlgebra, cfg: SearchConfig,
             for c in outcome.candidates
         ],
         "certificate": (
-            _gamma_payload(outcome.certificate)
-            if outcome.certificate is not None
-            else None
+            outcome.certificate and _pairs(outcome.certificate.gamma)
         ),
         "certificate_start": outcome.certificate_start,
         "exactly_verified": outcome.found,
@@ -375,10 +326,6 @@ def _pair_depth(x):
     return depths.pop() + 1
 
 
-def _fmt_pair(pair) -> str:
-    return str(GaussRat(pair[0], pair[1]))
-
-
 def _render(obj, lines, indent):
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -397,6 +344,7 @@ def _render(obj, lines, indent):
 
 def _render_entry(key, val, lines, indent):
     pad = "  " * indent
+    inner = "  " * (indent + 1)
     depth = _pair_depth(val)
     if val is None:
         lines.append(f"{pad}{key}: none")
@@ -405,40 +353,31 @@ def _render_entry(key, val, lines, indent):
     elif isinstance(val, (int, float, str)):
         lines.append(f"{pad}{key}: {val}")
     elif depth == 0:
-        lines.append(f"{pad}{key}: {_fmt_pair(val)}")
+        lines.append(f"{pad}{key}: {val.text}")
     elif depth == 3:
         lines.append(f"{pad}{key}:")
-        n = len(val)
-        nonzero = []
-        for i in range(n):
-            for j in range(len(val[i])):
-                for k in range(len(val[i][j])):
-                    s = _fmt_pair(val[i][j][k])
-                    if s != "0":
-                        nonzero.append(f"[{i}][{j}][{k}] = {s}")
-        inner = "  " * (indent + 1)
-        if nonzero:
-            for line in nonzero:
-                lines.append(f"{inner}{line}")
-            lines.append(f"{inner}(all other entries zero)")
-        else:
-            lines.append(f"{inner}(all entries zero)")
+        nonzero = [
+            f"{inner}[{i}][{j}][{k}] = {e.text}"
+            for i, plane in enumerate(val)
+            for j, row in enumerate(plane)
+            for k, e in enumerate(row)
+            if e.text != "0"
+        ]
+        lines.extend(nonzero)
+        lines.append(
+            f"{inner}(all other entries zero)" if nonzero
+            else f"{inner}(all entries zero)"
+        )
     elif depth == 2:
         lines.append(f"{pad}{key}:")
-        inner = "  " * (indent + 1)
         for row in val:
-            lines.append(f"{inner}[" + ", ".join(_fmt_pair(e) for e in row) + "]")
+            lines.append(f"{inner}[" + ", ".join(e.text for e in row) + "]")
     elif depth == 1:
-        lines.append(
-            f"{pad}{key}: [" + ", ".join(_fmt_pair(e) for e in val) + "]"
-        )
+        lines.append(f"{pad}{key}: [" + ", ".join(e.text for e in val) + "]")
     elif isinstance(val, list) and all(
         isinstance(v, (int, float, str, bool)) for v in val
     ):
         lines.append(f"{pad}{key}: [" + ", ".join(str(v) for v in val) + "]")
-    elif isinstance(val, dict):
-        lines.append(f"{pad}{key}:")
-        _render(val, lines, indent + 1)
     else:
         lines.append(f"{pad}{key}:")
         _render(val, lines, indent + 1)
@@ -461,18 +400,16 @@ def _algebra_from_args(args) -> tuple:
     if getattr(args, "builtin", None):
         return builtin(args.builtin), args.builtin
     if getattr(args, "path", None):
-        data = _load_json(args.path)
+        data = _load_object(args.path)
         return parse_algebra_data(data, source=args.path), data.get("name")
     raise ParseError("<args>", "need an algebra file or --builtin NAME")
 
 
 def _search_config(args) -> SearchConfig:
-    kwargs = {}
-    if getattr(args, "starts", None) is not None:
-        kwargs["starts"] = args.starts
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return SearchConfig(**kwargs)
+    return SearchConfig(**{
+        k: v for k, v in vars(args).items()
+        if k in ("starts", "seed") and v is not None
+    })
 
 
 def _add_algebra_arguments(sub):
@@ -553,7 +490,7 @@ def _dispatch(args) -> dict:
         conn = parse_connection(args.gamma, g)
         payload = {
             "algebra": _algebra_payload(g, name),
-            "connection": _gamma_payload(conn),
+            "connection": _pairs(conn.gamma),
         }
         payload.update(_connection_analysis(conn))
         return payload
@@ -561,7 +498,11 @@ def _dispatch(args) -> dict:
         g, name = _algebra_from_args(args)
         m = parse_affmap(args.map, g)
         verdict = check_homomorphism(m)
-        payload = {
+        # etale is None for a non-homomorphism, and the induced
+        # connection exists only for an etale map
+        etale = _translations_form_basis(m) if verdict.ok else None
+        conn = _connection_from_map(m) if etale else None
+        return {
             "algebra": _algebra_payload(g, name),
             "ambient": m.ambient,
             "homomorphism": verdict.ok,
@@ -571,25 +512,11 @@ def _dispatch(args) -> dict:
                 else None
             ),
             "injective": verdict.injective,
+            "etale": etale,
+            "induced_connection": conn and _pairs(conn.gamma),
+            "induced_flat": conn and is_flat(conn),
+            "induced_torsion_free": conn and is_torsion_free(conn),
         }
-        if verdict.ok:
-            etale = is_etale(m)
-            payload["etale"] = etale
-            if etale:
-                conn = lsa_from_etale(m)
-                payload["induced_connection"] = _gamma_payload(conn)
-                payload["induced_flat"] = is_flat(conn)
-                payload["induced_torsion_free"] = is_torsion_free(conn)
-            else:
-                payload["induced_connection"] = None
-                payload["induced_flat"] = None
-                payload["induced_torsion_free"] = None
-        else:
-            payload["etale"] = None
-            payload["induced_connection"] = None
-            payload["induced_flat"] = None
-            payload["induced_torsion_free"] = None
-        return payload
     if args.command == "search":
         g, name = _algebra_from_args(args)
         return search_report(g, _search_config(args), name=name)

@@ -237,7 +237,13 @@ def projective_weyl(conn: InvariantConnection):
         )
     if not is_torsion_free(conn):
         raise NonzeroTorsion("projective Weyl tensor needs zero torsion")
-    curv = curvature(conn)
+    return _weyl(curvature(conn))
+
+
+def _weyl(curv):
+    """projective_weyl from the curvature R of a torsion-free connection
+    in dimension n >= 3, without those checks."""
+    n = len(curv)
     ric = ricci(curv)
     denom = GaussRat(Fraction(1, n * n - 1))
     gam = [

@@ -300,15 +300,22 @@ def decide_existence(g: LieAlgebra,
                 f"{outcome.certificate_start}",
             ],
         )
+    if outcome.starts_run == 0:
+        note = (
+            "numeric search could not represent the structure constants "
+            "as floats; rescale the basis to bring them into float range"
+        )
+    else:
+        note = (
+            f"numeric search exhausted {outcome.starts_run} starts: "
+            f"{len(outcome.candidates)} converged numerically, none snapped "
+            "to an exactly verified certificate (denominators up to "
+            f"{cfg.rationalize_denominator_bound})"
+        )
     return DecisionReport(
         verdict="UNKNOWN",
         connection=None,
         embedding=None,
         obstruction=None,
-        notes=(
-            f"numeric search exhausted {outcome.starts_run} starts: "
-            f"{len(outcome.candidates)} converged numerically, none snapped "
-            "to an exactly verified certificate (denominators up to "
-            f"{cfg.rationalize_denominator_bound})",
-        ),
+        notes=(note,),
     )

@@ -317,6 +317,9 @@ def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem,
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """starts_run is 0 when a structure constant lies beyond the float
+    range, so that no start could run."""
+
     starts_run: int
     candidates: tuple  # numeric Candidate list, start order
     certificate: InvariantConnection | None
@@ -331,7 +334,11 @@ def run_search(g: LieAlgebra, cfg: SearchConfig = SearchConfig()) -> SearchOutco
     """Full pipeline: assemble, multistart, rationalize, verify. The
     first candidate (by start index) whose snap passes exact
     verification supplies the certificate."""
-    sys = assemble(g)
+    try:
+        sys = assemble(g)
+    except OverflowError:
+        return SearchOutcome(starts_run=0, candidates=(), certificate=None,
+                             certificate_start=None)
     candidates = newton_multistart(sys, cfg)
     certificate = None
     certificate_start = None

@@ -355,3 +355,175 @@ def test_text_report_prints_numeric_basis_labels(tmp_path, capsys):
     path = _write(tmp_path, "a.json", {"dim": 2, "basis": ["1", "2"]})
     assert main(["analyze", path]) == 0
     assert "  basis: [1, 2]\n" in capsys.readouterr().out
+
+
+def test_zero_denominators_are_positioned_errors(tmp_path, capsys):
+    bad = ["1/0", "0"]
+    algebra = _write(tmp_path, "a.json", {"dim": 2, "brackets": [
+        {"left": 0, "right": 1, "result": [_zero_pair(), bad]}]})
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(algebra)
+    assert exc.value.position.endswith(".brackets[0].result[1]")
+    assert main(["analyze", algebra]) == 1
+    assert "zero denominator" in capsys.readouterr().err
+
+    g = builtin("heis3")
+    gamma = [[[_zero_pair()] * 3 for _ in range(3)] for _ in range(3)]
+    gamma[0][1][2] = ["0", "3/0"]
+    with pytest.raises(ParseError) as exc:
+        parse_connection(_write(tmp_path, "c.json", {"gamma": gamma}), g)
+    assert exc.value.position.endswith(".gamma[0][1][2]")
+
+    zero_A = [[_zero_pair()] * 3 for _ in range(3)]
+    images = [{"A": zero_A, "v": [_zero_pair()] * 3} for _ in range(3)]
+    images[2]["v"] = [_zero_pair(), bad, _zero_pair()]
+    with pytest.raises(ParseError) as exc:
+        parse_affmap(_write(tmp_path, "m.json", {"images": images}), g)
+    assert exc.value.position.endswith(".images[2].v[1]")
+
+
+def test_mixed_size_map_fails_at_the_image(tmp_path):
+    g = builtin("heis3")
+    images = [
+        {"A": [[_zero_pair()] * n for _ in range(n)],
+         "v": [_zero_pair()] * n}
+        for n in (3, 3, 2)
+    ]
+    with pytest.raises(ParseError) as exc:
+        parse_affmap(_write(tmp_path, "m.json", {"images": images}), g)
+    assert exc.value.position.endswith(".images[2].A")
+
+
+def test_algebra_name_must_be_a_string(tmp_path, capsys):
+    for name in (5, ["a"], None):
+        path = _write(tmp_path, "a.json", {"name": name, "dim": 1})
+        with pytest.raises(ParseError) as exc:
+            parse_algebra(path)
+        assert exc.value.position == f"{path}.name"
+        assert main(["analyze", path]) == 1
+        assert ".name: expected a string" in capsys.readouterr().err
+    path = _write(tmp_path, "a.json", {"name": "line", "dim": 1})
+    assert main(["analyze", path]) == 0
+    assert "  name: line\n" in capsys.readouterr().out
+
+
+def test_constants_beyond_float_range_end_in_a_verdict(tmp_path, capsys):
+    # [e1, e2] = 10^400 e2 is exact input, but no float holds 10^400
+    huge = _write(tmp_path, "huge.json", {"dim": 2, "brackets": [
+        {"left": 0, "right": 1,
+         "result": [_zero_pair(), ["1" + "0" * 400, "0"]]}]})
+    assert main(["analyze", huge, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["decision"]["verdict"] == "UNKNOWN"
+    assert data["decision"]["notes"] == [
+        "numeric search could not represent the structure constants as "
+        "floats; rescale the basis to bring them into float range"
+    ]
+    assert data["profile"]["solvable"] is True
+    assert data["profile"]["killing_rank"] == 1
+    assert data["connection_analyses"]["standard"]["torsion_free"] is True
+
+    assert main(["search", huge, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["numeric_candidates"] == []
+    assert data["certificate"] is None
+    assert data["exactly_verified"] is False
+
+
+def test_text_report_renders_every_coefficient_shape(tmp_path, capsys):
+    assert main(["analyze", "--builtin", "sol3"]) == 0
+    text = capsys.readouterr().out
+    assert (
+        "  certificate_connection:\n"
+        "    [0][1][1] = 1\n"
+        "    [0][2][2] = -1\n"
+        "    (all other entries zero)\n"
+    ) in text
+    assert (
+        "        A:\n"
+        "          [0, 0, 0]\n"
+        "          [0, 1, 0]\n"
+        "          [0, 0, -1]\n"
+        "        v: [1, 0, 0]\n"
+    ) in text
+
+    gamma = [[[_zero_pair()] * 3 for _ in range(3)] for _ in range(3)]
+    conn = _write(tmp_path, "zero.json", {"gamma": gamma})
+    assert main(["check-connection", "--builtin", "heis3",
+                 "--gamma", conn]) == 0
+    assert "connection:\n  (all entries zero)\n" in capsys.readouterr().out
+
+
+def _count_calls(monkeypatch, name, counts):
+    """Count calls of the flataff function `name` from every module
+    that binds it."""
+    import flataff.affine
+    import flataff.cli
+    import flataff.connections
+    import flataff.obstructions
+    import flataff.search
+
+    modules = (flataff.affine, flataff.cli, flataff.connections,
+               flataff.obstructions, flataff.search)
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for m in modules:
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, counted)
+
+
+def _gl2_files(tmp_path):
+    """gl2 on E11, E12, E21, E22 and the flat torsion-free connection
+    of matrix multiplication, E_ab E_cd = delta_bc E_ad."""
+    def product(i, j):
+        (a, b), (c, d) = divmod(i, 2), divmod(j, 2)
+        return {2 * a + d: 1} if b == c else {}
+
+    def pairs(vec):
+        return [[str(vec.get(k, 0)), "0"] for k in range(4)]
+
+    brackets = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            vec = dict(product(i, j))
+            for k, x in product(j, i).items():
+                vec[k] = vec.get(k, 0) - x
+            brackets.append({"left": i, "right": j, "result": pairs(vec)})
+    gamma = [[pairs(product(i, j)) for j in range(4)] for i in range(4)]
+    return (_write(tmp_path, "gl2.json", {"dim": 4, "brackets": brackets}),
+            _write(tmp_path, "gl2_conn.json", {"gamma": gamma}))
+
+
+def test_each_exact_check_runs_once_per_command(tmp_path, monkeypatch,
+                                                capsys):
+    counts = {}
+    for name in ("check_homomorphism", "curvature", "torsion"):
+        _count_calls(monkeypatch, name, counts)
+
+    zero_A = [[_zero_pair()] * 3 for _ in range(3)]
+    A1 = [[_zero_pair()] * 3 for _ in range(3)]
+    A1[2][1] = ["1", "0"]
+    emb = _write(tmp_path, "map.json", {"images": [
+        {"A": A1, "v": [["1", "0"], _zero_pair(), _zero_pair()]},
+        {"A": zero_A, "v": [_zero_pair(), ["1", "0"], _zero_pair()]},
+        {"A": zero_A, "v": [_zero_pair(), _zero_pair(), ["1", "0"]]},
+    ]})
+    assert main(["check-embedding", "--builtin", "heis3", "--map", emb,
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["etale"] is True and data["induced_flat"] is True
+    assert counts["check_homomorphism"] == 1
+
+    algebra, conn = _gl2_files(tmp_path)
+    counts.update(curvature=0, torsion=0)
+    assert main(["check-connection", algebra, "--gamma", conn,
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["flat"] is True and data["torsion_free"] is True
+    assert data["projectively_flat"] is True
+    assert (counts["curvature"], counts["torsion"]) == (1, 1)
