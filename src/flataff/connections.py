@@ -12,14 +12,18 @@ For constant Christoffels the curvature expands to
   R[l][k][i][j] = sum_m (gamma[j][k][m] gamma[i][m][l]
                          - gamma[i][k][m] gamma[j][m][l]
                          - c[i][j][m] gamma[m][k][l]).
+Swapping i and j negates every term (c[j][i][m] = -c[i][j][m]), so
+R[l][k][j][i] = -R[l][k][i][j]. curvature() sums only products of
+nonzero entries and adds each product at (i, j) and, negated, at (j, i).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .exact import GaussRat, ExactMatrix, as_gauss, ZERO, HALF
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, nonzero_index
 
 __all__ = [
     "InvariantConnection",
@@ -140,28 +144,27 @@ def torsion(conn: InvariantConnection):
 def curvature(conn: InvariantConnection):
     """R[l][k][i][j], the coefficient of e_l in R(e_i, e_j) e_k."""
     n = conn.g.n
-    gm = conn.gamma
-    c = conn.g.c
-    out = []
-    for l in range(n):
-        out_l = []
-        for k in range(n):
-            out_k = []
-            for i in range(n):
-                out_i = []
-                for j in range(n):
-                    acc = ZERO
-                    for m in range(n):
-                        acc = acc + (
-                            gm[j][k][m] * gm[i][m][l]
-                            - gm[i][k][m] * gm[j][m][l]
-                            - c[i][j][m] * gm[m][k][l]
-                        )
-                    out_i.append(acc)
-                out_k.append(tuple(out_i))
-            out_l.append(tuple(out_k))
-        out.append(tuple(out_l))
-    return tuple(out)
+    first = nonzero_index(conn.gamma)
+    middle = [[] for _ in range(n)]  # middle[m]: (j, l, gamma[j][m][l])
+    for j, entries in enumerate(first):
+        for m, l, b in entries:
+            middle[m].append((j, l, b))
+    # (i, j, k, l, t): t is gamma[i][k][m] gamma[j][m][l] or, for i < j,
+    # c[i][j][m] gamma[m][k][l]; both enter R[l][k][i][j] negated
+    terms = itertools.chain(
+        ((i, j, k, l, a * b) for i, entries in enumerate(first)
+         for k, m, a in entries for j, l, b in middle[m] if i != j),
+        ((i, j, k, l, v * w) for i, entries in enumerate(conn.g.nonzero)
+         for j, m, v in entries if i < j for k, l, w in first[m]),
+    )
+    R = [ZERO] * n**4  # R[l][k][i][j] at ((l n + k) n + i) n + j
+    for i, j, k, l, t in terms:
+        lk = (l * n + k) * n
+        R[(lk + i) * n + j] -= t
+        R[(lk + j) * n + i] += t
+    for _ in range(3):
+        R = [tuple(R[s:s + n]) for s in range(0, len(R), max(n, 1))]
+    return tuple(R)
 
 
 def ricci(curv) -> ExactMatrix:

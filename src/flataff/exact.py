@@ -42,14 +42,16 @@ class GaussRat:
     """A Gaussian rational re + im*i with Fraction components.
 
     Fraction keeps each part canonical (positive denominator, reduced),
-    so equality and hashing are structural.
+    so equality and hashing are structural; zero parts share one object.
+    Operators build results with _exact and skip the imaginary parts of
+    two real operands.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _coerce_rational(re))
-        object.__setattr__(self, "im", _coerce_rational(im))
+        object.__setattr__(self, "re", _coerce_rational(re) or _F0)
+        object.__setattr__(self, "im", _coerce_rational(im) or _F0)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -66,7 +68,7 @@ class GaussRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRat(self.re + o.re, self.im + o.im)
+        return _exact(self.re + o.re, self.im + o.im if self.im or o.im else _F0)
 
     __radd__ = __add__
 
@@ -74,7 +76,7 @@ class GaussRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRat(self.re - o.re, self.im - o.im)
+        return _exact(self.re - o.re, self.im - o.im if self.im or o.im else _F0)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -86,10 +88,10 @@ class GaussRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRat(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if self.im or o.im:
+            return _exact(self.re * o.re - self.im * o.im,
+                          self.re * o.im + self.im * o.re)
+        return _exact(self.re * o.re, _F0)
 
     __rmul__ = __mul__
 
@@ -97,10 +99,12 @@ class GaussRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.re and not (self.im or o.im):
+            return _exact(self.re / o.re, _F0)
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat(
+        return _exact(
             (self.re * o.re + self.im * o.im) / n,
             (self.im * o.re - self.re * o.im) / n,
         )
@@ -112,23 +116,23 @@ class GaussRat:
         return o / self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _exact(-self.re, -self.im)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _exact(self.re, -self.im)
 
     def norm(self) -> Fraction:
         """Squared modulus re^2 + im^2 (a rational)."""
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -168,6 +172,19 @@ class GaussRat:
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
+
+
+_F0 = Fraction(0)
+_set_re = GaussRat.re.__set__
+_set_im = GaussRat.im.__set__
+
+
+def _exact(re: Fraction, im: Fraction) -> GaussRat:
+    """GaussRat from two Fractions, without the checks of __init__."""
+    z = object.__new__(GaussRat)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 ZERO = GaussRat(0)
@@ -321,25 +338,31 @@ class ExactMatrix:
         return all(e.is_zero() for e in self.entries)
 
     def rref(self):
-        """Reduced row echelon form; returns (rref matrix, pivot column list)."""
+        """Reduced row echelon form; returns (rref matrix, pivot column list).
+        Each step touches only the nonzero columns of the pivot row."""
         m = [list(self.row(i)) for i in range(self.rows)]
         pivots = []
         r = 0
         for c in range(self.cols):
             pivot_row = None
             for i in range(r, self.rows):
-                if not m[i][c].is_zero():
+                if m[i][c]:
                     pivot_row = i
                     break
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [e * inv for e in m[r]]
+            row = m[r]
+            inv = ONE / row[c]
+            support = [(j, b * inv) for j, b in enumerate(row) if b]
+            for j, b in support:
+                row[j] = b
             for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                if f and i != r:
+                    other = m[i]
+                    for j, b in support:
+                        other[j] = other[j] - f * b
             pivots.append(c)
             r += 1
             if r == self.rows:

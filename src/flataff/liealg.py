@@ -2,7 +2,8 @@
 
 A LieAlgebra stores the full array c[i][j][k] with
 [e_i, e_j] = sum_k c[i][j][k] e_k, validated for antisymmetry and the
-Jacobi identity at construction time. All coefficients are GaussRat.
+Jacobi identity at construction time, and indexed by its nonzero entries
+(`nonzero`) for the Jacobi check and Killing form. Entries are GaussRat.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ class InconsistentEntry(ValueError):
     """Bracket table contradicts antisymmetry."""
 
 
+def nonzero_index(t) -> tuple:
+    """Entry a lists (b, k, t[a][b][k]) for each nonzero t[a][b][k]."""
+    return tuple(tuple((b, k, x) for b, row in enumerate(plane)
+                       for k, x in enumerate(row) if x) for plane in t)
+
+
 def _coerce_vector(v, n) -> list:
     v = [as_gauss(x) for x in v]
     if len(v) != n:
@@ -48,7 +55,7 @@ class LieAlgebra:
     """Finite-dimensional complex Lie algebra over the Gaussian rationals.
 
     Immutable; construct via from_structure_constants or builtin, or pass
-    the full constant array directly.
+    the full constant array directly. Zero constants are stored as ZERO.
     """
 
     def __init__(self, n: int, c, names=None):
@@ -57,7 +64,7 @@ class LieAlgebra:
         self.n = n
         self.c = tuple(
             tuple(
-                tuple(as_gauss(c[i][j][k]) for k in range(n))
+                tuple(as_gauss(c[i][j][k]) or ZERO for k in range(n))
                 for j in range(n)
             )
             for i in range(n)
@@ -67,6 +74,7 @@ class LieAlgebra:
         if len(names) != n:
             raise ValueError("need one name per basis element")
         self.names = tuple(str(s) for s in names)
+        self.nonzero = nonzero_index(self.c)
         self._check_antisymmetry()
         self._check_jacobi()
         self._frozen = True
@@ -86,21 +94,24 @@ class LieAlgebra:
                         )
 
     def _check_jacobi(self):
-        n = self.n
-        c = self.c
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    for l in range(n):
-                        acc = ZERO
-                        for m in range(n):
-                            acc = acc + (
-                                c[i][j][m] * c[m][k][l]
-                                + c[j][k][m] * c[m][i][l]
-                                + c[k][i][m] * c[m][j][l]
-                            )
-                        if not acc.is_zero():
-                            raise JacobiViolation((i, j, k, l))
+        """JacobiViolation at the first (i, j, k, l), i < j < k, where
+        sum_m c[i][j][m] c[m][k][l] + (cyclic in i, j, k) is not zero.
+        A nonzero c[a][b][m] c[m][x][l], a < b, x not in {a, b}, is a term
+        for the triple {a, b, x}, negated if a < x < b (c[k][i] = -c[i][k])."""
+        sums = {}
+        for a, entries in enumerate(self.nonzero):
+            for b, m, v in entries:
+                if b <= a:
+                    continue
+                for x, l, w in self.nonzero[m]:
+                    if x == a or x == b:
+                        continue
+                    t = -v * w if a < x < b else v * w
+                    key = (*sorted((a, b, x)), l)
+                    sums[key] = sums.get(key, ZERO) + t
+        for key in sorted(sums):
+            if sums[key]:
+                raise JacobiViolation(key)
 
     def bracket(self, x, y) -> list:
         """Bracket of two coordinate vectors."""
@@ -141,26 +152,20 @@ class LieAlgebra:
         return [self.ad_matrix(i) for i in range(self.n)]
 
     def killing_form(self) -> ExactMatrix:
-        """K[i][j] = trace(ad e_i ∘ ad e_j), a symmetric matrix."""
-        ads = self.adjoint_rep()
-        ents = []
-        for i in range(self.n):
-            for j in range(self.n):
-                ents.append((ads[i] @ ads[j]).trace())
-        return ExactMatrix(self.n, self.n, ents)
+        """K[i][j] = trace(ad e_i ∘ ad e_j), a symmetric matrix, as the
+        sum of c[i][k][m] c[j][m][k] = -c[i][k][m] c[m][j][k] over the
+        nonzero constants."""
+        n = self.n
+        K = [ZERO] * (n * n)
+        for i, entries in enumerate(self.nonzero):
+            for k, m, v in entries:
+                for j, kk, w in self.nonzero[m]:
+                    if kk == k:
+                        K[i * n + j] = K[i * n + j] - v * w
+        return ExactMatrix(n, n, K)
 
     def is_abelian(self) -> bool:
-        return all(
-            self.c[i][j][k].is_zero()
-            for i in range(self.n)
-            for j in range(self.n)
-            for k in range(self.n)
-        )
-
-    def _span_dim(self, vectors) -> int:
-        if not vectors:
-            return 0
-        return ExactMatrix.from_rows(vectors).rank()
+        return not any(self.nonzero)
 
     def _bracket_space(self, basis_a, basis_b) -> list:
         """Row-space basis of [span(basis_a), span(basis_b)]."""
@@ -248,13 +253,7 @@ class LieAlgebra:
         return self.n == other.n and self.c == other.c
 
     def __repr__(self):
-        nz = sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            for k in range(self.n)
-            if not self.c[i][j][k].is_zero()
-        )
+        nz = sum(b > a for a, e in enumerate(self.nonzero) for b, _, _ in e)
         return f"LieAlgebra(n={self.n}, nonzero brackets={nz})"
 
 

@@ -317,8 +317,8 @@ def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem,
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """starts_run is 0 when a structure constant lies beyond the float
-    range, so that no start could run."""
+    """starts_run is 0 when the structure constants are too large for
+    the float search (see _finite_at_zero), so that no start could run."""
 
     starts_run: int
     candidates: tuple  # numeric Candidate list, start order
@@ -330,13 +330,27 @@ class SearchOutcome:
         return self.certificate is not None
 
 
+def _finite_at_zero(sys: FlatnessSystem) -> bool:
+    """Whether |r|, J0^H J0 and J0^H r at s = 0 are finite. |r|^2 grows
+    as c^4, so constants above about 1e77 overflow the first LM step."""
+    r0 = sys.residual(np.zeros(sys.unknown_count, dtype=complex))
+    jh = sys._j0.conj().T
+    return all(np.isfinite(x).all()
+               for x in (np.linalg.norm(r0), jh @ sys._j0, jh @ r0))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def run_search(g: LieAlgebra, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Full pipeline: assemble, multistart, rationalize, verify. The
     first candidate (by start index) whose snap passes exact
-    verification supplies the certificate."""
+    verification supplies the certificate. Overflow is handled, so numpy
+    does not warn of it: a later LM step that overflows has a non-finite
+    cost and is rejected like any step that does not lower the cost."""
     try:
         sys = assemble(g)
     except OverflowError:
+        sys = None
+    if sys is None or not _finite_at_zero(sys):
         return SearchOutcome(starts_run=0, candidates=(), certificate=None,
                              certificate_start=None)
     candidates = newton_multistart(sys, cfg)

@@ -1,6 +1,7 @@
 """Tests for file parsing, report payloads, and the command line."""
 
 import json
+import warnings
 
 import pytest
 
@@ -428,6 +429,30 @@ def test_constants_beyond_float_range_end_in_a_verdict(tmp_path, capsys):
     assert data["numeric_candidates"] == []
     assert data["certificate"] is None
     assert data["exactly_verified"] is False
+
+
+def test_constants_that_overflow_the_residual_end_quietly(tmp_path, capsys):
+    # [e1, e2] = 10^e e2 is aff1 rescaled (a known YES); from about 10^77
+    # on, the first search step overflows in floats
+    rescale = ("numeric search could not represent the structure constants "
+               "as floats; rescale the basis to bring them into float range")
+    for e in (100, 200, 307):
+        path = _write(tmp_path, f"big{e}.json", {"dim": 2, "brackets": [
+            {"left": 0, "right": 1,
+             "result": [_zero_pair(), ["1" + "0" * e, "0"]]}]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["analyze", path, "--format", "json"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            data = json.loads(out)
+            assert data["decision"]["verdict"] == "UNKNOWN"
+            assert data["decision"]["notes"] == [rescale]
+
+            assert main(["search", path, "--format", "json"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert json.loads(out)["numeric_candidates"] == []
 
 
 def test_text_report_renders_every_coefficient_shape(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic layer."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -67,6 +68,73 @@ def test_gaussrat_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         x.re = Fraction(3)
     assert len({GaussRat(1, 2), GaussRat(1, 2), GaussRat(2, 1)}) == 2
+
+
+def _pair_op(op, x, y):
+    """Reference arithmetic on (re, im) Fraction pairs."""
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def test_gaussrat_invariants_under_real_and_complex_arithmetic():
+    rng = random.Random(31337)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+    def operand(kinds):
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        kind = rng.choice(kinds)
+        if kind == "int":
+            return re.numerator, (Fraction(re.numerator), Fraction(0))
+        if kind == "fraction":
+            return re, (re, Fraction(0))
+        if kind == "real":
+            return GaussRat(re), (re, Fraction(0))
+        return GaussRat(re, im), (re, im)
+
+    real_results = 0
+    for _ in range(300):
+        x, xp = operand(["real", "real", "complex"])
+        for _ in range(6):
+            y, yp = operand(["real", "real", "complex", "int", "fraction"])
+            op = rng.choice("+-*/")
+            # an int or Fraction on the left goes through GaussRat.__r*__
+            if not isinstance(y, GaussRat) and rng.random() < 0.5:
+                a, ap, b, bp = y, yp, x, xp
+            else:
+                a, ap, b, bp = x, xp, y, yp
+            if op == "/" and bp == (0, 0):
+                continue
+            z, zp = ops[op](a, b), _pair_op(op, ap, bp)
+            assert type(z) is GaussRat
+            assert type(z.re) is Fraction and type(z.im) is Fraction
+            public = GaussRat(zp[0], zp[1])
+            assert z == public and hash(z) == hash(public)
+            assert z.to_pair() == [str(zp[0]), str(zp[1])]
+            real_results += zp[1] == 0
+            x, xp = z, zp
+    assert real_results > 500
+
+
+def test_gaussrat_zero_division_message_on_every_path():
+    zeros = (ZERO, GaussRat(Fraction(0)), 0, Fraction(0), -ZERO)
+    for num in (GaussRat(3), GaussRat(Fraction(-1, 2)), GaussRat(1, 1), ZERO):
+        for den in zeros:
+            with pytest.raises(ZeroDivisionError) as exc:
+                num / den
+            assert str(exc.value) == "division by zero Gaussian rational"
+    for num in (3, Fraction(1, 2)):
+        with pytest.raises(ZeroDivisionError) as exc:
+            num / ZERO
+        assert str(exc.value) == "division by zero Gaussian rational"
 
 
 def test_matrix_product_and_identity():

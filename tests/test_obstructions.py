@@ -351,3 +351,42 @@ def test_unknown_note_counts_the_search():
         "snapped to an exactly verified certificate (denominators up to "
         "10000)",
     )
+
+
+def _sl4():
+    """sl4 from commutators of 4x4 matrices, in the basis of the twelve
+    E_ab, a != b, then H_a = E_aa - E_(a+1)(a+1) for a = 1, 2, 3."""
+    offdiag = [(a, b) for a in range(4) for b in range(4) if a != b]
+
+    def unit(r, c):
+        return ExactMatrix.from_rows(
+            [[int((a, b) == (r, c)) for b in range(4)] for a in range(4)]
+        )
+
+    basis = [unit(r, c) for r, c in offdiag]
+    basis += [unit(a, a) - unit(a + 1, a + 1) for a in range(3)]
+
+    def coords(m):
+        # diag(d0, .., d3) with zero trace is the sum over a of
+        # (d0 + .. + da) H_(a+1)
+        partial = [m[0, 0], m[0, 0] + m[1, 1], m[0, 0] + m[1, 1] + m[2, 2]]
+        return [m[r, c] for r, c in offdiag] + partial
+
+    brackets = {}
+    for i in range(15):
+        for j in range(i + 1, 15):
+            x, y = basis[i], basis[j]
+            brackets[(i, j)] = coords(x @ y - y @ x)
+    return from_structure_constants(15, brackets=brackets)
+
+
+def test_decide_sl4_semisimple_no():
+    g = _sl4()
+    assert g.killing_rank() == 15
+    report = decide_existence(g)
+    assert report.verdict == "NO"
+    ev = report.obstruction
+    assert ev.killing_rank == 15
+    # Whitehead: H1(g, g) = 0 for semisimple g
+    assert ev.h1_adjoint == 0
+    assert ev.det_poly_is_zero

@@ -1,0 +1,173 @@
+"""The sparse exact kernels (curvature, Killing form, Jacobi check) against
+the dense loops they replaced, kept here as references."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from flataff.exact import GaussRat, ZERO
+from flataff.liealg import (
+    LieAlgebra,
+    JacobiViolation,
+    builtin,
+    from_structure_constants,
+)
+from flataff.connections import (
+    InvariantConnection,
+    curvature,
+    is_flat,
+    is_torsion_free,
+    standard_connection,
+)
+
+
+def _dense_curvature(conn):
+    """R[l][k][i][j] = sum_m (gamma[j][k][m] gamma[i][m][l]
+    - gamma[i][k][m] gamma[j][m][l] - c[i][j][m] gamma[m][k][l])."""
+    n = conn.g.n
+    gm = conn.gamma
+    c = conn.g.c
+    out = []
+    for l in range(n):
+        out_l = []
+        for k in range(n):
+            out_k = []
+            for i in range(n):
+                out_i = []
+                for j in range(n):
+                    acc = ZERO
+                    for m in range(n):
+                        acc = acc + (
+                            gm[j][k][m] * gm[i][m][l]
+                            - gm[i][k][m] * gm[j][m][l]
+                            - c[i][j][m] * gm[m][k][l]
+                        )
+                    out_i.append(acc)
+                out_k.append(tuple(out_i))
+            out_l.append(tuple(out_k))
+        out.append(tuple(out_l))
+    return tuple(out)
+
+
+def _dense_jacobi_violation(n, c):
+    """The first (i, j, k, l), i < j < k, where the Jacobi sum is not
+    zero, or None."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    acc = ZERO
+                    for m in range(n):
+                        acc = acc + (
+                            c[i][j][m] * c[m][k][l]
+                            + c[j][k][m] * c[m][i][l]
+                            + c[k][i][m] * c[m][j][l]
+                        )
+                    if not acc.is_zero():
+                        return (i, j, k, l)
+    return None
+
+
+def _matmul_algebra(units):
+    """The Lie algebra of a span of matrix units E_ab (a list of (a, b)
+    closed under the product) and the connection of matrix
+    multiplication, gamma[i][j] = coordinates of x_i x_j."""
+    n = len(units)
+    index = {u: t for t, u in enumerate(units)}
+
+    def product(i, j):
+        (a, b), (c, d) = units[i], units[j]
+        v = [0] * n
+        if b == c:
+            v[index[(a, d)]] = 1
+        return v
+
+    brackets = {(i, j): [x - y for x, y in zip(product(i, j), product(j, i))]
+                for i in range(n) for j in range(i + 1, n)}
+    g = from_structure_constants(n, brackets=brackets)
+    gamma = [[product(i, j) for j in range(n)] for i in range(n)]
+    return g, InvariantConnection(g, gamma)
+
+
+def _gl2():
+    return _matmul_algebra([(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+def _aff1():
+    return _matmul_algebra([(0, 0), (0, 1)])
+
+
+def _sl2_plus_sl2():
+    sl2 = {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}
+    brackets = {}
+    for (i, j), v in sl2.items():
+        brackets[(i, j)] = v + [0, 0, 0]
+        brackets[(i + 3, j + 3)] = [0, 0, 0] + v
+    return from_structure_constants(6, brackets=brackets)
+
+
+def _algebras():
+    return [builtin(name) for name in ("abelian3", "heis3", "sol3", "sl2")] + [
+        _gl2()[0], _sl2_plus_sl2()]
+
+
+def _rand_gauss(rng):
+    return GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+
+def test_curvature_matches_dense_reference():
+    rng = random.Random(808)
+    for g in _algebras():
+        conn = standard_connection(g)
+        assert curvature(conn) == _dense_curvature(conn)
+        n = g.n
+        for _ in range(2):
+            # every entry nonzero with probability about 0.98
+            gamma = [[[_rand_gauss(rng) for _ in range(n)] for _ in range(n)]
+                     for _ in range(n)]
+            conn = InvariantConnection(g, gamma)
+            assert curvature(conn) == _dense_curvature(conn)
+    for g, conn in (_gl2(), _aff1()):
+        assert is_torsion_free(conn) and is_flat(conn)
+        assert curvature(conn) == _dense_curvature(conn)
+
+
+def test_curvature_of_dimension_zero():
+    conn = standard_connection(LieAlgebra(0, []))
+    assert curvature(conn) == _dense_curvature(conn) == ()
+
+
+def test_killing_form_matches_ad_trace():
+    for g in _algebras():
+        K = g.killing_form()
+        for i in range(g.n):
+            for j in range(g.n):
+                assert K[i, j] == (g.ad_matrix(i) @ g.ad_matrix(j)).trace()
+
+
+def test_jacobi_violation_matches_dense_reference():
+    rng = random.Random(4242)
+    violations = 0
+    for g in _algebras():
+        n = g.n
+        for _ in range(12):
+            c = [[list(row) for row in plane] for plane in g.c]
+            i, j = rng.sample(range(n), 2)
+            k = rng.randrange(n)
+            delta = GaussRat(rng.choice([1, -1, 2]), rng.choice([0, 0, 1]))
+            c[i][j][k] = c[i][j][k] + delta
+            c[j][i][k] = c[j][i][k] - delta
+            want = _dense_jacobi_violation(n, c)
+            if want is None:
+                assert LieAlgebra(n, c).n == n
+                continue
+            violations += 1
+            with pytest.raises(JacobiViolation) as exc:
+                LieAlgebra(n, c)
+            assert exc.value.indices == want
+            assert str(exc.value) == (
+                "Jacobi identity fails at (i, j, k, l) = (%d, %d, %d, %d)"
+                % want)
+    assert violations >= 30
