@@ -295,27 +295,20 @@ def decide_existence(g: LieAlgebra,
             conn,
             emb,
             [
-                f"numeric search over {outcome.starts_run} starts found an "
+                f"numeric search over {cfg.starts} starts found an "
                 f"exactly verified certificate at start "
                 f"{outcome.certificate_start}",
             ],
-        )
-    if outcome.starts_run == 0:
-        note = (
-            "numeric search could not represent the structure constants "
-            "as floats; rescale the basis to bring them into float range"
-        )
-    else:
-        note = (
-            f"numeric search exhausted {outcome.starts_run} starts: "
-            f"{len(outcome.candidates)} converged numerically, none snapped "
-            "to an exactly verified certificate (denominators up to "
-            f"{cfg.rationalize_denominator_bound})"
         )
     return DecisionReport(
         verdict="UNKNOWN",
         connection=None,
         embedding=None,
         obstruction=None,
-        notes=(note,),
+        notes=(
+            f"numeric search exhausted {cfg.starts} starts: "
+            f"{len(outcome.candidates)} converged numerically, none snapped "
+            "to an exactly verified certificate (denominators up to "
+            f"{cfg.rationalize_denominator_bound})",
+        ),
     )

@@ -9,6 +9,12 @@ affine in s: FlatnessSystem builds J(0) and the sparse constant second
 derivatives once, and each LM step solves the complex normal equations
 (J^H J + lam I) dz = -J^H r.
 
+The search runs on g in the basis e_i/lam that makes the largest real or
+imaginary part of a structure constant 1 (see run_search). That change
+of basis is exact, so the answer does not depend on the scale of the
+input, and every structure constant the search turns into a float lies
+in [-1, 1].
+
 Numeric candidates are then snapped to Gaussian rationals. A float
 gate with a proven rounding-error bound drops snaps that cannot be
 flat; every other snap is checked exactly, so nothing floating-point
@@ -60,7 +66,7 @@ class SearchConfig:
             # bool is refused as a count
             if f.type in (int, "int") and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer")
-            if f.name != "seed" and value <= 0:
+            if f.name != "seed" and not value > 0:
                 raise ValueError(f"{f.name} must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -317,10 +323,6 @@ def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem,
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """starts_run is 0 when the structure constants are too large for
-    the float search (see _finite_at_zero), so that no start could run."""
-
-    starts_run: int
     candidates: tuple  # numeric Candidate list, start order
     certificate: InvariantConnection | None
     certificate_start: int | None
@@ -330,41 +332,26 @@ class SearchOutcome:
         return self.certificate is not None
 
 
-def _finite_at_zero(sys: FlatnessSystem) -> bool:
-    """Whether |r|, J0^H J0 and J0^H r at s = 0 are finite. |r|^2 grows
-    as c^4, so constants above about 1e77 overflow the first LM step."""
-    r0 = sys.residual(np.zeros(sys.unknown_count, dtype=complex))
-    jh = sys._j0.conj().T
-    return all(np.isfinite(x).all()
-               for x in (np.linalg.norm(r0), jh @ sys._j0, jh @ r0))
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def run_search(g: LieAlgebra, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """Full pipeline: assemble, multistart, rationalize, verify. The
-    first candidate (by start index) whose snap passes exact
-    verification supplies the certificate. Overflow is handled, so numpy
-    does not warn of it: a later LM step that overflows has a non-finite
-    cost and is rejected like any step that does not lower the cost."""
-    try:
-        sys = assemble(g)
-    except OverflowError:
-        sys = None
-    if sys is None or not _finite_at_zero(sys):
-        return SearchOutcome(starts_run=0, candidates=(), certificate=None,
-                             certificate_start=None)
-    candidates = newton_multistart(sys, cfg)
-    certificate = None
-    certificate_start = None
+    """Full pipeline: assemble, multistart, rationalize, verify, run on
+    the unit-scaled algebra c/lam, lam = max(|re|, |im|) over the
+    structure constants (1 if g is abelian). That algebra is g in the
+    basis e_i/lam, so a certificate Gamma' for it gives the certificate
+    lam Gamma' for g, exactly: R(lam Gamma') = lam^2 R'(Gamma'). The first
+    candidate (by start index) whose snap passes exact verification
+    supplies the certificate. Candidates are reported in the unknowns of
+    the unit-scaled algebra."""
+    lam = max((abs(part) for entries in g.nonzero for _, _, v in entries
+               for part in (v.re, v.im)), default=Fraction(1))
+    unit = LieAlgebra(g.n, [[[x / lam for x in row] for row in plane]
+                            for plane in g.c], g.names)
+    sys = assemble(unit)
+    candidates = tuple(newton_multistart(sys, cfg))
     for cand in candidates:
         conn = rationalize_and_verify(cand, sys, cfg)
         if conn is not None:
-            certificate = conn
-            certificate_start = cand.start_index
-            break
-    return SearchOutcome(
-        starts_run=cfg.starts,
-        candidates=tuple(candidates),
-        certificate=certificate,
-        certificate_start=certificate_start,
-    )
+            gamma = [[[lam * x for x in row] for row in plane]
+                     for plane in conn.gamma]
+            return SearchOutcome(candidates, InvariantConnection(g, gamma),
+                                 cand.start_index)
+    return SearchOutcome(candidates, None, None)

@@ -409,33 +409,27 @@ def test_algebra_name_must_be_a_string(tmp_path, capsys):
 
 
 def test_constants_beyond_float_range_end_in_a_verdict(tmp_path, capsys):
-    # [e1, e2] = 10^400 e2 is exact input, but no float holds 10^400
+    # [e1, e2] = 10^400 e2 is exact input, but no float holds 10^400; it is
+    # aff1 in a scaled basis, a known YES
     huge = _write(tmp_path, "huge.json", {"dim": 2, "brackets": [
         {"left": 0, "right": 1,
          "result": [_zero_pair(), ["1" + "0" * 400, "0"]]}]})
     assert main(["analyze", huge, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["decision"]["verdict"] == "UNKNOWN"
-    assert data["decision"]["notes"] == [
-        "numeric search could not represent the structure constants as "
-        "floats; rescale the basis to bring them into float range"
-    ]
+    assert data["decision"]["verdict"] == "YES"
     assert data["profile"]["solvable"] is True
     assert data["profile"]["killing_rank"] == 1
     assert data["connection_analyses"]["standard"]["torsion_free"] is True
 
     assert main(["search", huge, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["numeric_candidates"] == []
-    assert data["certificate"] is None
-    assert data["exactly_verified"] is False
+    assert data["certificate"] is not None
+    assert data["exactly_verified"] is True
 
 
 def test_constants_that_overflow_the_residual_end_quietly(tmp_path, capsys):
-    # [e1, e2] = 10^e e2 is aff1 rescaled (a known YES); from about 10^77
-    # on, the first search step overflows in floats
-    rescale = ("numeric search could not represent the structure constants "
-               "as floats; rescale the basis to bring them into float range")
+    # [e1, e2] = 10^e e2 is aff1 rescaled (a known YES); unscaled, the
+    # first search step would overflow in floats from about 10^77 on
     for e in (100, 200, 307):
         path = _write(tmp_path, f"big{e}.json", {"dim": 2, "brackets": [
             {"left": 0, "right": 1,
@@ -445,14 +439,14 @@ def test_constants_that_overflow_the_residual_end_quietly(tmp_path, capsys):
             assert main(["analyze", path, "--format", "json"]) == 0
             out, err = capsys.readouterr()
             assert err == ""
-            data = json.loads(out)
-            assert data["decision"]["verdict"] == "UNKNOWN"
-            assert data["decision"]["notes"] == [rescale]
+            assert json.loads(out)["decision"]["verdict"] == "YES"
 
             assert main(["search", path, "--format", "json"]) == 0
             out, err = capsys.readouterr()
             assert err == ""
-            assert json.loads(out)["numeric_candidates"] == []
+            data = json.loads(out)
+            assert data["certificate"] is not None
+            assert data["exactly_verified"] is True
 
 
 def test_text_report_renders_every_coefficient_shape(tmp_path, capsys):

@@ -199,6 +199,10 @@ def test_config_rejects_non_integer_counts():
         for bad in (1.5, 10.5, True, "3"):
             with pytest.raises(ValueError, match=field):
                 SearchConfig(**{field: bad})
+    for field in ("residual_tol", "damping_init", "damping_increase",
+                  "damping_decrease", "rationalize_tol"):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: float("nan")})
 
 
 def _reference_jacobian(sys, s):
@@ -300,3 +304,31 @@ def test_run_search_pins_certificate_starts():
     assert run_search(builtin("heis3"), cfg).certificate_start == 0
     assert run_search(builtin("sol3"), cfg).certificate_start == 12
     assert run_search(builtin("sl2"), cfg).candidates == ()
+
+
+def test_run_search_is_scale_invariant():
+    # [e1, e2] = k e2 is aff1 in the basis (e1/k, e2) for every k != 0;
+    # the search runs on the unit-scaled constants, so one certificate
+    # serves every scale, far outside the float range included
+    cfg = SearchConfig(starts=8, seed=0)
+
+    def aff1(k):
+        return from_structure_constants(2, brackets={(0, 1): [0, k]})
+
+    base = run_search(aff1(1), cfg)
+    assert base.found and base.certificate_start == 3
+    exps = list(range(-400, 401, 25)) + [13, 16, 77, 78, 154, 307, 308]
+    for e in exps:
+        k = Fraction(10) ** e
+        out = run_search(aff1(k), cfg)
+        assert out.found, e
+        assert out.certificate_start == base.certificate_start, e
+        for plane, base_plane in zip(out.certificate.gamma,
+                                     base.certificate.gamma):
+            for row, base_row in zip(plane, base_plane):
+                assert list(row) == [k * x for x in base_row], e
+    for k in (GaussRat(0, 10**50), GaussRat(Fraction(-3, 7) * 10**30),
+              GaussRat(10**20, 10**20)):
+        out = run_search(aff1(k), cfg)
+        assert out.found, k
+        assert is_flat(out.certificate) and is_torsion_free(out.certificate)
