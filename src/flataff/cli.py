@@ -43,6 +43,7 @@ from .affine import (
 )
 from .obstructions import decide_existence
 from .search import SearchConfig, run_search
+from .search import _DENOMINATOR_LADDER, _RATIONALIZE_TOL, _RESIDUAL_TOL
 
 __all__ = [
     "ParseError",
@@ -149,6 +150,11 @@ def parse_algebra_data(data, source: str = "<input>") -> LieAlgebra:
         vec = _coeffs(item.get("result"), (n,), f"{where}.result")
         if (left, right) in table:
             raise ParseError(where, f"bracket ({left}, {right}) given twice")
+        if left == right and any(vec):
+            raise ParseError(where, f"[e{left + 1}, e{left + 1}] must vanish")
+        if any(a + b for a, b in zip(vec, table.get((right, left), ()))):
+            raise ParseError(where, f"brackets ({right}, {left}) and "
+                             f"({left}, {right}) are not antisymmetric")
         table[(left, right)] = vec
     return from_structure_constants(n, names=basis, brackets=table)
 
@@ -289,10 +295,9 @@ def search_report(g: LieAlgebra, cfg: SearchConfig,
             "starts": cfg.starts,
             "seed": cfg.seed,
             "max_iters": cfg.max_iters,
-            "residual_tol": cfg.residual_tol,
-            "rationalize_denominator_bound":
-                cfg.rationalize_denominator_bound,
-            "rationalize_tol": cfg.rationalize_tol,
+            "residual_tol": _RESIDUAL_TOL,
+            "rationalize_denominator_bound": _DENOMINATOR_LADDER[-1],
+            "rationalize_tol": _RATIONALIZE_TOL,
         },
         "numeric_candidates": [
             {

@@ -296,26 +296,31 @@ class ExactMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out = []
+        # each nonzero a = self[i, k] adds a times the nonzeros of row k
+        # of other to row i of the product
+        p = other.cols
+        support = [[(j, b) for j, b in enumerate(other.row(k)) if b]
+                   for k in range(other.rows)]
+        out = [ZERO] * (self.rows * p)
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    acc = acc + ri[k] * other.entries[k * other.cols + j]
-                out.append(acc)
-        return ExactMatrix(self.rows, other.cols, out)
+            base = i * p
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in support[k]:
+                        out[base + j] = out[base + j] + a * b
+        return ExactMatrix(self.rows, p, out)
 
     def mul_vec(self, v) -> list:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        v = [as_gauss(x) for x in v]
+        support = [(k, x) for k, x in enumerate(map(as_gauss, v)) if x]
         out = []
         for i in range(self.rows):
             acc = ZERO
             ri = self.row(i)
-            for k in range(self.cols):
-                acc = acc + ri[k] * v[k]
+            for k, x in support:
+                if ri[k]:
+                    acc = acc + ri[k] * x
             out.append(acc)
         return out
 

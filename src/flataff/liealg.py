@@ -274,32 +274,17 @@ def from_structure_constants(n: int, names=None, brackets=None) -> LieAlgebra:
 
     brackets maps (i, j) to the coordinate vector of [e_i, e_j]. Pairs
     not listed are zero; (j, i) entries are filled in by antisymmetry.
-    Giving both (i, j) and (j, i) is allowed only if they are consistent.
+    A pair (i, i), or both (i, j) and (j, i), may be given only if they
+    are consistent; LieAlgebra raises InconsistentEntry otherwise.
     """
     brackets = brackets or {}
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    seen = {}
     for (i, j), v in brackets.items():
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"bracket pair ({i}, {j}) out of range")
-        v = _coerce_vector(v, n)
-        if i == j:
-            if any(not x.is_zero() for x in v):
-                raise InconsistentEntry(f"[e{i + 1}, e{i + 1}] must vanish")
-            continue
-        if (i, j) in seen:
-            raise InconsistentEntry(f"bracket ({i}, {j}) given twice")
-        seen[(i, j)] = v
-    for (i, j), v in seen.items():
-        if (j, i) in seen:
-            w = seen[(j, i)]
-            if any((a + b) != ZERO for a, b in zip(v, w)):
-                raise InconsistentEntry(
-                    f"brackets ({i}, {j}) and ({j}, {i}) are not antisymmetric"
-                )
-        for k in range(n):
-            c[i][j][k] = v[k]
-            c[j][i][k] = -v[k]
+        c[i][j] = _coerce_vector(v, n)
+        if (j, i) not in brackets:
+            c[j][i] = [-x for x in c[i][j]]
     return LieAlgebra(n, c, names=names)
 
 

@@ -1,6 +1,12 @@
 """Cohomological and volume-form obstructions, and the decision
 pipeline for existence of a flat torsion-free invariant connection.
 
+The YES side before the search is one rule: if the basis vectors other
+than e_t span an abelian ideal, ad(e_t) on e_t and 0 on the ideal is a
+left-symmetric product. It decides every abelian algebra, heis3 and
+sol3 in every permuted basis, and any almost-abelian algebra written in
+a basis adapted to its abelian ideal.
+
 The NO side rests on the semisimplicity obstruction: a semisimple
 algebra admits no flat torsion-free invariant connection (surveyed in
 Burde, arXiv:math-ph/0509016). The verdict
@@ -16,23 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import ExactMatrix, MultiPoly, poly_det, ZERO
-from .liealg import LieAlgebra, builtin
-from .connections import (
-    InvariantConnection,
-    zero_connection,
-    is_flat,
-    is_torsion_free,
-)
+from .liealg import LieAlgebra
+from .connections import InvariantConnection, is_flat, is_torsion_free
 from .affine import (
     AffMap,
     DimensionMismatch,
-    canonical_embedding,
     check_homomorphism,
-    _connection_from_map,
     _map_from_connection,
     _translations_form_basis,
 )
-from .search import SearchConfig, run_search
+from .search import _DENOMINATOR_LADDER, SearchConfig, run_search
 
 __all__ = [
     "LinearRep",
@@ -229,39 +228,40 @@ def _yes(conn, emb, notes) -> DecisionReport:
     )
 
 
+def _abelian_ideal_connection(g: LieAlgebra):
+    """The connection Gamma[t] = c[t], every other plane zero, for the
+    smallest t such that the basis vectors other than e_t span an abelian
+    ideal V: every nonzero c[a][b][k] has t in {a, b} and k != t. Then
+    x.y = [x, y] for x = e_t and 0 for x in V is left-symmetric (Burde,
+    arXiv:math-ph/0509016), so the connection is flat and torsion-free.
+    The empty connection for n = 0; None when no t qualifies."""
+    for t in range(max(g.n, 1)):
+        if all(t in (a, b) and k != t
+               for a, entries in enumerate(g.nonzero) for b, k, _ in entries):
+            zero = [[ZERO] * g.n] * g.n
+            return InvariantConnection(
+                g, [g.c[t] if i == t else zero for i in range(g.n)])
+    return None
+
+
 def decide_existence(g: LieAlgebra,
                      search_budget: SearchConfig | None = None) -> DecisionReport:
     """Decide whether g admits a flat torsion-free invariant connection.
 
-    Pipeline: abelian algebras get the zero connection; exact
-    structure-constant matches of the built-in heis3/sol3 models get
-    the reference embeddings; semisimple algebras are refused with the
-    obstruction evidence; everything else goes to the numeric search,
-    whose certificates are exact or absent.
+    Pipeline: an algebra whose basis vectors but one span an abelian
+    ideal gets the connection of _abelian_ideal_connection; semisimple
+    algebras are refused with the obstruction evidence; everything else
+    goes to the numeric search, whose certificates are exact or absent.
     """
     cfg = search_budget if search_budget is not None else SearchConfig()
 
-    if g.is_abelian():
-        conn = zero_connection(g)
-        emb = _map_from_connection(conn)
-        return _yes(
-            conn,
-            emb,
-            ["abelian algebra: the zero connection is flat and torsion-free"],
-        )
-
-    for name, kind in (("heis3", "heis"), ("sol3", "sol")):
-        if g.same_constants(builtin(name)):
-            emb = canonical_embedding(kind)
-            conn = _connection_from_map(emb)
-            return _yes(
-                conn,
-                emb,
-                [
-                    f"structure constants match the built-in {name} model",
-                    "certificate from the reference affine embedding",
-                ],
-            )
+    conn = _abelian_ideal_connection(g)
+    if conn is not None:
+        return _yes(conn, _map_from_connection(conn), [
+            "all basis vectors but one span an abelian ideal: the "
+            "connection ad on that vector and 0 on the ideal is flat and "
+            "torsion-free",
+        ])
 
     if g.is_semisimple():
         h1 = h1_dim(LinearRep.adjoint(g))
@@ -309,6 +309,6 @@ def decide_existence(g: LieAlgebra,
             f"numeric search exhausted {cfg.starts} starts: "
             f"{len(outcome.candidates)} converged numerically, none snapped "
             "to an exactly verified certificate (denominators up to "
-            f"{cfg.rationalize_denominator_bound})",
+            f"{_DENOMINATOR_LADDER[-1]})",
         ),
     )

@@ -43,30 +43,34 @@ __all__ = [
     "run_search",
 ]
 
-# denominators tried in order when snapping floats to rationals; the
-# ladder ends at the configured bound
-_DENOMINATOR_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 48, 96, 240, 1000)
+# LM stops, and a start counts as converged, below this residual norm
+_RESIDUAL_TOL = 1e-10
+_DAMPING_INIT = 1e-3
+_DAMPING_INCREASE = 10.0
+_DAMPING_DECREASE = 10.0
+# denominators tried in order when snapping floats to rationals, and the
+# largest distance a snapped part may move
+_DENOMINATOR_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 48, 96, 240, 1000,
+                       10000)
+_RATIONALIZE_TOL = 1e-6
+_GATE_TOL = 1e-9  # tau in _snap_may_be_flat
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """The search budget; the tolerances are the module constants."""
+
     starts: int = 200
     max_iters: int = 100
-    residual_tol: float = 1e-10
-    damping_init: float = 1e-3
-    damping_increase: float = 10.0
-    damping_decrease: float = 10.0
     seed: int = 0
-    rationalize_denominator_bound: int = 10**4
-    rationalize_tol: float = 1e-6
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             # bool is refused as a count
-            if f.type in (int, "int") and type(value) is not int:
+            if type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer")
-            if f.name != "seed" and not value > 0:
+            if f.name != "seed" and value <= 0:
                 raise ValueError(f"{f.name} must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -195,14 +199,14 @@ def _lm_minimize(sys: FlatnessSystem, s0: np.ndarray, cfg: SearchConfig):
     (J^H J + lam I) dz = -J^H r, the realified real system in complex
     form. Returns the final point and the iteration count."""
     s = s0.astype(complex)
-    lam = cfg.damping_init
+    lam = _DAMPING_INIT
     r = sys.residual(s)
     cost = float(np.linalg.norm(r))
     eye = np.eye(sys.unknown_count)
     iterations = 0
     for it in range(cfg.max_iters):
         iterations = it + 1
-        if cost < cfg.residual_tol:
+        if cost < _RESIDUAL_TOL:
             break
         J = sys.jacobian(s)
         Jh = J.conj().T
@@ -213,7 +217,7 @@ def _lm_minimize(sys: FlatnessSystem, s0: np.ndarray, cfg: SearchConfig):
             try:
                 dz = np.linalg.solve(A + lam * eye, b)
             except np.linalg.LinAlgError:
-                lam *= cfg.damping_increase
+                lam *= _DAMPING_INCREASE
                 continue
             trial = s + dz
             r_trial = sys.residual(trial)
@@ -222,10 +226,10 @@ def _lm_minimize(sys: FlatnessSystem, s0: np.ndarray, cfg: SearchConfig):
                 s = trial
                 r = r_trial
                 cost = cost_trial
-                lam = max(lam / cfg.damping_decrease, 1e-14)
+                lam = max(lam / _DAMPING_DECREASE, 1e-14)
                 stepped = True
                 break
-            lam *= cfg.damping_increase
+            lam *= _DAMPING_INCREASE
         if not stepped:
             break
     return s, iterations
@@ -247,7 +251,7 @@ def newton_multistart(sys: FlatnessSystem, cfg: SearchConfig) -> list:
         s, iters = _lm_minimize(sys, s0, cfg)
         # re-evaluate from scratch before reporting
         norm = float(np.linalg.norm(sys.residual(s)))
-        if norm < cfg.residual_tol:
+        if norm < _RESIDUAL_TOL:
             out.append(
                 Candidate(
                     start_index=start,
@@ -259,14 +263,11 @@ def newton_multistart(sys: FlatnessSystem, cfg: SearchConfig) -> list:
     return out
 
 
-def _snap_fraction(x: float, den: int, tol: float):
+def _snap_fraction(x: float, den: int):
     f = Fraction(x).limit_denominator(den)
-    if abs(float(f) - x) <= tol:
+    if abs(float(f) - x) <= _RATIONALIZE_TOL:
         return f
     return None
-
-
-_GATE_TOL = 1e-9  # tau in _snap_may_be_flat
 
 
 def _snap_may_be_flat(sys: FlatnessSystem, s_exact) -> bool:
@@ -293,22 +294,19 @@ def _snap_may_be_flat(sys: FlatnessSystem, s_exact) -> bool:
     return not r > _GATE_TOL * k * k
 
 
-def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem,
-                           cfg: SearchConfig = SearchConfig()):
+def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem):
     """Snap a numeric candidate to Gaussian rationals and check the
     snapped connection exactly. Denominators are tried smallest first
     so that candidates sitting on a rational point of a solution family
     are caught at the simplest description. A float gate skips the
     exact check of snaps that are certainly not flat. Returns None when
     no snap passes the exact test."""
-    bound = cfg.rationalize_denominator_bound
-    ladder = [d for d in _DENOMINATOR_LADDER if d < bound] + [bound]
-    for den in ladder:
+    for den in _DENOMINATOR_LADDER:
         s_exact = []
         ok = True
         for z in candidate.s:
-            re = _snap_fraction(z.real, den, cfg.rationalize_tol)
-            im = _snap_fraction(z.imag, den, cfg.rationalize_tol)
+            re = _snap_fraction(z.real, den)
+            im = _snap_fraction(z.imag, den)
             if re is None or im is None:
                 ok = False
                 break
@@ -348,7 +346,7 @@ def run_search(g: LieAlgebra, cfg: SearchConfig = SearchConfig()) -> SearchOutco
     sys = assemble(unit)
     candidates = tuple(newton_multistart(sys, cfg))
     for cand in candidates:
-        conn = rationalize_and_verify(cand, sys, cfg)
+        conn = rationalize_and_verify(cand, sys)
         if conn is not None:
             gamma = [[[lam * x for x in row] for row in plane]
                      for plane in conn.gamma]

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from flataff.exact import GaussRat, ZERO, ONE
-from flataff.liealg import builtin, InconsistentEntry, JacobiViolation
+from flataff.liealg import builtin, JacobiViolation
 from flataff.connections import InvariantConnection, is_flat, is_torsion_free
 from flataff.cli import (
     ParseError,
@@ -63,7 +63,7 @@ def test_parse_algebra_empty_brackets_is_abelian(tmp_path):
     assert g.is_abelian()
 
 
-def test_parse_algebra_rejects_inconsistent_pair(tmp_path):
+def test_parse_algebra_rejects_inconsistent_pair(tmp_path, capsys):
     path = _write(
         tmp_path,
         "bad.json",
@@ -75,8 +75,33 @@ def test_parse_algebra_rejects_inconsistent_pair(tmp_path):
             ],
         },
     )
-    with pytest.raises(InconsistentEntry):
+    with pytest.raises(ParseError) as exc:
         parse_algebra(path)
+    assert exc.value.position == f"{path}.brackets[1]"
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}.brackets[1]: brackets (0, 1) and (1, 0) are not "
+        "antisymmetric\n")
+
+
+def test_parse_algebra_rejects_nonzero_self_bracket(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "self.json",
+        {
+            "dim": 2,
+            "brackets": [
+                {"left": 0, "right": 1, "result": [_zero_pair(), ["1", "0"]]},
+                {"left": 0, "right": 0, "result": [_zero_pair(), ["1", "0"]]},
+            ],
+        },
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(path)
+    assert exc.value.position == f"{path}.brackets[1]"
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}.brackets[1]: [e1, e1] must vanish\n")
 
 
 def test_parse_algebra_rejects_jacobi_violation(tmp_path):

@@ -1,7 +1,10 @@
 """Tests for cohomology, the determinant obstruction, and the decision
 pipeline."""
 
+import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +14,10 @@ from flataff.liealg import LieAlgebra, builtin, from_structure_constants
 from flataff.connections import is_flat, is_torsion_free, zero_connection
 from flataff.affine import (
     DimensionMismatch,
+    canonical_embedding,
     check_homomorphism,
     is_etale,
+    lsa_from_etale,
 )
 from flataff.obstructions import (
     LinearRep,
@@ -174,6 +179,13 @@ def test_decide_catalog_heis_and_sol():
     assert r.connection.gamma[0][2][2] == -ONE
     assert is_flat(r.connection) and is_torsion_free(r.connection)
 
+    # the abelian-ideal rule reproduces the reference embeddings
+    for name, kind in (("heis3", "heis"), ("sol3", "sol")):
+        report = decide_existence(builtin(name))
+        emb = canonical_embedding(kind)
+        assert report.connection == lsa_from_etale(emb)
+        assert report.embedding.images == emb.images
+
 
 def test_decide_sl2_semisimple_no():
     report = decide_existence(builtin("sl2"))
@@ -188,12 +200,20 @@ def test_decide_sl2_semisimple_no():
     assert "theorem" in ev.statement
 
 
-def test_decide_search_branch():
-    g = from_structure_constants(
-        3, brackets={(0, 1): [0, 1, 1], (0, 2): [0, 0, -1]}
+def _search_only_algebra():
+    """[e1, e2] = e2 + e3, [e1, e3] = -e3 in a basis where no basis
+    vector has an abelian complement ideal, so only the search decides
+    it."""
+    return from_structure_constants(
+        3, brackets={(0, 1): [1, 0, 0], (0, 2): [1, 0, 0], (1, 2): [0, -1, 1]}
     )
+
+
+def test_decide_search_branch():
+    g = _search_only_algebra()
     report = decide_existence(g, SearchConfig(starts=20, seed=1))
     assert report.verdict == "YES"
+    assert report.notes[0].startswith("numeric search")
     assert is_flat(report.connection)
     assert is_torsion_free(report.connection)
     v = check_homomorphism(report.embedding)
@@ -201,11 +221,10 @@ def test_decide_search_branch():
 
 
 def test_decide_unknown_when_budget_too_small():
-    g = from_structure_constants(
-        3, brackets={(0, 1): [0, 1, 1], (0, 2): [0, 0, -1]}
-    )
+    g = _search_only_algebra()
     report = decide_existence(g, SearchConfig(starts=1, max_iters=1, seed=1))
     assert report.verdict == "UNKNOWN"
+    assert report.notes[0].startswith("numeric search")
     assert report.connection is None
     assert report.obstruction is None
 
@@ -303,9 +322,7 @@ def test_each_certificate_is_verified_once(monkeypatch):
 
     for name in ("abelian3", "heis3", "sol3"):
         assert per_yes(builtin(name)) == (1, 1)
-    g = from_structure_constants(
-        3, brackets={(0, 1): [0, 1, 1], (0, 2): [0, 0, -1]}
-    )
+    g = _search_only_algebra()
     curvature_calls, hom_calls = per_yes(g, SearchConfig(starts=20, seed=1))
     (k,) = snap_checks
     assert k >= 1
@@ -342,9 +359,7 @@ def test_adjoint_matches_the_validated_representation():
 
 
 def test_unknown_note_counts_the_search():
-    g = from_structure_constants(
-        3, brackets={(0, 1): [0, 1, 1], (0, 2): [0, 0, -1]}
-    )
+    g = _search_only_algebra()
     report = decide_existence(g, SearchConfig(starts=1, max_iters=1, seed=1))
     assert report.notes == (
         "numeric search exhausted 1 starts: 0 converged numerically, none "
@@ -390,3 +405,60 @@ def test_decide_sl4_semisimple_no():
     # Whitehead: H1(g, g) = 0 for semisimple g
     assert ev.h1_adjoint == 0
     assert ev.det_poly_is_zero
+
+
+_RULE_NOTE = (
+    "all basis vectors but one span an abelian ideal: the connection ad "
+    "on that vector and 0 on the ideal is flat and torsion-free"
+)
+
+
+def _permuted(g, perm):
+    """g in the basis e'_perm[a] = e_a."""
+    c = [[[ZERO] * g.n for _ in range(g.n)] for _ in range(g.n)]
+    for a, b, k in itertools.product(range(g.n), repeat=3):
+        c[perm[a]][perm[b]][perm[k]] = g.c[a][b][k]
+    return LieAlgebra(g.n, c)
+
+
+def _filiform(n):
+    """L_n: [e1, e_i] = e_(i+1) for 2 <= i < n."""
+    return from_structure_constants(
+        n, brackets={(0, i): [int(k == i + 1) for k in range(n)]
+                     for i in range(1, n - 1)})
+
+
+def test_abelian_ideal_rule_decides_without_the_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("run_search called")
+
+    monkeypatch.setattr(obstructions, "run_search", no_search)
+    r3 = [from_structure_constants(3, brackets={
+        (0, 1): [0, 1, 0], (0, 2): [0, 0, lam]})
+        for lam in (2, Fraction(1, 3), GaussRat(0, 1))]
+    algebras = (
+        [from_structure_constants(0), from_structure_constants(1)]
+        + [_permuted(builtin(name), perm) for name in ("heis3", "sol3")
+           for perm in itertools.permutations(range(3))]
+        + [from_structure_constants(2, brackets={(0, 1): [0, 1]}),
+           from_structure_constants(2, brackets={(0, 1): [1, 0]}),
+           from_structure_constants(3, brackets={(0, 1): [0, 1, 0]}),
+           from_structure_constants(2, brackets={(0, 1): [0, 10**400]})]
+        + r3 + [_filiform(n) for n in range(4, 12)]
+    )
+    for g in algebras:
+        report = decide_existence(g)
+        assert report.verdict == "YES"
+        assert report.notes == (_RULE_NOTE,)
+    # the certificate check is the costly part at n = 12
+    start = time.perf_counter()
+    assert decide_existence(_filiform(12)).verdict == "YES"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_abelian_ideal_rule_refuses_other_algebras():
+    gl2 = from_structure_constants(4, brackets={
+        (0, 1): [0, 1, 0, 0], (0, 2): [0, 0, -1, 0], (1, 2): [1, 0, 0, -1],
+        (1, 3): [0, 1, 0, 0], (2, 3): [0, 0, -1, 0]})
+    for g in (builtin("sl2"), gl2, _search_only_algebra()):
+        assert obstructions._abelian_ideal_connection(g) is None

@@ -1,12 +1,12 @@
-"""The sparse exact kernels (curvature, Killing form, Jacobi check) against
-the dense loops they replaced, kept here as references."""
+"""The sparse exact kernels (curvature, Killing form, Jacobi check, matrix
+product) against the dense loops they replaced, kept here as references."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from flataff.exact import GaussRat, ZERO
+from flataff.exact import ExactMatrix, GaussRat, ZERO
 from flataff.liealg import (
     LieAlgebra,
     JacobiViolation,
@@ -171,3 +171,29 @@ def test_jacobi_violation_matches_dense_reference():
                 "Jacobi identity fails at (i, j, k, l) = (%d, %d, %d, %d)"
                 % want)
     assert violations >= 30
+
+
+def _dense_matmul(x, y):
+    return [[sum((x[i, k] * y[k, j] for k in range(x.cols)), ZERO)
+             for j in range(y.cols)] for i in range(x.rows)]
+
+
+def test_matmul_and_mul_vec_match_dense_reference():
+    rng = random.Random(1717)
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
+               for _ in range(40)]
+    for rows, inner, cols in shapes:
+        density = rng.choice([0.0, 0.2, 0.5, 1.0])
+
+        def sparse(r, c):
+            return ExactMatrix(r, c, [
+                _rand_gauss(rng) if rng.random() < density else ZERO
+                for _ in range(r * c)])
+
+        x, y = sparse(rows, inner), sparse(inner, cols)
+        product = x @ y
+        assert (product.rows, product.cols) == (rows, cols)
+        assert product.to_lists() == _dense_matmul(x, y)
+        v = sparse(inner, 1)
+        assert x.mul_vec(v.entries) == [row[0] for row in _dense_matmul(x, v)]
