@@ -282,18 +282,14 @@ def _connection_from_map(m: AffMap) -> InvariantConnection:
 
 def etale_from_lsa(conn: InvariantConnection) -> AffMap:
     """Étale affine representation of a flat torsion-free connection:
-    e_i maps to (L_i, e_i) with (L_i)[k][j] = Γ[i][j][k]."""
+    e_i maps to (L_i, e_i) with (L_i)[k][j] = Γ[i][j][k]. Raises
+    NotFlatTorsionFree unless conn is flat and torsion-free, which is
+    exactly the condition for the map to be an étale homomorphism."""
     if not (is_flat(conn) and is_torsion_free(conn)):
         raise NotFlatTorsionFree(
             "connection must be flat and torsion-free"
         )
-    return _map_from_connection(conn)
-
-
-def _map_from_connection(conn: InvariantConnection) -> AffMap:
-    """etale_from_lsa without the flatness and torsion checks."""
-    g = conn.g
-    n = g.n
+    n = conn.g.n
     images = []
     for i in range(n):
         L = ExactMatrix(
@@ -303,4 +299,4 @@ def _map_from_connection(conn: InvariantConnection) -> AffMap:
         )
         e_i = [ONE if t == i else ZERO for t in range(n)]
         images.append(AffElement(L, e_i))
-    return AffMap(g, images)
+    return AffMap(conn.g, images)

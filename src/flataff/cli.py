@@ -86,6 +86,8 @@ def _coeff(value, position: str) -> GaussRat:
         return GaussRat(value[0], value[1])
     except ZeroDivisionError:
         raise ParseError(position, f"zero denominator in {value}") from None
+    except ValueError as e:  # more digits than int() accepts
+        raise ParseError(position, str(e)) from None
 
 
 def _coeffs(value, shape: tuple, position: str):
@@ -109,6 +111,8 @@ def _load_object(path: str) -> dict:
         raise ParseError(
             f"{path}:{e.lineno}:{e.colno}", f"invalid JSON ({e.msg})"
         ) from None
+    except ValueError as e:  # not UTF-8, or an integer too long for int()
+        raise ParseError(path, str(e)) from None
     if not isinstance(data, dict):
         raise ParseError(path, "top level must be an object")
     return data

@@ -188,31 +188,23 @@ class LieAlgebra:
 
     def derived_series_dims(self) -> list:
         """Dimensions of g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ... until stable."""
-        dims = [self.n]
-        cur = self._full_basis()
-        while True:
-            nxt = self._bracket_space(cur, cur)
-            if len(nxt) == dims[-1]:
-                break
-            dims.append(len(nxt))
-            cur = nxt
-            if dims[-1] == 0:
-                break
-        return dims
+        return self._series_dims(lambda cur: self._bracket_space(cur, cur))
 
     def lower_central_dims(self) -> list:
         """Dimensions of g ⊇ [g,g] ⊇ [g,[g,g]] ⊇ ... until stable."""
-        dims = [self.n]
         full = self._full_basis()
-        cur = full
-        while True:
-            nxt = self._bracket_space(full, cur)
-            if len(nxt) == dims[-1]:
+        return self._series_dims(lambda cur: self._bracket_space(full, cur))
+
+    def _series_dims(self, step) -> list:
+        """Dimensions of g = s_0 ⊇ s_1 = step(s_0) ⊇ ..., each s_r a
+        row basis, until the dimension stops falling or reaches 0."""
+        dims = [self.n]
+        cur = self._full_basis()
+        while dims[-1] > 0:
+            cur = step(cur)
+            if len(cur) == dims[-1]:
                 break
-            dims.append(len(nxt))
-            cur = nxt
-            if dims[-1] == 0:
-                break
+            dims.append(len(cur))
         return dims
 
     def is_solvable(self) -> bool:

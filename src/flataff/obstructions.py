@@ -5,7 +5,9 @@ The YES side before the search is one rule: if the basis vectors other
 than e_t span an abelian ideal, ad(e_t) on e_t and 0 on the ideal is a
 left-symmetric product. It decides every abelian algebra, heis3 and
 sol3 in every permuted basis, and any almost-abelian algebra written in
-a basis adapted to its abelian ideal.
+a basis adapted to its abelian ideal. Every YES, from this rule or from
+the search, is checked once, as a connection: etale_from_lsa raises
+unless it is flat and torsion-free, and then returns the étale map.
 
 The NO side rests on the semisimplicity obstruction: a semisimple
 algebra admits no flat torsion-free invariant connection (surveyed in
@@ -23,14 +25,8 @@ from dataclasses import dataclass
 
 from .exact import ExactMatrix, MultiPoly, poly_det, ZERO
 from .liealg import LieAlgebra
-from .connections import InvariantConnection, is_flat, is_torsion_free
-from .affine import (
-    AffMap,
-    DimensionMismatch,
-    check_homomorphism,
-    _map_from_connection,
-    _translations_form_basis,
-)
+from .connections import InvariantConnection
+from .affine import AffMap, DimensionMismatch, etale_from_lsa
 from .search import _DENOMINATOR_LADDER, SearchConfig, run_search
 
 __all__ = [
@@ -202,30 +198,15 @@ class DecisionReport:
     notes: tuple
 
 
-def _verify_certificate(conn: InvariantConnection, emb: AffMap):
-    """The one exact re-verification of a YES certificate; raises on
-    failure. It checks flatness, torsion-freeness, the homomorphism
-    property and the étale rank, once each; the builders that made the
-    certificate check none of them."""
-    if not is_flat(conn):
-        raise RuntimeError("certificate connection is not flat")
-    if not is_torsion_free(conn):
-        raise RuntimeError("certificate connection has torsion")
-    if not check_homomorphism(emb).ok:
-        raise RuntimeError("certificate map is not a homomorphism")
-    if not _translations_form_basis(emb):
-        raise RuntimeError("certificate map is not etale")
-
-
-def _yes(conn, emb, notes) -> DecisionReport:
-    _verify_certificate(conn, emb)
-    return DecisionReport(
-        verdict="YES",
-        connection=conn,
-        embedding=emb,
-        obstruction=None,
-        notes=tuple(notes),
-    )
+def _yes(conn: InvariantConnection, note: str) -> DecisionReport:
+    """A YES with the certificate (conn, etale_from_lsa(conn)), checked
+    once, as a connection: etale_from_lsa raises NotFlatTorsionFree
+    unless conn is flat and torsion-free. The map needs no check of its
+    own. It sends e_i to (L_i, e_i) with L_i e_j = Γ[i][j], so its
+    bracket defect on (e_i, e_j) is (R(e_i, e_j), T(e_i, e_j)): the
+    linear part at (l, k) is R[l][k][i][j] and the translation part is
+    T[i][j]. Its translation matrix is the identity."""
+    return DecisionReport("YES", conn, etale_from_lsa(conn), None, (note,))
 
 
 def _abelian_ideal_connection(g: LieAlgebra):
@@ -252,16 +233,17 @@ def decide_existence(g: LieAlgebra,
     ideal gets the connection of _abelian_ideal_connection; semisimple
     algebras are refused with the obstruction evidence; everything else
     goes to the numeric search, whose certificates are exact or absent.
+    A YES embedding is etale_from_lsa of its connection, which raises
+    NotFlatTorsionFree for a connection that is not a certificate.
     """
     cfg = search_budget if search_budget is not None else SearchConfig()
 
     conn = _abelian_ideal_connection(g)
     if conn is not None:
-        return _yes(conn, _map_from_connection(conn), [
+        return _yes(conn, (
             "all basis vectors but one span an abelian ideal: the "
             "connection ad on that vector and 0 on the ideal is flat and "
-            "torsion-free",
-        ])
+            "torsion-free"))
 
     if g.is_semisimple():
         h1 = h1_dim(LinearRep.adjoint(g))
@@ -289,17 +271,9 @@ def decide_existence(g: LieAlgebra,
 
     outcome = run_search(g, cfg)
     if outcome.found:
-        conn = outcome.certificate
-        emb = _map_from_connection(conn)
-        return _yes(
-            conn,
-            emb,
-            [
-                f"numeric search over {cfg.starts} starts found an "
-                f"exactly verified certificate at start "
-                f"{outcome.certificate_start}",
-            ],
-        )
+        return _yes(outcome.certificate, (
+            f"numeric search over {cfg.starts} starts found an exactly "
+            f"verified certificate at start {outcome.certificate_start}"))
     return DecisionReport(
         verdict="UNKNOWN",
         connection=None,

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from flataff.exact import GaussRat, ExactMatrix, ZERO, ONE
-from flataff.liealg import builtin
+from flataff.liealg import builtin, from_structure_constants
 from flataff.connections import (
     InvariantConnection,
     zero_connection,
     standard_connection,
+    curvature,
+    torsion,
     is_flat,
     is_torsion_free,
 )
@@ -304,3 +306,85 @@ def test_apply_is_linear():
         + m.images[2].scale(x[2])
     )
     assert image == expect
+
+
+def _hand_built_images(conn):
+    """(L_i, e_i) with L_i e_j = Gamma[i][j], entry by entry."""
+    n = conn.g.n
+    return tuple(
+        AffElement(
+            ExactMatrix.from_rows(
+                [[conn.gamma[i][j][k] for j in range(n)] for k in range(n)]
+            ),
+            [ONE if t == i else ZERO for t in range(n)],
+        )
+        for i in range(n)
+    )
+
+
+def _defect_test_connections(rng):
+    """Seeded connections on heis3, sol3, sl2, abelian3 and aff1: dense,
+    torsion-free (c/2 plus a symmetric part), flat certificates
+    (Gamma[0] = c[0], other planes zero) and perturbed certificates."""
+    def small():
+        return GaussRat(rng.randint(-2, 2), rng.randint(-1, 1))
+
+    algebras = [builtin(name) for name in ("heis3", "sol3", "sl2", "abelian3")]
+    algebras.append(from_structure_constants(2, brackets={(0, 1): [0, 1]}))
+    for g in algebras:
+        n = g.n
+        for _ in range(3):
+            yield InvariantConnection(g, [[[small() for _ in range(n)]
+                                           for _ in range(n)]
+                                          for _ in range(n)])
+            sym = [[[small() for _ in range(n)] for _ in range(j + 1)]
+                   for j in range(n)]
+            yield InvariantConnection(g, [[[
+                g.c[i][j][k] / 2 + sym[max(i, j)][min(i, j)][k]
+                for k in range(n)] for j in range(n)] for i in range(n)])
+        if g.is_semisimple():
+            continue
+        zero = [[ZERO] * n] * n
+        cert = [[list(row) for row in g.c[0]]] + [zero] * (n - 1)
+        yield InvariantConnection(g, cert)
+        for _ in range(3):
+            bad = [[list(row) for row in plane] for plane in cert]
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            bad[i][j][k] = bad[i][j][k] + GaussRat(rng.randint(1, 3))
+            yield InvariantConnection(g, bad)
+
+
+def test_bracket_defect_of_the_etale_map_is_curvature_and_torsion():
+    """For e_i -> (L_i, e_i), [m(e_i), m(e_j)] - m([e_i, e_j]) is
+    (R(e_i, e_j), T(e_i, e_j)), so the map is a homomorphism exactly
+    when the connection is flat and torsion-free."""
+    rng = random.Random(8128)
+    kinds = set()
+    for conn in _defect_test_connections(rng):
+        g, n = conn.g, conn.g.n
+        m = AffMap(g, _hand_built_images(conn))
+        R, T = curvature(conn), torsion(conn)
+        first_bad = None
+        for i in range(n):
+            for j in range(n):
+                defect = aff_bracket(m.images[i], m.images[j]) + m.apply(
+                    g.c[i][j]).scale(-1)
+                for l in range(n):
+                    for k in range(n):
+                        assert defect.A[l, k] == R[l][k][i][j]
+                assert defect.v == T[i][j]
+                if first_bad is None and i < j and not defect.is_zero():
+                    first_bad = (i, j)
+        flat, torsion_free = is_flat(conn), is_torsion_free(conn)
+        kinds.add((flat, torsion_free))
+        verdict = check_homomorphism(m)
+        assert verdict.ok == (flat and torsion_free)
+        assert verdict.counterexample == first_bad
+        if flat and torsion_free:
+            assert etale_from_lsa(conn).images == m.images
+        else:
+            with pytest.raises(NotFlatTorsionFree):
+                etale_from_lsa(conn)
+    # every combination of flatness and torsion occurs
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}

@@ -104,6 +104,38 @@ def test_parse_algebra_rejects_nonzero_self_bracket(tmp_path, capsys):
         f"error: {path}.brackets[1]: [e1, e1] must vanish\n")
 
 
+def test_read_failures_name_the_file(tmp_path, capsys):
+    """A file that is not UTF-8, and integers longer than int() reads,
+    end in a ParseError at the file or coefficient position."""
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"dim": 1, "name": "\xe9"}')
+    digits = "1" * 4301
+    big_dim = tmp_path / "big_dim.json"
+    big_dim.write_text('{"dim": %s}' % digits, encoding="utf-8")
+
+    def bracket_file(name, coeff):
+        return _write(tmp_path, name, {"dim": 2, "brackets": [
+            {"left": 0, "right": 1, "result": [_zero_pair(), coeff]}]})
+
+    cases = [
+        (str(latin), str(latin), "'utf-8' codec can't decode byte 0xe9"),
+        (str(big_dim), str(big_dim), "Exceeds the limit (4300 digits)"),
+    ]
+    for name, coeff in (("big_num.json", [digits, "0"]),
+                        ("big_den.json", ["0", "1/" + digits])):
+        path = bracket_file(name, coeff)
+        cases.append((path, f"{path}.brackets[0].result[1]",
+                      "Exceeds the limit (4300 digits)"))
+    for path, position, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_algebra(path)
+        assert exc.value.position == position
+        assert main(["analyze", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {position}: {message}")
+        assert err.count("\n") == 1
+
+
 def test_parse_algebra_rejects_jacobi_violation(tmp_path):
     path = _write(
         tmp_path,

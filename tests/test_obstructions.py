@@ -8,12 +8,19 @@ from fractions import Fraction
 
 import pytest
 
-from flataff import affine, connections, obstructions
+from flataff import affine, cli, connections, obstructions
+from flataff import search as search_module
 from flataff.exact import GaussRat, ExactMatrix, MultiPoly, ZERO, ONE
 from flataff.liealg import LieAlgebra, builtin, from_structure_constants
-from flataff.connections import is_flat, is_torsion_free, zero_connection
+from flataff.connections import (
+    is_flat,
+    is_torsion_free,
+    standard_connection,
+    zero_connection,
+)
 from flataff.affine import (
     DimensionMismatch,
+    NotFlatTorsionFree,
     canonical_embedding,
     check_homomorphism,
     is_etale,
@@ -27,7 +34,7 @@ from flataff.obstructions import (
     fundamental_det_poly,
     decide_existence,
 )
-from flataff.search import SearchConfig
+from flataff.search import SearchConfig, SearchOutcome
 
 
 def _sl2_irreducible_3dim():
@@ -300,9 +307,12 @@ def test_each_certificate_is_verified_once(monkeypatch):
         connections, "curvature",
         counting("curvature", connections.curvature),
     )
-    hom = counting("check_homomorphism", affine.check_homomorphism)
-    monkeypatch.setattr(affine, "check_homomorphism", hom)
-    monkeypatch.setattr(obstructions, "check_homomorphism", hom)
+    # every module that binds check_homomorphism, as in test_cli
+    original = affine.check_homomorphism
+    hom = counting("check_homomorphism", original)
+    for module in (affine, cli, connections, obstructions, search_module):
+        if getattr(module, "check_homomorphism", None) is original:
+            monkeypatch.setattr(module, "check_homomorphism", hom)
     # k, the exact snap checks of the search, is the curvature count
     # when run_search returns
     snap_checks = []
@@ -321,12 +331,12 @@ def test_each_certificate_is_verified_once(monkeypatch):
         return counts["curvature"], counts["check_homomorphism"]
 
     for name in ("abelian3", "heis3", "sol3"):
-        assert per_yes(builtin(name)) == (1, 1)
+        assert per_yes(builtin(name)) == (1, 0)
     g = _search_only_algebra()
     curvature_calls, hom_calls = per_yes(g, SearchConfig(starts=20, seed=1))
     (k,) = snap_checks
     assert k >= 1
-    assert (curvature_calls, hom_calls) == (k + 1, 1)
+    assert (curvature_calls, hom_calls) == (k + 1, 0)
 
     # a semisimple NO: one Killing rank, no determinant polynomial
     def refuse(rep):
@@ -462,3 +472,23 @@ def test_abelian_ideal_rule_refuses_other_algebras():
         (1, 3): [0, 1, 0, 0], (2, 3): [0, 0, -1, 0]})
     for g in (builtin("sl2"), gl2, _search_only_algebra()):
         assert obstructions._abelian_ideal_connection(g) is None
+
+
+def test_a_broken_certificate_raises(monkeypatch):
+    """Both YES branches take their embedding from etale_from_lsa, which
+    refuses a connection that is curved or has torsion."""
+    with_torsion = zero_connection(builtin("heis3"))
+    curved = standard_connection(builtin("sol3"))
+    assert is_flat(with_torsion) and not is_torsion_free(with_torsion)
+    assert is_torsion_free(curved) and not is_flat(curved)
+    for bad in (with_torsion, curved):
+        with monkeypatch.context() as m:
+            m.setattr(obstructions, "_abelian_ideal_connection",
+                      lambda g: bad)
+            with pytest.raises(NotFlatTorsionFree):
+                decide_existence(bad.g)
+        with monkeypatch.context() as m:
+            m.setattr(obstructions, "run_search",
+                      lambda g, cfg: SearchOutcome((), bad, 0))
+            with pytest.raises(NotFlatTorsionFree):
+                decide_existence(_search_only_algebra())
