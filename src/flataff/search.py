@@ -7,7 +7,10 @@ system, solved by damped Gauss-Newton (Levenberg-Marquardt) from many
 random starts. Because the residual is quadratic, its Jacobian is
 affine in s: FlatnessSystem builds J(0) and the sparse constant second
 derivatives once, and each LM step solves the complex normal equations
-(J^H J + lam I) dz = -J^H r.
+(J^H J + lam I) dz = -J^H r. The starts run in a lockstep pool that
+gives each slot one damping trial per round, in one stacked solve and
+one stacked residual; a start makes the float operations of a lone run,
+and memory grows with the pool (_POOL_BYTES), not with the starts.
 
 The search runs on g in the basis e_i/lam that makes the largest real or
 imaginary part of a structure constant 1 (see run_search). That change
@@ -54,6 +57,9 @@ _DENOMINATOR_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 48, 96, 240, 1000,
                        10000)
 _RATIONALIZE_TOL = 1e-6
 _GATE_TOL = 1e-9  # tau in _snap_may_be_flat
+# byte budget of the LM pool's stacked J^H J (50 slots at n = 3, 10 for
+# gl2); its Jacobians are built in chunks of an eighth of it
+_POOL_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -158,25 +164,31 @@ class FlatnessSystem:
         return len(self.residual_components)
 
     def gamma_from_s(self, s: np.ndarray) -> np.ndarray:
-        """Dense Christoffel array c/2 + s (floats)."""
-        return self._c_half + s[self._gamma_index]
+        """Dense Christoffel array c/2 + s (floats), per row of a stack."""
+        return self._c_half + s[..., self._gamma_index]
 
     def residual(self, s: np.ndarray) -> np.ndarray:
+        """The residual at s, or at each row of a stack of s."""
         # with the matrices G_i = Gamma[i], the curvature R[l,k,i,j] is
         # entry (k, l) of G_j G_i - G_i G_j - sum_m c[i,j,m] G_m
         n = self.n
         gm = self.gamma_from_s(s)
-        prod = np.matmul(gm[None], gm[:, None])
-        lin = self.c_float.reshape(n * n, n) @ gm.reshape(n, n * n)
-        r = prod - prod.transpose(1, 0, 2, 3) - lin.reshape((n,) * 4)
-        return np.take(r, self._residual_index)
+        lead = gm.shape[:-3]
+        prod = np.matmul(gm[..., None, :, :, :], gm[..., None, :, :],
+                         order="C")  # a C-order r needs no buffers below
+        r = prod - prod.swapaxes(-4, -3)
+        lin = self.c_float.reshape(n * n, n) @ gm.reshape(lead + (n, n * n))
+        r -= lin.reshape(lead + (n,) * 4)
+        return r.reshape(lead + (n ** 4,))[..., self._residual_index]
 
     def jacobian(self, s: np.ndarray) -> np.ndarray:
-        """Complex Jacobian of the residual at s: J0 plus one scatter of
-        the constant second derivatives times s."""
-        J = self._j0.copy()
-        np.add.at(J.reshape(-1), self._h_dest, self._h_val * s[self._h_var])
-        return J
+        """Complex Jacobian of the residual at s, or at each row of a
+        stack of s: J0 plus one scatter of H times s, row by row."""
+        S = np.atleast_2d(s)
+        J = np.repeat(self._j0[None], len(S), axis=0)
+        for Jk, sk in zip(J.reshape(len(S), -1), S):
+            np.add.at(Jk, self._h_dest, self._h_val * sk[self._h_var])
+        return J if s.ndim > 1 else J[0]
 
     def connection_from_rational_s(self, s_exact) -> InvariantConnection:
         """Exact connection c/2 + s for a list of GaussRat unknowns."""
@@ -194,73 +206,101 @@ def assemble(g: LieAlgebra) -> FlatnessSystem:
     return FlatnessSystem(g)
 
 
-def _lm_minimize(sys: FlatnessSystem, s0: np.ndarray, cfg: SearchConfig):
+def _norms(r: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of r, by the same float operations."""
+    return np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
+
+
+def _solve(A: np.ndarray, lam: np.ndarray, b: np.ndarray):
+    """Damp each stacked A in place and solve (A + lam I) dz = b. A
+    singular system fails (ok False, dz 0) only its own row."""
+    m = A.shape[-1]
+    A += 0.0  # turns -0.0 into 0.0, as A + lam * eye does
+    A.reshape(len(A), m * m)[:, ::m + 1] += lam[:, None]
+    ok = np.ones(len(A), dtype=bool)
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], ok
+    except np.linalg.LinAlgError:  # solve row by row
+        dz = np.zeros_like(b)
+        for i in range(len(A)):
+            try:
+                dz[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return dz, ok
+
+
+def _lm_minimize(sys: FlatnessSystem, cfg: SearchConfig, finish) -> None:
     """Levenberg-Marquardt on the complex normal equations
     (J^H J + lam I) dz = -J^H r, the realified real system in complex
-    form. Returns the final point and the iteration count."""
-    s = s0.astype(complex)
-    lam = _DAMPING_INIT
-    r = sys.residual(s)
-    cost = float(np.linalg.norm(r))
-    eye = np.eye(sys.unknown_count)
-    iterations = 0
-    for it in range(cfg.max_iters):
-        iterations = it + 1
-        if cost < _RESIDUAL_TOL:
-            break
-        J = sys.jacobian(s)
-        Jh = J.conj().T
-        A = Jh @ J
-        b = -(Jh @ r)
-        stepped = False
-        for _ in range(12):
-            try:
-                dz = np.linalg.solve(A + lam * eye, b)
-            except np.linalg.LinAlgError:
-                lam *= _DAMPING_INCREASE
-                continue
-            trial = s + dz
-            r_trial = sys.residual(trial)
-            cost_trial = float(np.linalg.norm(r_trial))
-            if cost_trial < cost:
-                s = trial
-                r = r_trial
-                cost = cost_trial
-                lam = max(lam / _DAMPING_DECREASE, 1e-14)
-                stepped = True
-                break
-            lam *= _DAMPING_INCREASE
-        if not stepped:
-            break
-    return s, iterations
+    form, from each start index, in a pool of slots. A start ends when it
+    converges, after cfg.max_iters iterations or when 12 damping trials
+    of one iteration fail: finish(start, s, cost, iterations) is
+    called, and the next start index takes its slot."""
+    m, R = sys.unknown_count, sys.residual_count
+    size = min(cfg.starts, max(1, _POOL_BYTES // (16 * max(m * m, 1))))
+    chunk = max(1, _POOL_BYTES // 8 // (16 * max(R * m, 1)))
+    s, b = np.zeros((2, size, m), dtype=complex)
+    r, A = np.zeros((size, R), complex), np.zeros((size, m, m), complex)
+    cost, lam = np.zeros((2, size))
+    start, it, trials = np.zeros((3, size), dtype=np.intp)
+    live, nxt = np.zeros(size, dtype=bool), 0
+    stepped = exhausted = np.zeros(0, dtype=np.intp)
+    while nxt < cfg.starts or live.any():
+        new = np.flatnonzero(~live)[:cfg.starts - nxt]
+        for k in new:
+            u = np.random.default_rng([cfg.seed, nxt]).uniform(-2, 2, (2, m))
+            s[k] = u[0] + 1j * u[1] if nxt else 0
+            start[k], nxt = nxt, nxt + 1
+        live[new], lam[new], it[new] = True, _DAMPING_INIT, 0
+        if new.size:
+            r[new] = sys.residual(s[new])
+            cost[new] = _norms(r[new])
+        # an iteration begins on the new and the stepped slots, or they end
+        go = np.concatenate([stepped, new])
+        at_max = it[go] == cfg.max_iters
+        it[go] += ~at_max
+        ends = np.append(exhausted, go[at_max | (cost[go] < _RESIDUAL_TOL)])
+        for i in ends:
+            finish(int(start[i]), s[i].copy(), float(cost[i]), int(it[i]))
+        live[ends] = False
+        go = go[live[go]]
+        trials[go] = 0
+        for c in range(0, len(go), chunk):
+            k = go[c:c + chunk]
+            J = sys.jacobian(s[k])
+            Jh = J.conj().swapaxes(1, 2)
+            A[k] = Jh @ J
+            b[k] = -(Jh @ r[k, :, None])[..., 0]
+        idx = np.flatnonzero(live)  # one damping trial per live slot
+        dz, ok = _solve(A[idx], lam[idx], b[idx])
+        trial = s[idx] + dz
+        r_trial = sys.residual(trial)
+        cost_trial = _norms(r_trial)
+        accept = ok & (cost_trial < cost[idx])
+        stepped = idx[accept]
+        s[stepped], r[stepped] = trial[accept], r_trial[accept]
+        cost[stepped] = cost_trial[accept]
+        lam[stepped] = np.maximum(lam[stepped] / _DAMPING_DECREASE, 1e-14)
+        failed = idx[~accept]
+        lam[failed] *= _DAMPING_INCREASE
+        trials[failed] += 1
+        exhausted = failed[trials[failed] == 12]
 
 
 def newton_multistart(sys: FlatnessSystem, cfg: SearchConfig) -> list:
     """Run LM from cfg.starts starting points. Start 0 is the zero
     vector (the standard connection); the rest are uniform in the
-    complex box of radius 2, seeded per start index. Candidates are
-    returned in start-index order."""
+    complex box of radius 2, seeded per start index. The converged
+    starts are returned as candidates, in start-index order."""
     out = []
-    m = sys.unknown_count
-    for start in range(cfg.starts):
-        if start == 0:
-            s0 = np.zeros(m, dtype=complex)
-        else:
-            rng = np.random.default_rng([cfg.seed, start])
-            s0 = rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m)
-        s, iters = _lm_minimize(sys, s0, cfg)
-        # re-evaluate from scratch before reporting
-        norm = float(np.linalg.norm(sys.residual(s)))
-        if norm < _RESIDUAL_TOL:
-            out.append(
-                Candidate(
-                    start_index=start,
-                    s=tuple(complex(x) for x in s),
-                    residual_norm=norm,
-                    iterations=iters,
-                )
-            )
-    return out
+
+    def keep(start, s, cost, iterations):
+        if cost < _RESIDUAL_TOL:
+            out.append(Candidate(start, tuple(s.tolist()), cost, iterations))
+
+    _lm_minimize(sys, cfg, keep)
+    return sorted(out, key=lambda c: c.start_index)
 
 
 def _snap_fraction(x: float, den: int):

@@ -324,3 +324,178 @@ def test_run_search_is_scale_invariant():
         out = run_search(aff1(k), cfg)
         assert out.found, k
         assert is_flat(out.certificate) and is_torsion_free(out.certificate)
+
+
+# ------------------------------------------- the LM pool against one start
+
+def _reference_lm_minimize(sys, s0, cfg):
+    """Levenberg-Marquardt on the complex normal equations
+    (J^H J + lam I) dz = -J^H r, the realified real system in complex
+    form. Returns the final point and the iteration count."""
+    s = s0.astype(complex)
+    lam = search._DAMPING_INIT
+    r = sys.residual(s)
+    cost = float(np.linalg.norm(r))
+    eye = np.eye(sys.unknown_count)
+    iterations = 0
+    for it in range(cfg.max_iters):
+        iterations = it + 1
+        if cost < search._RESIDUAL_TOL:
+            break
+        J = sys.jacobian(s)
+        Jh = J.conj().T
+        A = Jh @ J
+        b = -(Jh @ r)
+        stepped = False
+        for _ in range(12):
+            try:
+                dz = np.linalg.solve(A + lam * eye, b)
+            except np.linalg.LinAlgError:
+                lam *= search._DAMPING_INCREASE
+                continue
+            trial = s + dz
+            r_trial = sys.residual(trial)
+            cost_trial = float(np.linalg.norm(r_trial))
+            if cost_trial < cost:
+                s = trial
+                r = r_trial
+                cost = cost_trial
+                lam = max(lam / search._DAMPING_DECREASE, 1e-14)
+                stepped = True
+                break
+            lam *= search._DAMPING_INCREASE
+        if not stepped:
+            break
+    return s, iterations
+
+
+def _reference_start(cfg, m, start):
+    if start == 0:
+        return np.zeros(m, dtype=complex)
+    rng = np.random.default_rng([cfg.seed, start])
+    return rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m)
+
+
+def _reference_runs(sys, cfg):
+    """start -> (final s, iterations, residual norm), one start at a
+    time."""
+    out = {}
+    for start in range(cfg.starts):
+        s0 = _reference_start(cfg, sys.unknown_count, start)
+        s, iters = _reference_lm_minimize(sys, s0, cfg)
+        out[start] = (s, iters, float(np.linalg.norm(sys.residual(s))))
+    return out
+
+
+def _pool_runs(sys, cfg):
+    out = {}
+
+    def finish(start, s, cost, iterations):
+        assert start not in out
+        out[start] = (s, iterations, cost)
+
+    search._lm_minimize(sys, cfg, finish)
+    assert sorted(out) == list(range(cfg.starts))
+    return out
+
+
+def _pool_size(sys):
+    return search._POOL_BYTES // (16 * sys.unknown_count ** 2)
+
+
+def _assert_same_runs(pool, ref):
+    for start, (s, iters, cost) in pool.items():
+        ref_s, ref_iters, ref_cost = ref[start]
+        assert s.tobytes() == ref_s.tobytes(), start
+        assert iters == ref_iters, start
+        assert cost == ref_cost, start
+
+
+def test_pool_matches_per_start_reference():
+    exits = set()
+    for g in [builtin(name) for name in ("heis3", "sol3", "sl2")] + [_gl2()]:
+        sys = assemble(g)
+        pool_size = _pool_size(sys)
+        assert pool_size == (50 if g.n == 3 else 10)
+        all_starts = (1, pool_size - 1, pool_size, pool_size + 1, 37)
+        for max_iters in (1, 3, 100):
+            ref = _reference_runs(sys, SearchConfig(
+                starts=max(all_starts), seed=1, max_iters=max_iters))
+            for starts in all_starts:
+                cfg = SearchConfig(starts=starts, seed=1, max_iters=max_iters)
+                pool = _pool_runs(sys, cfg)
+                _assert_same_runs(pool, ref)
+                if starts > pool_size:
+                    exits.add("refilled")
+                for s, iters, cost in pool.values():
+                    if cost < search._RESIDUAL_TOL:
+                        exits.add("converged")
+                    elif iters == max_iters:
+                        exits.add("max_iters")
+                    else:
+                        exits.add("rejected")
+    assert exits == {"converged", "max_iters", "rejected", "refilled"}
+
+
+def test_pool_in_dimensions_0_and_1():
+    # no unknowns (n = 0) or no residual components (n = 1): every start
+    # converges at once, as in the per-start loop
+    for n in (0, 1):
+        sys = assemble(from_structure_constants(n, brackets={}))
+        cfg = SearchConfig(starts=3, seed=1)
+        _assert_same_runs(_pool_runs(sys, cfg), _reference_runs(sys, cfg))
+        assert len(newton_multistart(sys, cfg)) == 3
+
+
+def test_pool_solves_row_by_row_past_a_singular_matrix(monkeypatch):
+    # declare start 3's first damped system singular: the stacked solve
+    # raises for the whole round, and only start 3 loses its trial, as
+    # the per-start loop's `except LinAlgError` does
+    sys = assemble(builtin("sol3"))
+    m = sys.unknown_count
+    cfg = SearchConfig(starts=_pool_size(sys) + 1, seed=1)
+    J = sys.jacobian(_reference_start(cfg, m, 3))
+    bad = J.conj().T @ J + search._DAMPING_INIT * np.eye(m)
+    solve = np.linalg.solve
+    hits = []
+
+    def singular_at_start_3(a, b):
+        if any(np.array_equal(x, bad) for x in a.reshape(-1, m, m)):
+            hits.append(a.ndim)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    unpatched = _reference_runs(sys, cfg)
+    monkeypatch.setattr(np.linalg, "solve", singular_at_start_3)
+    ref = _reference_runs(sys, cfg)
+    assert hits == [2]
+    pool = _pool_runs(sys, cfg)
+    assert hits == [2, 3, 2]
+    _assert_same_runs(pool, ref)
+    assert ref[3][0].tobytes() != unpatched[3][0].tobytes()
+    for start in set(ref) - {3}:
+        assert ref[start][0].tobytes() == unpatched[start][0].tobytes()
+
+
+def test_candidate_does_not_depend_on_the_other_starts():
+    for name, k in (("heis3", 0), ("sol3", 12)):
+        sys = assemble(builtin(name))
+        alone = newton_multistart(sys, SearchConfig(starts=k + 1, seed=1))
+        crowd = newton_multistart(sys, SearchConfig(starts=200, seed=1))
+        assert alone[-1].start_index == k
+        assert alone[-1] == next(c for c in crowd if c.start_index == k)
+
+
+def test_pool_memory_does_not_grow_with_starts():
+    import tracemalloc
+
+    sys = assemble(builtin("sl2"))
+    peaks = []
+    for starts in (60, 400, 4000):
+        tracemalloc.start()
+        assert newton_multistart(
+            sys, SearchConfig(starts=starts, seed=1, max_iters=2)) == []
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # the first run only warms up numpy's lazy imports
+    assert peaks[2] <= 1.25 * peaks[1]
