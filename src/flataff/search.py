@@ -18,10 +18,13 @@ of basis is exact, so the answer does not depend on the scale of the
 input, and every structure constant the search turns into a float lies
 in [-1, 1].
 
-Numeric candidates are then snapped to Gaussian rationals. A float
-gate with a proven rounding-error bound drops snaps that cannot be
-flat; every other snap is checked exactly, so nothing floating-point
-ever leaves this module inside a certificate.
+Numeric candidates are then snapped to Gaussian rationals, one rung of
+_DENOMINATOR_LADDER at a time: each part goes to its best rational
+approximation under the rung, found on plain integers, and becomes a
+Fraction only if it lies within _RATIONALIZE_TOL. A float gate with
+a proven rounding-error bound drops snaps that cannot be flat; every
+other snap is checked exactly, so nothing floating-point ever leaves
+this module inside a certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import GaussRat, HALF
+from .exact import HALF, _exact
 from .liealg import LieAlgebra
 from .connections import InvariantConnection, is_flat, is_torsion_free
 
@@ -115,6 +118,7 @@ class FlatnessSystem:
         ]
         self.c_float = np.array(g.c, dtype=complex).reshape(n, n, n)
         self._c_half = self.c_float / 2.0
+        self.c_max = np.abs(self.c_float).max(initial=0.0)
         # the 0/1 map P of Gamma = c/2 + P.s, stored as the unknown that
         # each Gamma[i][j][k] reads
         pair_of = np.zeros((n, n), dtype=np.intp)
@@ -303,10 +307,31 @@ def newton_multistart(sys: FlatnessSystem, cfg: SearchConfig) -> list:
     return sorted(out, key=lambda c: c.start_index)
 
 
+def _best_rational(x: float, den: int):
+    """The best approximation p/q of x with q <= den, as Fraction gives
+    it: the last convergent p1/q1 of x with q1 <= den, or the
+    semiconvergent with the largest q <= den if strictly closer to x."""
+    n, d = x.as_integer_ratio()
+    if d <= den:
+        return n, d
+    top, p0, q0, p1, q1 = d, 0, 1, 1, 0
+    while (q2 := q0 + (a := n // d) * q1) <= den:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (den - q0) // q1
+    # x lies between p1/q1 and the semiconvergent, 1/(q1 (q0 + k q1))
+    # apart, and d/(q1 top) from p1/q1
+    if 2 * d * (q0 + k * q1) <= top:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _snap_fraction(x: float, den: int):
-    f = Fraction(x).limit_denominator(den)
-    if abs(float(f) - x) <= _RATIONALIZE_TOL:
-        return f
+    """_best_rational(x, den) as a Fraction if within _RATIONALIZE_TOL
+    of x, else None; int / int rounds as float(Fraction(p, q)) does."""
+    p, q = _best_rational(x, den)
+    if abs(p / q - x) <= _RATIONALIZE_TOL:
+        return Fraction(p, q)
     return None
 
 
@@ -329,8 +354,7 @@ def _snap_may_be_flat(sys: FlatnessSystem, s_exact) -> bool:
     """
     s = np.array(s_exact, dtype=complex)
     r = np.abs(sys.residual(s)).max(initial=0.0)
-    k = (1.0 + np.abs(s).max(initial=0.0)
-         + np.abs(sys.c_float).max(initial=0.0))
+    k = 1.0 + np.abs(s).max(initial=0.0) + sys.c_max
     return not r > _GATE_TOL * k * k
 
 
@@ -343,15 +367,14 @@ def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem):
     no snap passes the exact test."""
     for den in _DENOMINATOR_LADDER:
         s_exact = []
-        ok = True
         for z in candidate.s:
             re = _snap_fraction(z.real, den)
-            im = _snap_fraction(z.imag, den)
-            if re is None or im is None:
-                ok = False
+            im = None if re is None else _snap_fraction(z.imag, den)
+            if im is None:
                 break
-            s_exact.append(GaussRat(re, im))
-        if not ok or not _snap_may_be_flat(sys, s_exact):
+            s_exact.append(_exact(re, im))
+        if (len(s_exact) < len(candidate.s)
+                or not _snap_may_be_flat(sys, s_exact)):
             continue
         conn = sys.connection_from_rational_s(s_exact)
         if is_flat(conn) and is_torsion_free(conn):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flataff import search
 from flataff.exact import GaussRat
@@ -499,3 +500,103 @@ def test_pool_memory_does_not_grow_with_starts():
         tracemalloc.stop()
     # the first run only warms up numpy's lazy imports
     assert peaks[2] <= 1.25 * peaks[1]
+
+
+# ------------------------------------- snapping against Fraction's own
+
+def _reference_snap_fraction(x: float, den: int):
+    f = Fraction(x).limit_denominator(den)
+    if abs(float(f) - x) <= search._RATIONALIZE_TOL:
+        return f
+    return None
+
+
+def _assert_snaps_like_reference(x):
+    for den in search._DENOMINATOR_LADDER:
+        f = Fraction(x).limit_denominator(den)
+        assert search._best_rational(x, den) == (f.numerator, f.denominator)
+        assert search._snap_fraction(x, den) == _reference_snap_fraction(
+            x, den), (x, den)
+
+
+# near-rationals put the tolerance decision and the tie between the
+# convergent and the semiconvergent in play, not only the far floats
+_near_rationals = st.builds(
+    lambda p, q, e: p / q + e, st.integers(-10**6, 10**6),
+    st.integers(1, 20000), st.floats(-2e-6, 2e-6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 _near_rationals))
+def test_snap_fraction_matches_limit_denominator(x):
+    _assert_snaps_like_reference(x)
+
+
+def test_snap_fraction_fixed_cases():
+    # ties at den 1 go to the convergent, as limit_denominator does
+    assert search._best_rational(0.5, 1) == (0, 1)
+    assert search._best_rational(1.5, 1) == (1, 1)
+    assert search._best_rational(-2.5, 1) == (-3, 1)
+    third = 1 / 3
+    cases = [0.5, 1.5, -2.5, 0.0, -0.0, 5e-324, 1e-300, 1e15,
+             third + 1e-6, third - 1e-6, 0.3334, 1e-6, -1e-6]
+    cases += [np.nextafter(third + sign * 1e-6, toward)
+              for sign in (1, -1) for toward in (0, 1)]
+    for x in cases:
+        _assert_snaps_like_reference(float(x))
+    assert search._snap_fraction(0.3334, 3) is None
+    assert search._snap_fraction(third + 1e-7, 3) == Fraction(1, 3)
+    assert search._snap_fraction(-0.0, 1) == 0
+    # 0 lies exactly _RATIONALIZE_TOL from 1e-6, which still snaps
+    assert search._snap_fraction(-1e-6, 1) == 0
+
+
+def _reference_rationalize(candidate, sys):
+    for den in search._DENOMINATOR_LADDER:
+        s_exact = []
+        ok = True
+        for z in candidate.s:
+            re = _reference_snap_fraction(z.real, den)
+            im = _reference_snap_fraction(z.imag, den)
+            if re is None or im is None:
+                ok = False
+                break
+            s_exact.append(GaussRat(re, im))
+        if not ok or not search._snap_may_be_flat(sys, s_exact):
+            continue
+        conn = sys.connection_from_rational_s(s_exact)
+        if is_flat(conn) and is_torsion_free(conn):
+            return conn
+    return None
+
+
+@pytest.mark.parametrize("g, cfg, certified", [
+    (_gl2(), SearchConfig(starts=48, seed=0), []),
+    (builtin("sol3"), SearchConfig(starts=13, seed=1), [12]),
+    (builtin("heis3"), SearchConfig(starts=1, seed=1), [0]),
+], ids=["gl2", "sol3", "heis3"])
+def test_rationalize_matches_reference(monkeypatch, g, cfg, certified):
+    sys = assemble(g)
+    gate = search._snap_may_be_flat
+    seen = []
+
+    def recording_gate(sys_, s_exact):
+        seen.append(list(s_exact))
+        return gate(sys_, s_exact)
+
+    monkeypatch.setattr(search, "_snap_may_be_flat", recording_gate)
+    found, gated = [], 0
+    for cand in newton_multistart(sys, cfg):
+        seen.clear()
+        ref = _reference_rationalize(cand, sys)
+        ref_seen = list(seen)
+        seen.clear()
+        conn = rationalize_and_verify(cand, sys)
+        assert conn == ref, cand.start_index
+        assert seen == ref_seen, cand.start_index
+        gated += len(seen)
+        if conn is not None:
+            found.append(cand.start_index)
+    assert found == certified
+    assert gated > 0
