@@ -1,13 +1,15 @@
 """Cohomological and volume-form obstructions, and the decision
 pipeline for existence of a flat torsion-free invariant connection.
 
-The YES side before the search is one rule: if the basis vectors other
-than e_t span an abelian ideal, ad(e_t) on e_t and 0 on the ideal is a
-left-symmetric product. It decides every abelian algebra, heis3 and
-sol3 in every permuted basis, and any almost-abelian algebra written in
-a basis adapted to its abelian ideal. Every YES, from this rule or from
-the search, is checked once, as a connection: etale_from_lsa raises
-unless it is flat and torsion-free, and then returns the étale map.
+The YES side before the search is two rules. If the basis vectors
+other than e_t span an abelian ideal, ad(e_t) on e_t and 0 on the ideal
+is a left-symmetric product: this decides every abelian algebra, heis3
+and sol3 in every permuted basis, and any almost-abelian algebra in a
+basis adapted to its abelian ideal. After the semisimple gate, g =
+[g, g] ⊕ center with dim [g, g] = 3 gets the product of 2x2 matrices,
+in any basis: gl2, sl2 ⊕ C^k, so(3) ⊕ C^k. Every YES, from these rules
+or from the search, is checked once, as a connection: etale_from_lsa
+raises unless it is flat and torsion-free, then returns the étale map.
 
 The NO side rests on the semisimplicity obstruction: a semisimple
 algebra admits no flat torsion-free invariant connection (surveyed in
@@ -22,8 +24,9 @@ every Lie algebra (see ObstructionEvidence) and so is not computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exact import ExactMatrix, MultiPoly, poly_det, ZERO
+from .exact import ExactMatrix, MultiPoly, poly_det, HALF, ZERO
 from .liealg import LieAlgebra
 from .connections import InvariantConnection
 from .affine import AffMap, DimensionMismatch, etale_from_lsa
@@ -225,14 +228,53 @@ def _abelian_ideal_connection(g: LieAlgebra):
     return None
 
 
+def _reductive_connection(g: LieAlgebra):
+    """The product of Mat2 when g = s ⊕ z, s = [g, g] of dimension 3 and
+    z the center, of dimension n - 3 >= 1. Then s = [s, s] is perfect of
+    dimension 3, hence of type sl2. With z1 the first center basis vector,
+    π the z1-coordinate on z and κ the Killing form, x = σ + ζ and
+    y = τ + η (σ, τ in s; ζ, η in z) multiply as
+      x·y = ½[σ, τ] + ⅛κ(σ, τ) z1 + π(ζ) τ + π(η) σ + π(ζ)π(η) z1.
+    For trace-free 2×2 matrices XY = ½[X, Y] + ½tr(XY)I and κ = 4 tr, so
+    this is Mat2 with identity z1, plus a zero product on the rest of the
+    center: associative, hence left-symmetric (Burde,
+    arXiv:math-ph/0509016). Written without an isomorphism to gl2, it
+    stays rational for non-split forms such as so(3) ⊕ C. None unless g
+    has this shape."""
+    n = g.n
+    full = g._full_basis()
+    s = g._bracket_space(full, full)
+    if n < 4 or len(s) != 3:
+        return None
+    # x is central when ad(e_i) x = 0 for every i
+    z = ExactMatrix(n * n, n, [g.c[i][j][k] for i in range(n)
+                               for k in range(n) for j in range(n)]).nullspace()
+    basis = ExactMatrix.from_rows(s + z)
+    if len(z) != n - 3 or basis.rank() != n:
+        return None
+    coords = basis.inverse()  # row i: e_i in the basis s, z
+    sigma = ExactMatrix(n, 3, [coords[i, a] for i in range(n)
+                               for a in range(3)]) @ ExactMatrix.from_rows(s)
+    pi = [coords[i, 3] for i in range(n)]
+    # z is central, so [σ_i, σ_j] = [e_i, e_j] and κ(σ_i, σ_j) = κ(e_i, e_j);
+    # zeros are stored as ZERO, as in LieAlgebra, to keep the report small
+    kappa = g.killing_form()
+    return InvariantConnection(g, [[[
+        HALF * g.c[i][j][k] + pi[i] * sigma[j, k] + pi[j] * sigma[i, k]
+        + (kappa[i, j] * Fraction(1, 8) + pi[i] * pi[j]) * z[0][k] or ZERO
+        for k in range(n)] for j in range(n)] for i in range(n)])
+
+
 def decide_existence(g: LieAlgebra,
                      search_budget: SearchConfig | None = None) -> DecisionReport:
     """Decide whether g admits a flat torsion-free invariant connection.
 
     Pipeline: an algebra whose basis vectors but one span an abelian
     ideal gets the connection of _abelian_ideal_connection; semisimple
-    algebras are refused with the obstruction evidence; everything else
-    goes to the numeric search, whose certificates are exact or absent.
+    algebras are refused with the obstruction evidence; a sum of a
+    3-dimensional [g, g] and the center gets the matrix product of
+    _reductive_connection; everything else goes to the numeric search,
+    whose certificates are exact or absent.
     A YES embedding is etale_from_lsa of its connection, which raises
     NotFlatTorsionFree for a connection that is not a certificate.
     """
@@ -268,6 +310,13 @@ def decide_existence(g: LieAlgebra,
                 "polynomial vanishes identically",
             ),
         )
+
+    conn = _reductive_connection(g)
+    if conn is not None:
+        return _yes(conn, (
+            "g is [g, g] of dimension 3 plus the center: the product of "
+            "2x2 matrices, with the identity in the center, is flat and "
+            "torsion-free"))
 
     outcome = run_search(g, cfg)
     if outcome.found:

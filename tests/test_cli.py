@@ -603,3 +603,18 @@ def test_each_exact_check_runs_once_per_command(tmp_path, monkeypatch,
     assert data["flat"] is True and data["torsion_free"] is True
     assert data["projectively_flat"] is True
     assert (counts["curvature"], counts["torsion"]) == (1, 1)
+
+
+def test_analyze_gl2_is_yes_by_the_matrix_product(tmp_path, capsys):
+    """gl2 is [g, g] = sl2 plus the center, and its certificate is the
+    product of 2x2 matrices itself."""
+    algebra, conn = _gl2_files(tmp_path)
+    assert main(["analyze", algebra, "--format", "json"]) == 0
+    decision = json.loads(capsys.readouterr().out)["decision"]
+    assert decision["verdict"] == "YES"
+    assert decision["notes"] == [
+        "g is [g, g] of dimension 3 plus the center: the product of 2x2 "
+        "matrices, with the identity in the center, is flat and "
+        "torsion-free"]
+    with open(conn, encoding="utf-8") as f:
+        assert decision["certificate_connection"] == json.load(f)["gamma"]

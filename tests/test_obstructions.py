@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flataff import affine, cli, connections, obstructions
 from flataff import search as search_module
@@ -330,8 +331,8 @@ def test_each_certificate_is_verified_once(monkeypatch):
         assert decide_existence(g, cfg).verdict == "YES"
         return counts["curvature"], counts["check_homomorphism"]
 
-    for name in ("abelian3", "heis3", "sol3"):
-        assert per_yes(builtin(name)) == (1, 0)
+    for g in (builtin("abelian3"), builtin("heis3"), builtin("sol3"), _gl2()):
+        assert per_yes(g) == (1, 0)
     g = _search_only_algebra()
     curvature_calls, hom_calls = per_yes(g, SearchConfig(starts=20, seed=1))
     (k,) = snap_checks
@@ -466,16 +467,20 @@ def test_abelian_ideal_rule_decides_without_the_search(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
-def test_abelian_ideal_rule_refuses_other_algebras():
-    gl2 = from_structure_constants(4, brackets={
+def _gl2():
+    """gl2 on E11, E12, E21, E22."""
+    return from_structure_constants(4, brackets={
         (0, 1): [0, 1, 0, 0], (0, 2): [0, 0, -1, 0], (1, 2): [1, 0, 0, -1],
         (1, 3): [0, 1, 0, 0], (2, 3): [0, 0, -1, 0]})
-    for g in (builtin("sl2"), gl2, _search_only_algebra()):
+
+
+def test_abelian_ideal_rule_refuses_other_algebras():
+    for g in (builtin("sl2"), _gl2(), _search_only_algebra()):
         assert obstructions._abelian_ideal_connection(g) is None
 
 
 def test_a_broken_certificate_raises(monkeypatch):
-    """Both YES branches take their embedding from etale_from_lsa, which
+    """Every YES branch takes its embedding from etale_from_lsa, which
     refuses a connection that is curved or has torsion."""
     with_torsion = zero_connection(builtin("heis3"))
     curved = standard_connection(builtin("sol3"))
@@ -492,3 +497,115 @@ def test_a_broken_certificate_raises(monkeypatch):
                       lambda g, cfg: SearchOutcome((), bad, 0))
             with pytest.raises(NotFlatTorsionFree):
                 decide_existence(_search_only_algebra())
+
+    gl2 = _gl2()
+    with_torsion, curved = zero_connection(gl2), standard_connection(gl2)
+    assert is_flat(with_torsion) and not is_torsion_free(with_torsion)
+    assert is_torsion_free(curved) and not is_flat(curved)
+    for bad in (with_torsion, curved):
+        with monkeypatch.context() as m:
+            m.setattr(obstructions, "_reductive_connection", lambda g: bad)
+            with pytest.raises(NotFlatTorsionFree):
+                decide_existence(gl2)
+
+
+_REDUCTIVE_NOTE = (
+    "g is [g, g] of dimension 3 plus the center: the product of 2x2 "
+    "matrices, with the identity in the center, is flat and torsion-free"
+)
+
+
+def _plus_center(brackets3, k):
+    """A 3-dimensional algebra plus a k-dimensional center."""
+    return from_structure_constants(3 + k, brackets={
+        pair: v + [0] * k for pair, v in brackets3.items()})
+
+
+_SL2 = {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}
+_SO3 = {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (2, 0): [0, 1, 0]}
+_REDUCTIVE = {
+    "gl2": _gl2(),
+    "sl2+C": _plus_center(_SL2, 1),
+    "sl2+C2": _plus_center(_SL2, 2),
+    "so3+C": _plus_center(_SO3, 1),
+}
+
+
+def _in_basis(g, P):
+    """g in the basis f_a = sum_b P[a][b] e_b, for invertible P."""
+    Pinv = ExactMatrix.from_rows(P).inverse()
+    brackets = {}
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            v = g.bracket(P[a], P[b])
+            brackets[(a, b)] = [sum((v[k] * Pinv[k, m] for k in range(g.n)),
+                                    ZERO) for m in range(g.n)]
+    return from_structure_constants(g.n, brackets=brackets)
+
+
+def _gl_z(n):
+    """n x n integer matrices with entries in [-2, 2] and nonzero det."""
+    return st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n).map(
+        lambda e: [e[r * n:(r + 1) * n] for r in range(n)]).filter(
+        lambda P: not ExactMatrix.from_rows(P).det().is_zero())
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCTIVE))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_reductive_rule_decides_in_any_basis(name, data):
+    """s = [g, g] of dimension 3 plus the center is YES by the matrix
+    product, read off the bracket, in the aligned basis and after a
+    GL(n, Z) change of basis; the search is never reached."""
+    def no_search(*args):
+        raise AssertionError("run_search called")
+
+    g = _REDUCTIVE[name]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(obstructions, "run_search", no_search)
+        for h in (g, _in_basis(g, data.draw(_gl_z(g.n), label="P"))):
+            report = decide_existence(h)
+            assert report.verdict == "YES"
+            assert report.notes == (_REDUCTIVE_NOTE,)
+
+
+def test_reductive_rule_is_fast_and_runs_no_check(monkeypatch):
+    """The rule builds the product without the Killing rank, the
+    curvature or the search; aligned gl2 decides in under 0.1 s."""
+    start = time.perf_counter()
+    assert decide_existence(_gl2()).notes == (_REDUCTIVE_NOTE,)
+    assert time.perf_counter() - start < 0.1
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(LieAlgebra, "killing_rank", refuse)
+    monkeypatch.setattr(obstructions, "run_search", refuse)
+    monkeypatch.setattr(connections, "curvature", refuse)
+    for module in (affine, connections):
+        monkeypatch.setattr(module, "is_flat", refuse)
+    for g in _REDUCTIVE.values():
+        assert obstructions._reductive_connection(g) is not None
+
+
+def _free_two_step(k):
+    """The free two-step nilpotent algebra on k generators x_a, with
+    [x_a, x_b] = y_ab for a < b as the last basis vectors."""
+    pairs = list(itertools.combinations(range(k), 2))
+    n = k + len(pairs)
+    return from_structure_constants(n, brackets={
+        (a, b): [int(m == k + t) for m in range(n)]
+        for t, (a, b) in enumerate(pairs)})
+
+
+def test_reductive_rule_declines_other_shapes():
+    """No center (sl2), a larger or smaller [g, g] (sl2 + sl2, sl3,
+    aff1 + aff1, the search-only algebra), and a 3-dimensional [g, g]
+    that is the center itself (free two-step on three generators)."""
+    aff1_squared = from_structure_constants(4, brackets={
+        (0, 1): [0, 1, 0, 0], (2, 3): [0, 0, 0, 1]})
+    free = _free_two_step(3)
+    assert free.n == 6 and free.derived_series_dims() == [6, 3, 0]
+    for g in (builtin("sl2"), _sl2_plus_sl2(), _sl3(), aff1_squared,
+              _search_only_algebra(), free):
+        assert obstructions._reductive_connection(g) is None
