@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .exact import ExactMatrix, as_gauss, ZERO, ONE
 from .liealg import LieAlgebra, builtin
-from .connections import InvariantConnection, is_flat, is_torsion_free
+from .connections import InvariantConnection, _l_matrices
 
 __all__ = [
     "AffElement",
@@ -181,28 +181,21 @@ class HomVerdict:
     injective: bool
 
 
+def _augmented(x: AffElement) -> ExactMatrix:
+    """(A, v) as [[A, v], [0, 0]] in gl(m + 1). The commutator of two such
+    matrices is [[AB - BA, Aw - Bv], [0, 0]], which is aff_bracket."""
+    m = x.ambient
+    return ExactMatrix(m + 1, m + 1, [
+        e for r in range(m) for e in (*x.A.row(r), x.v[r])] + [ZERO] * (m + 1))
+
+
 def check_homomorphism(m: AffMap) -> HomVerdict:
     """Check [m(e_i), m(e_j)] = m([e_i, e_j]) for all i < j, and whether
-    the flattened images are linearly independent."""
-    g = m.g
-    counter = None
-    for i in range(g.n):
-        if counter:
-            break
-        for j in range(i + 1, g.n):
-            lhs = aff_bracket(m.images[i], m.images[j])
-            rhs = m.apply([g.c[i][j][k] for k in range(g.n)])
-            if lhs != rhs:
-                counter = (i, j)
-                break
-    amb = m.ambient
-    flat_rows = [
-        list(im.A.entries) + list(im.v) for im in m.images
-    ]
-    if flat_rows and amb > 0:
-        injective = ExactMatrix.from_rows(flat_rows).rank() == g.n
-    else:
-        injective = g.n == 0
+    the images are linearly independent. Both read the images as
+    matrices [[A, v], [0, 0]], which hold the entries of A and v."""
+    aug = [_augmented(im) for im in m.images]
+    counter = m.g._first_defect(aug)
+    injective = ExactMatrix.from_rows([M.entries for M in aug]).rank() == m.g.n
     return HomVerdict(ok=counter is None, counterexample=counter, injective=injective)
 
 
@@ -282,21 +275,17 @@ def _connection_from_map(m: AffMap) -> InvariantConnection:
 
 def etale_from_lsa(conn: InvariantConnection) -> AffMap:
     """Étale affine representation of a flat torsion-free connection:
-    e_i maps to (L_i, e_i) with (L_i)[k][j] = Γ[i][j][k]. Raises
+    e_i maps to (L_i, e_i) with (L_i)[k][j] = Γ[i][j][k]. Its bracket
+    defect on (e_i, e_j) is (R(e_i, e_j), T(e_i, e_j)), so one pass of
+    the defect kernel checks flatness and torsion together, and raises
     NotFlatTorsionFree unless conn is flat and torsion-free, which is
     exactly the condition for the map to be an étale homomorphism."""
-    if not (is_flat(conn) and is_torsion_free(conn)):
+    n = conn.g.n
+    m = AffMap(conn.g, [AffElement(L, [ONE if t == i else ZERO
+                                       for t in range(n)])
+                        for i, L in enumerate(_l_matrices(conn))])
+    if conn.g._first_defect([_augmented(im) for im in m.images]) is not None:
         raise NotFlatTorsionFree(
             "connection must be flat and torsion-free"
         )
-    n = conn.g.n
-    images = []
-    for i in range(n):
-        L = ExactMatrix(
-            n,
-            n,
-            [conn.gamma[i][j][k] for k in range(n) for j in range(n)],
-        )
-        e_i = [ONE if t == i else ZERO for t in range(n)]
-        images.append(AffElement(L, e_i))
-    return AffMap(conn.g, images)
+    return m

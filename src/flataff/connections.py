@@ -12,18 +12,20 @@ For constant Christoffels the curvature expands to
   R[l][k][i][j] = sum_m (gamma[j][k][m] gamma[i][m][l]
                          - gamma[i][k][m] gamma[j][m][l]
                          - c[i][j][m] gamma[m][k][l]).
-Swapping i and j negates every term (c[j][i][m] = -c[i][j][m]), so
-R[l][k][j][i] = -R[l][k][i][j]. curvature() sums only products of
-nonzero entries and adds each product at (i, j) and, negated, at (j, i).
+With L_i the matrix of nabla_{e_i} (column j is gamma[i][j]), this is
+entry (l, k) of [L_i, L_j] - sum_m c[i][j][m] L_m, the bracket defect of
+e_i -> L_i, so curvature() and is_flat() read it for i < j off
+LieAlgebra._defects. Swapping i and j negates every term (c[j][i][m] =
+-c[i][j][m]), so curvature() writes -R at (j, i); is_flat() stops at the
+first curved pair and builds no tensor.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .exact import GaussRat, ExactMatrix, as_gauss, ZERO, HALF
-from .liealg import LieAlgebra, nonzero_index
+from .liealg import LieAlgebra, _bilinear, _plane_matrix
 
 __all__ = [
     "InvariantConnection",
@@ -80,20 +82,7 @@ class InvariantConnection:
 
     def nabla(self, x, y) -> list:
         """nabla_x y for coordinate vectors x, y."""
-        n = self.g.n
-        x = [as_gauss(t) for t in x]
-        y = [as_gauss(t) for t in y]
-        out = [ZERO] * n
-        for i in range(n):
-            if x[i].is_zero():
-                continue
-            for j in range(n):
-                if y[j].is_zero():
-                    continue
-                f = x[i] * y[j]
-                for k in range(n):
-                    out[k] = out[k] + f * self.gamma[i][j][k]
-        return out
+        return _bilinear(self.gamma, x, y)
 
     def __repr__(self):
         nz = sum(
@@ -141,27 +130,20 @@ def torsion(conn: InvariantConnection):
     )
 
 
+def _l_matrices(conn: InvariantConnection) -> list:
+    """L_i, the matrix of nabla_{e_i}: column j is gamma[i][j]."""
+    return [_plane_matrix(plane) for plane in conn.gamma]
+
+
 def curvature(conn: InvariantConnection):
     """R[l][k][i][j], the coefficient of e_l in R(e_i, e_j) e_k."""
     n = conn.g.n
-    first = nonzero_index(conn.gamma)
-    middle = [[] for _ in range(n)]  # middle[m]: (j, l, gamma[j][m][l])
-    for j, entries in enumerate(first):
-        for m, l, b in entries:
-            middle[m].append((j, l, b))
-    # (i, j, k, l, t): t is gamma[i][k][m] gamma[j][m][l] or, for i < j,
-    # c[i][j][m] gamma[m][k][l]; both enter R[l][k][i][j] negated
-    terms = itertools.chain(
-        ((i, j, k, l, a * b) for i, entries in enumerate(first)
-         for k, m, a in entries for j, l, b in middle[m] if i != j),
-        ((i, j, k, l, v * w) for i, entries in enumerate(conn.g.nonzero)
-         for j, m, v in entries if i < j for k, l, w in first[m]),
-    )
     R = [ZERO] * n**4  # R[l][k][i][j] at ((l n + k) n + i) n + j
-    for i, j, k, l, t in terms:
-        lk = (l * n + k) * n
-        R[(lk + i) * n + j] -= t
-        R[(lk + j) * n + i] += t
+    for i, j, D in conn.g._defects(_l_matrices(conn)):
+        for (l, k), x in D.items():
+            lk = (l * n + k) * n
+            R[(lk + i) * n + j] = x
+            R[(lk + j) * n + i] = -x
     for _ in range(3):
         R = [tuple(R[s:s + n]) for s in range(0, len(R), max(n, 1))]
     return tuple(R)
@@ -187,7 +169,7 @@ def _tensor_is_zero(t) -> bool:
 
 
 def is_flat(conn: InvariantConnection) -> bool:
-    return _tensor_is_zero(curvature(conn))
+    return conn.g._first_defect(_l_matrices(conn)) is None
 
 
 def is_torsion_free(conn: InvariantConnection) -> bool:

@@ -3,7 +3,8 @@
 A LieAlgebra stores the full array c[i][j][k] with
 [e_i, e_j] = sum_k c[i][j][k] e_k, validated for antisymmetry and the
 Jacobi identity at construction time, and indexed by its nonzero entries
-(`nonzero`) for the Jacobi check and Killing form. Entries are GaussRat.
+(`nonzero`) for the Jacobi check, the Killing form and `_defects`, the
+one check that matrices represent g. Entries are GaussRat.
 """
 
 from __future__ import annotations
@@ -38,17 +39,36 @@ class InconsistentEntry(ValueError):
     """Bracket table contradicts antisymmetry."""
 
 
-def nonzero_index(t) -> tuple:
-    """Entry a lists (b, k, t[a][b][k]) for each nonzero t[a][b][k]."""
-    return tuple(tuple((b, k, x) for b, row in enumerate(plane)
-                       for k, x in enumerate(row) if x) for plane in t)
-
-
 def _coerce_vector(v, n) -> list:
     v = [as_gauss(x) for x in v]
     if len(v) != n:
         raise ValueError(f"expected a vector of length {n}, got {len(v)}")
     return v
+
+
+def _bilinear(t, x, y) -> list:
+    """sum_{i, j} x_i y_j t[i][j] for an n x n x n array t: the bracket
+    for t = c, and nabla_x y for t = gamma."""
+    n = len(t)
+    x, y = _coerce_vector(x, n), _coerce_vector(y, n)
+    out = [ZERO] * n
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in enumerate(y):
+            if b:
+                f = a * b
+                for k, w in enumerate(t[i][j]):
+                    if w:
+                        out[k] = out[k] + f * w
+    return out
+
+
+def _plane_matrix(plane) -> ExactMatrix:
+    """The n x n matrix whose column j is plane[j]: ad(e_i) for the plane
+    c[i], and L_i with L_i e_j = nabla_{e_i} e_j for the plane gamma[i]."""
+    n = len(plane)
+    return ExactMatrix(n, n, [plane[j][k] for k in range(n) for j in range(n)])
 
 
 class LieAlgebra:
@@ -74,7 +94,10 @@ class LieAlgebra:
         if len(names) != n:
             raise ValueError("need one name per basis element")
         self.names = tuple(str(s) for s in names)
-        self.nonzero = nonzero_index(self.c)
+        # entry a lists (b, k, c[a][b][k]) for each nonzero c[a][b][k]
+        self.nonzero = tuple(tuple((b, k, x) for b, row in enumerate(plane)
+                                   for k, x in enumerate(row) if x)
+                             for plane in self.c)
         self._check_antisymmetry()
         self._check_jacobi()
         self._frozen = True
@@ -115,29 +138,13 @@ class LieAlgebra:
 
     def bracket(self, x, y) -> list:
         """Bracket of two coordinate vectors."""
-        x = _coerce_vector(x, self.n)
-        y = _coerce_vector(y, self.n)
-        out = [ZERO] * self.n
-        for i in range(self.n):
-            if x[i].is_zero():
-                continue
-            for j in range(self.n):
-                if y[j].is_zero():
-                    continue
-                f = x[i] * y[j]
-                for k in range(self.n):
-                    out[k] = out[k] + f * self.c[i][j][k]
-        return out
+        return _bilinear(self.c, x, y)
 
     def ad_matrix(self, i: int) -> ExactMatrix:
         """Matrix of ad(e_i); column j holds the coordinates of [e_i, e_j]."""
         if not 0 <= i < self.n:
             raise IndexError(f"basis index {i} out of range")
-        return ExactMatrix(
-            self.n,
-            self.n,
-            [self.c[i][j][k] for k in range(self.n) for j in range(self.n)],
-        )
+        return _plane_matrix(self.c[i])
 
     def ad(self, x) -> ExactMatrix:
         """Matrix of ad(x) for an arbitrary coordinate vector x."""
@@ -163,6 +170,42 @@ class LieAlgebra:
                     if kk == k:
                         K[i * n + j] = K[i * n + j] - v * w
         return ExactMatrix(n, n, K)
+
+    def _defects(self, mats):
+        """For square ExactMatrix M_0 ... M_{n-1} of one size, yield
+        (i, j, D) for each i < j in lexicographic order, where D maps
+        (r, s) to each nonzero entry of [M_i, M_j] - sum_k c[i][j][k] M_k.
+        The M are a representation of g exactly when every D is empty.
+        Only the nonzero rows of the M and the nonzero constants are read,
+        and a caller that stops at the first nonempty D computes no later
+        pair."""
+        rows = [{r: row for r in range(m.rows)
+                 if (row := [(s, x) for s, x in enumerate(m.row(r)) if x])}
+                for m in mats]
+        neg = [{r: [(s, -x) for s, x in row] for r, row in p.items()}
+               for p in rows]
+        for i, entries in enumerate(self.nonzero):
+            minus_c = {}  # minus_c[j]: (k, -c[i][j][k]) for nonzero c[i][j][k]
+            for j, k, v in entries:
+                minus_c.setdefault(j, []).append((k, -v))
+            for j in range(i + 1, self.n):
+                # M_i M_j + (-M_j) M_i, then - c[i][j][k] M_k
+                D = {}
+                for p, q in ((rows[i], rows[j]), (neg[j], rows[i])):
+                    for r, row in p.items():
+                        for t, a in row:
+                            for s, b in q.get(t, ()):
+                                D[r, s] = D.get((r, s), ZERO) + a * b
+                for k, w in minus_c.get(j, ()):
+                    for r, row in rows[k].items():
+                        for s, x in row:
+                            D[r, s] = D.get((r, s), ZERO) + w * x
+                yield i, j, {rs: x for rs, x in D.items() if x}
+
+    def _first_defect(self, mats):
+        """The first (i, j) of _defects(mats) with a nonzero defect, or
+        None when the M represent g."""
+        return next(((i, j) for i, j, D in self._defects(mats) if D), None)
 
     def is_abelian(self) -> bool:
         return not any(self.nonzero)

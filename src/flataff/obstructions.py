@@ -8,8 +8,10 @@ and sol3 in every permuted basis, and any almost-abelian algebra in a
 basis adapted to its abelian ideal. After the semisimple gate, g =
 [g, g] ⊕ center with dim [g, g] = 3 gets the product of 2x2 matrices,
 in any basis: gl2, sl2 ⊕ C^k, so(3) ⊕ C^k. Every YES, from these rules
-or from the search, is checked once, as a connection: etale_from_lsa
-raises unless it is flat and torsion-free, then returns the étale map.
+or from the search, is checked once: etale_from_lsa builds the map
+e_i -> (L_i, e_i) and raises unless one pass of the bracket-defect kernel
+(LieAlgebra._defects) finds it a homomorphism, which is exactly flatness
+and torsion-freeness of the connection.
 
 The NO side rests on the semisimplicity obstruction: a semisimple
 algebra admits no flat torsion-free invariant connection (surveyed in
@@ -64,17 +66,10 @@ class LinearRep:
                     raise InvalidRep("matrices must be square, equal size")
         else:
             d = 0
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                lhs = (rho[i] @ rho[j]) - (rho[j] @ rho[i])
-                rhs = ExactMatrix.zeros(d, d)
-                for k in range(g.n):
-                    if not g.c[i][j][k].is_zero():
-                        rhs = rhs + rho[k].scale(g.c[i][j][k])
-                if lhs != rhs:
-                    raise InvalidRep(
-                        f"representation property fails at pair ({i}, {j})"
-                    )
+        pair = g._first_defect(rho)
+        if pair is not None:
+            raise InvalidRep(
+                "representation property fails at pair (%d, %d)" % pair)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "V_dim", d)
         object.__setattr__(self, "rho", rho)
@@ -126,24 +121,10 @@ def h1_dim(rep: LinearRep) -> int:
                     row[j * d + b] = row[j * d + b] - rep.rho[i][a, b]
                     row[i * d + b] = row[i * d + b] + rep.rho[j][a, b]
                 rows.append(row)
-    if rows:
-        z1 = nunk - ExactMatrix.from_rows(rows).rank()
-    else:
-        z1 = nunk
-    if d > 0 and n > 0:
-        stacked = ExactMatrix(
-            n * d,
-            d,
-            [
-                rep.rho[i][a, b]
-                for i in range(n)
-                for a in range(d)
-                for b in range(d)
-            ],
-        )
-        b1 = stacked.rank()
-    else:
-        b1 = 0
+    z1 = nunk - ExactMatrix.from_rows(rows).rank()
+    # B^1 is the image of v -> (e_i -> rho(e_i) v): the rank of the
+    # rho(e_i) stacked into one (n d) x d matrix
+    b1 = ExactMatrix(n * d, d, [x for m in rep.rho for x in m.entries]).rank()
     return z1 - b1
 
 
@@ -203,12 +184,13 @@ class DecisionReport:
 
 def _yes(conn: InvariantConnection, note: str) -> DecisionReport:
     """A YES with the certificate (conn, etale_from_lsa(conn)), checked
-    once, as a connection: etale_from_lsa raises NotFlatTorsionFree
-    unless conn is flat and torsion-free. The map needs no check of its
-    own. It sends e_i to (L_i, e_i) with L_i e_j = Γ[i][j], so its
-    bracket defect on (e_i, e_j) is (R(e_i, e_j), T(e_i, e_j)): the
+    once. etale_from_lsa sends e_i to (L_i, e_i) with L_i e_j = Γ[i][j],
+    whose bracket defect on (e_i, e_j) is (R(e_i, e_j), T(e_i, e_j)): the
     linear part at (l, k) is R[l][k][i][j] and the translation part is
-    T[i][j]. Its translation matrix is the identity."""
+    T[i][j]. So its one pass of LieAlgebra._defects checks flatness and
+    torsion together, stops at the first bad pair, and raises
+    NotFlatTorsionFree there; no curvature or torsion tensor is built.
+    Its translation matrix is the identity, so the map is étale."""
     return DecisionReport("YES", conn, etale_from_lsa(conn), None, (note,))
 
 
@@ -276,7 +258,8 @@ def decide_existence(g: LieAlgebra,
     _reductive_connection; everything else goes to the numeric search,
     whose certificates are exact or absent.
     A YES embedding is etale_from_lsa of its connection, which raises
-    NotFlatTorsionFree for a connection that is not a certificate.
+    NotFlatTorsionFree for a connection that is not a certificate; that
+    one bracket-defect check is the only exact check of a YES.
     """
     cfg = search_budget if search_budget is not None else SearchConfig()
 

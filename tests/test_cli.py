@@ -1,5 +1,6 @@
 """Tests for file parsing, report payloads, and the command line."""
 
+import hashlib
 import json
 import warnings
 
@@ -618,3 +619,58 @@ def test_analyze_gl2_is_yes_by_the_matrix_product(tmp_path, capsys):
         "torsion-free"]
     with open(conn, encoding="utf-8") as f:
         assert decision["certificate_connection"] == json.load(f)["gamma"]
+
+
+# sha256 of the output of each command on dimensions 0 and 1, recorded
+# before curvature, is_flat and the homomorphism check shared one kernel
+_EDGE_SHA256 = {
+    (0, "analyze", "json"): "7d094df3ee10244cfee280eef8ef2612fd218188b3face8a978424bb52a9bc75",
+    (0, "analyze", "text"): "a3428ab1621f38ab19044ae1675103030a5690768f1f30b2523c882fa8b2f081",
+    (0, "search", "json"): "614e21de75ea39921df1a42bd8a1592c10d2e81bbbd6c87b6b6ba2b2059fbc2c",
+    (0, "search", "text"): "da20b13b95c0e04e7bb5d65640267b75424981b7a3b4585b969c87b1899149fa",
+    (0, "check-connection", "json"): "87120327a5e07b4fd02005f05d654f4976afe2805a46301fe35d2edccfd098e4",
+    (0, "check-connection", "text"): "c92ab37caadf30eea43bf580e964b9a268c1cdd7e47a8a9ff8b709bd8f0ce532",
+    (0, "check-embedding", "json"): "f6215fe0ecb86f27a2da137abfeac63319c76cb6285429d6790045d27bfb7aab",
+    (0, "check-embedding", "text"): "55ed644ea72e581e8d0198efeec5759c13e640c8b19ce22ba8a91d029885b18c",
+    (1, "analyze", "json"): "cc9a3daf9ced49058605a32d44d4853e9802f4f00490810cd1f3331116a8dd69",
+    (1, "analyze", "text"): "2d5cbe468c03198f32bff2340624d88e7392930b51a7c13bb441ba53e05551f9",
+    (1, "search", "json"): "f26e8179d880b3e6d674efb8b366ef4a88b990e6bb941747e1879120be81fa5c",
+    (1, "search", "text"): "0468a68885285b49431cfe711042e18328e2d3bbd5b40da6a8b33afa0ca94de1",
+    (1, "check-connection", "json"): "fbea13aa0499847070c7f3953c1775c59382f42d49766444066739d73af0276e",
+    (1, "check-connection", "text"): "dcb3061d5113fc8e2bc8adf593c6dca7e3ec046ac5f0f81c59c2b368c1f7db9b",
+    (1, "check-embedding", "json"): "46b5c8e3b3b7ca9216f5c5f6df60f70e8a46cc86816088d5618f29747d62d051",
+    (1, "check-embedding", "text"): "4ca2d317066e6dc07603de514a047739a9450f7196c822124c54f5a24ce194cd",
+}
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_dimensions_zero_and_one_through_every_command(tmp_path, capsys, n):
+    """The abelian algebras of dimension 0 and 1, with the zero
+    connection and the map e1 -> (0, 1): every command exits 0, every
+    check passes, and the bytes are the recorded ones."""
+    algebra = _write(tmp_path, "g.json", {"dim": n})
+    gamma = _write(tmp_path, "gamma.json",
+                   {"gamma": [[[_zero_pair()]]] if n else []})
+    emb = _write(tmp_path, "map.json", {"images": [
+        {"A": [[_zero_pair()]], "v": [["1", "0"]]}] if n else []})
+    commands = {
+        "analyze": ["analyze", algebra],
+        "search": ["search", algebra, "--starts", "3"],
+        "check-connection": ["check-connection", algebra, "--gamma", gamma],
+        "check-embedding": ["check-embedding", algebra, "--map", emb],
+    }
+    checks = {
+        "analyze": lambda d: d["decision"]["verdict"] == "YES",
+        "search": lambda d: d["exactly_verified"],
+        "check-connection": lambda d: d["flat"] and d["torsion_free"],
+        "check-embedding": lambda d: d["homomorphism"] and d["etale"]
+        and d["induced_flat"] and d["induced_torsion_free"],
+    }
+    for name, argv in commands.items():
+        for fmt in ("json", "text"):
+            assert main(argv + ["--format", fmt]) == 0
+            out = capsys.readouterr().out
+            if fmt == "json":
+                assert checks[name](json.loads(out))
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == _EDGE_SHA256[n, name, fmt]

@@ -296,7 +296,9 @@ def test_decide_sl3_semisimple_no():
 
 
 def test_each_certificate_is_verified_once(monkeypatch):
-    counts = {"curvature": 0, "check_homomorphism": 0}
+    """Every exact flatness, torsion and representation check runs the
+    bracket-defect kernel LieAlgebra._defects, so its calls count them."""
+    counts = {"defects": 0, "check_homomorphism": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -305,8 +307,7 @@ def test_each_certificate_is_verified_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        connections, "curvature",
-        counting("curvature", connections.curvature),
+        LieAlgebra, "_defects", counting("defects", LieAlgebra._defects),
     )
     # every module that binds check_homomorphism, as in test_cli
     original = affine.check_homomorphism
@@ -314,30 +315,30 @@ def test_each_certificate_is_verified_once(monkeypatch):
     for module in (affine, cli, connections, obstructions, search_module):
         if getattr(module, "check_homomorphism", None) is original:
             monkeypatch.setattr(module, "check_homomorphism", hom)
-    # k, the exact snap checks of the search, is the curvature count
-    # when run_search returns
+    # k, the exact snap checks of the search, is the kernel count when
+    # run_search returns
     snap_checks = []
     search = obstructions.run_search
 
     def run_search(*args):
         outcome = search(*args)
-        snap_checks.append(counts["curvature"])
+        snap_checks.append(counts["defects"])
         return outcome
 
     monkeypatch.setattr(obstructions, "run_search", run_search)
 
     def per_yes(g, cfg=None):
-        counts.update(curvature=0, check_homomorphism=0)
+        counts.update(defects=0, check_homomorphism=0)
         assert decide_existence(g, cfg).verdict == "YES"
-        return counts["curvature"], counts["check_homomorphism"]
+        return counts["defects"], counts["check_homomorphism"]
 
     for g in (builtin("abelian3"), builtin("heis3"), builtin("sol3"), _gl2()):
         assert per_yes(g) == (1, 0)
     g = _search_only_algebra()
-    curvature_calls, hom_calls = per_yes(g, SearchConfig(starts=20, seed=1))
+    defect_calls, hom_calls = per_yes(g, SearchConfig(starts=20, seed=1))
     (k,) = snap_checks
     assert k >= 1
-    assert (curvature_calls, hom_calls) == (k + 1, 0)
+    assert (defect_calls, hom_calls) == (k + 1, 0)
 
     # a semisimple NO: one Killing rank, no determinant polynomial
     def refuse(rep):
@@ -467,6 +468,19 @@ def test_abelian_ideal_rule_decides_without_the_search(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_yes_builds_no_curvature_or_torsion_tensor(monkeypatch):
+    """etale_from_lsa checks a certificate with the defect kernel alone,
+    so no dense curvature or torsion tensor is built: the abelian algebra
+    of dimension 40 and L12 answer YES with both patched to raise."""
+    def refuse(*args):
+        raise AssertionError("dense tensor built")
+
+    for name in ("curvature", "torsion"):
+        monkeypatch.setattr(connections, name, refuse)
+    for g in (from_structure_constants(40), _filiform(12)):
+        assert decide_existence(g).verdict == "YES"
+
+
 def _gl2():
     """gl2 on E11, E12, E21, E22."""
     return from_structure_constants(4, brackets={
@@ -570,8 +584,9 @@ def test_reductive_rule_decides_in_any_basis(name, data):
 
 
 def test_reductive_rule_is_fast_and_runs_no_check(monkeypatch):
-    """The rule builds the product without the Killing rank, the
-    curvature or the search; aligned gl2 decides in under 0.1 s."""
+    """The rule builds the product without the Killing rank, an exact
+    check (the defect kernel) or the search; aligned gl2 decides in
+    under 0.1 s."""
     start = time.perf_counter()
     assert decide_existence(_gl2()).notes == (_REDUCTIVE_NOTE,)
     assert time.perf_counter() - start < 0.1
@@ -581,9 +596,7 @@ def test_reductive_rule_is_fast_and_runs_no_check(monkeypatch):
 
     monkeypatch.setattr(LieAlgebra, "killing_rank", refuse)
     monkeypatch.setattr(obstructions, "run_search", refuse)
-    monkeypatch.setattr(connections, "curvature", refuse)
-    for module in (affine, connections):
-        monkeypatch.setattr(module, "is_flat", refuse)
+    monkeypatch.setattr(LieAlgebra, "_defects", refuse)
     for g in _REDUCTIVE.values():
         assert obstructions._reductive_connection(g) is not None
 

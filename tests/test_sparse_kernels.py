@@ -1,5 +1,7 @@
-"""The sparse exact kernels (curvature, Killing form, Jacobi check, matrix
-product) against the dense loops they replaced, kept here as references."""
+"""The sparse exact kernels (the bracket-defect kernel behind curvature,
+flatness, the homomorphism check and LinearRep; the Killing form; the
+Jacobi check; the matrix product) against the dense loops they replaced,
+kept here as references."""
 
 import random
 from fractions import Fraction
@@ -19,7 +21,17 @@ from flataff.connections import (
     is_flat,
     is_torsion_free,
     standard_connection,
+    zero_connection,
 )
+from flataff.affine import (
+    AffElement,
+    AffMap,
+    NotFlatTorsionFree,
+    aff_bracket,
+    check_homomorphism,
+    etale_from_lsa,
+)
+from flataff.obstructions import InvalidRep, LinearRep
 
 
 def _dense_curvature(conn):
@@ -197,3 +209,156 @@ def test_matmul_and_mul_vec_match_dense_reference():
         assert product.to_lists() == _dense_matmul(x, y)
         v = sparse(inner, 1)
         assert x.mul_vec(v.entries) == [row[0] for row in _dense_matmul(x, v)]
+
+
+def _pair_loop_counterexample(m):
+    """The homomorphism loop the defect kernel replaced: the first i < j
+    with [m(e_i), m(e_j)] != m([e_i, e_j]), or None."""
+    g = m.g
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if aff_bracket(m.images[i], m.images[j]) != m.apply(g.c[i][j]):
+                return (i, j)
+    return None
+
+
+def _product_loop_failure(g, rho):
+    """The LinearRep loop the defect kernel replaced: the first i < j with
+    rho_i rho_j - rho_j rho_i != sum_k c[i][j][k] rho_k, or None."""
+    d = rho[0].rows if rho else 0
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            lhs = (rho[i] @ rho[j]) - (rho[j] @ rho[i])
+            rhs = ExactMatrix.zeros(d, d)
+            for k in range(g.n):
+                if not g.c[i][j][k].is_zero():
+                    rhs = rhs + rho[k].scale(g.c[i][j][k])
+            if lhs != rhs:
+                return (i, j)
+    return None
+
+
+def _perturbed(rng, gamma):
+    """gamma with one random entry moved by a small nonzero amount."""
+    n = len(gamma)
+    out = [[list(row) for row in plane] for plane in gamma]
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    out[i][j][k] = out[i][j][k] + GaussRat(rng.choice([1, -2]),
+                                           rng.choice([0, 1]))
+    return out
+
+
+def _kernel_test_connections(rng):
+    """Flat certificates (matrix products, the zero connection of an
+    abelian algebra, the standard connection of heis3, Gamma[0] = c[0] on
+    sol3), curved standard connections, torsioned zero connections, their
+    one-entry perturbations and dense random Christoffels."""
+    gl2, aff1 = _gl2(), _aff1()
+    sol3 = builtin("sol3")
+    flat = [gl2[1], aff1[1], standard_connection(builtin("heis3")),
+            zero_connection(builtin("abelian3")),
+            InvariantConnection(sol3, [sol3.c[0]] + [[[ZERO] * 3] * 3] * 2)]
+    for g in _algebras() + [aff1[0]]:
+        n = g.n
+        other = [standard_connection(g), zero_connection(g)]
+        other.append(InvariantConnection(g, [
+            [[_rand_gauss(rng) for _ in range(n)] for _ in range(n)]
+            for _ in range(n)]))
+        yield from other
+        for conn in other + [c for c in flat if c.g is g]:
+            yield InvariantConnection(g, _perturbed(rng, conn.gamma))
+    yield from flat
+    for conn in flat:
+        for _ in range(3):
+            yield InvariantConnection(conn.g, _perturbed(rng, conn.gamma))
+
+
+def test_homomorphism_kernel_matches_the_pair_loop():
+    """On e_i -> (L_i, e_i), L_i e_j = Gamma[i][j]: check_homomorphism
+    and etale_from_lsa agree with the aff_bracket/apply loop at the first
+    failing pair, and is_flat with the dense curvature."""
+    rng = random.Random(2718)
+    kinds = set()
+    for conn in _kernel_test_connections(rng):
+        g, n = conn.g, conn.g.n
+        m = AffMap(g, [AffElement(
+            ExactMatrix.from_rows([[conn.gamma[i][j][k] for j in range(n)]
+                                   for k in range(n)]),
+            [GaussRat(int(t == i)) for t in range(n)]) for i in range(n)])
+        want = _pair_loop_counterexample(m)
+        assert check_homomorphism(m).counterexample == want
+        flat = all(x.is_zero() for a in _dense_curvature(conn)
+                   for b in a for c in b for x in c)
+        assert is_flat(conn) == flat
+        kinds.add((flat, is_torsion_free(conn)))
+        if want is None:
+            assert etale_from_lsa(conn).images == m.images
+        else:
+            with pytest.raises(NotFlatTorsionFree):
+                etale_from_lsa(conn)
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
+def test_homomorphism_kernel_matches_the_pair_loop_on_random_maps():
+    """Random sparse maps g -> aff(m), m from 1 to 4, mostly not
+    homomorphisms, and zero maps, which are."""
+    rng = random.Random(3141)
+    outcomes = set()
+    for g in _algebras():
+        for _ in range(6):
+            amb = rng.randint(1, 4)
+            density = rng.choice([0.0, 0.1, 0.4])
+
+            def entry():
+                return _rand_gauss(rng) if rng.random() < density else ZERO
+
+            m = AffMap(g, [AffElement(
+                ExactMatrix(amb, amb, [entry() for _ in range(amb * amb)]),
+                [entry() for _ in range(amb)]) for _ in range(g.n)])
+            want = _pair_loop_counterexample(m)
+            assert check_homomorphism(m).counterexample == want
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def _invertible(rng, d):
+    while True:
+        P = ExactMatrix(d, d, [rng.randint(-2, 2) for _ in range(d * d)])
+        if not P.det().is_zero():
+            return P
+
+
+def test_linear_rep_kernel_matches_the_product_loop():
+    """Adjoint and trivial representations, adjoint ones in a random
+    basis of the module, and one-entry perturbations of each: LinearRep
+    accepts exactly the tuples the product loop accepts, and names the
+    same first failing pair."""
+    rng = random.Random(1618)
+    tuples = []
+    for g in _algebras():
+        P = _invertible(rng, g.n)
+        Pinv = P.inverse()
+        for rho in (g.adjoint_rep(), [ExactMatrix.zeros(2, 2)] * g.n,
+                    [P @ a @ Pinv for a in g.adjoint_rep()]):
+            tuples.append((g, rho))
+            for _ in range(2):
+                bad = list(rho)
+                t = rng.randrange(g.n)
+                d = bad[t].rows
+                entries = list(bad[t].entries)
+                entries[rng.randrange(d * d)] += _rand_gauss(rng) or GaussRat(1)
+                bad[t] = ExactMatrix(d, d, entries)
+                tuples.append((g, bad))
+    failures = 0
+    for g, rho in tuples:
+        want = _product_loop_failure(g, rho)
+        if want is None:
+            assert LinearRep(g, rho).rho == tuple(rho)
+            continue
+        failures += 1
+        with pytest.raises(InvalidRep) as exc:
+            LinearRep(g, rho)
+        assert str(exc.value) == (
+            "representation property fails at pair (%d, %d)" % want)
+    assert 20 <= failures < len(tuples)
