@@ -28,7 +28,6 @@ from .connections import (
     zero_connection,
     standard_connection,
     curvature,
-    torsion,
     is_flat,
     is_torsion_free,
     _tensor_is_zero,
@@ -245,14 +244,15 @@ def _decision_payload(report) -> dict:
 
 
 def _connection_analysis(conn: InvariantConnection) -> dict:
-    curv = curvature(conn)
-    tf = _tensor_is_zero(torsion(conn))
+    flat, tf = is_flat(conn), is_torsion_free(conn)
     return {
-        "flat": _tensor_is_zero(curv),
+        "flat": flat,
         "torsion_free": tf,
-        # the projective Weyl tensor needs zero torsion and n >= 3
+        # the projective Weyl tensor needs zero torsion and n >= 3; R = 0
+        # makes Ric and W vanish, so only a curved connection builds them
         "projectively_flat": (
-            _tensor_is_zero(_weyl(curv)) if tf and conn.g.n >= 3 else None
+            (flat or _tensor_is_zero(_weyl(curvature(conn))))
+            if tf and conn.g.n >= 3 else None
         ),
     }
 

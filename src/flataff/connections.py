@@ -23,6 +23,7 @@ first curved pair and builds no tensor.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import is_
 
 from .exact import GaussRat, ExactMatrix, as_gauss, ZERO, HALF
 from .liealg import LieAlgebra, _bilinear, _plane_matrix
@@ -54,20 +55,25 @@ class DimensionTooSmall(ValueError):
 
 class InvariantConnection:
     """A left-invariant holomorphic affine connection, determined by its
-    constant Christoffel array gamma[i][j][k]."""
+    constant Christoffel array gamma[i][j][k]. Rows and planes that
+    already are tuples of GaussRat are kept, not copied, so a connection
+    shares them with g.c or with another connection."""
+
+    __slots__ = ("g", "gamma", "_frozen")
 
     def __init__(self, g: LieAlgebra, gamma):
         self.g = g
         n = g.n
         if len(gamma) != n:
             raise ValueError("Christoffel array has wrong shape")
-        self.gamma = tuple(
-            tuple(
-                tuple(as_gauss(gamma[i][j][k]) for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+
+        def kept(seq, convert):
+            out = tuple(convert(seq[k]) for k in range(n))
+            same = type(seq) is tuple and len(seq) == n
+            return seq if same and all(map(is_, out, seq)) else out
+
+        self.gamma = kept(gamma, lambda plane: kept(
+            plane, lambda row: kept(row, as_gauss)))
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -173,7 +179,12 @@ def is_flat(conn: InvariantConnection) -> bool:
 
 
 def is_torsion_free(conn: InvariantConnection) -> bool:
-    return _tensor_is_zero(torsion(conn))
+    """T[i][j] = 0 for each i < j in turn, up to the first nonzero entry."""
+    n, gm, c = conn.g.n, conn.gamma, conn.g.c
+    return not any(x - y != z
+                   for i in range(n) for j in range(i + 1, n)
+                   for x, y, z in zip(gm[i][j], gm[j][i], c[i][j])
+                   if x or y or z)
 
 
 def projective_change(conn: InvariantConnection, phi) -> InvariantConnection:

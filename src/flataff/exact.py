@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "GaussRat",
@@ -198,6 +199,58 @@ def as_gauss(x) -> GaussRat:
     return x if isinstance(x, GaussRat) else GaussRat(x)
 
 
+def _cross(p: dict, r: dict, c: int) -> dict:
+    """f r - h p over Z[i] for (f, h) = (p_c, r_c) / gcd of their parts:
+    zero at column c, without zero entries, divided by its content."""
+    (a, b), (x, y) = p[c], r[c]
+    g = gcd(a, b, x, y)
+    a, b, x, y = a // g, b // g, x // g, y // g
+    out = {j: (a * u - b * v, a * v + b * u) for j, (u, v) in r.items()}
+    for j, (u, v) in p.items():
+        s, t = out.get(j, (0, 0))
+        out[j] = (s - x * u + y * v, t - x * v - y * u)
+    out = {j: z for j, z in out.items() if z != (0, 0)}
+    g = gcd(*(q for z in out.values() for q in z))
+    return out if g < 2 else {j: (u // g, v // g) for j, (u, v) in out.items()}
+
+
+def _echelon(rows, reduced: bool = False) -> dict:
+    """Sparse fraction-free row echelon form over Z[i] (after Bareiss,
+    Math. Comp. 22, 1968) of rows given as dicts {col: GaussRat}. Each row
+    is scaled once to (re, im) int pairs, then r <- p_c r - r_c p (_cross)
+    at its leading column c while a pivot row p leads there. Returns
+    {c: pivot row leading at c}; its length is the rank. With reduced, the
+    rows are also cleared at later pivot columns and divided by their
+    pivots once: the reduced row echelon form, as dicts of GaussRat."""
+    piv = {}
+    for row in rows:
+        den = lcm(*(d for x in row.values()
+                    for d in (x.re.denominator, x.im.denominator)))
+        r = {j: (x.re.numerator * (den // x.re.denominator),
+                 x.im.numerator * (den // x.im.denominator))
+             for j, x in row.items() if x}
+        while r:
+            c = min(r)
+            if c not in piv:
+                piv[c] = r
+                break
+            r = _cross(piv[c], r, c)
+    if not reduced:
+        return piv
+    for c in sorted(piv, reverse=True):
+        r = piv[c]
+        for j in [j for j in r if j != c and j in piv]:
+            r = _cross(piv[j], r, j)
+        piv[c] = r
+    for c, r in piv.items():
+        a, b = r[c]
+        n = a * a + b * b
+        piv[c] = {j: _exact(Fraction(u * a + v * b, n) or _F0,
+                            Fraction(v * a - u * b, n) or _F0)
+                  for j, (u, v) in r.items()}
+    return piv
+
+
 class ExactMatrix:
     """Dense matrix over GaussRat, row-major storage."""
 
@@ -342,41 +395,22 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
+    def _nonzero_rows(self) -> list:
+        return [{j: x for j, x in enumerate(self.row(i)) if x}
+                for i in range(self.rows)]
+
     def rref(self):
-        """Reduced row echelon form; returns (rref matrix, pivot column list).
-        Each step touches only the nonzero columns of the pivot row."""
-        m = [list(self.row(i)) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            row = m[r]
-            inv = ONE / row[c]
-            support = [(j, b * inv) for j, b in enumerate(row) if b]
-            for j, b in support:
-                row[j] = b
-            for i in range(self.rows):
-                f = m[i][c]
-                if f and i != r:
-                    other = m[i]
-                    for j, b in support:
-                        other[j] = other[j] - f * b
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        flat = [e for row in m for e in row]
+        """Reduced row echelon form; returns (rref matrix, pivot column list)."""
+        piv = _echelon(self._nonzero_rows(), reduced=True)
+        pivots = sorted(piv)
+        flat = [ZERO] * (self.rows * self.cols)
+        for r, c in enumerate(pivots):
+            for j, x in piv[c].items():
+                flat[r * self.cols + j] = x
         return ExactMatrix(self.rows, self.cols, flat), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_echelon(self._nonzero_rows()))
 
     def nullspace(self) -> list:
         """Basis of the right nullspace, one list of GaussRat per vector."""
@@ -384,16 +418,11 @@ class ExactMatrix:
 
     def rank_nullspace(self):
         """(rank, nullspace basis) from one row reduction."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [ZERO] * self.cols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r, fc]
-            basis.append(v)
-        return len(pivots), basis
+        piv = _echelon(self._nonzero_rows(), reduced=True)
+        basis = [[ONE if c == fc else -piv[c].get(fc, ZERO) if c in piv
+                  else ZERO for c in range(self.cols)]
+                 for fc in range(self.cols) if fc not in piv]
+        return len(piv), basis
 
     def det(self) -> GaussRat:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -459,7 +488,7 @@ class ExactMatrix:
             [e for i in range(n) for e in (self.row(i) + rhs.row(i))],
         )
         red, pivots = aug.rref()
-        if pivots[: n if len(pivots) >= n else len(pivots)] != list(range(n)):
+        if pivots[:n] != list(range(n)):
             raise ValueError("singular matrix")
         return ExactMatrix(
             n,

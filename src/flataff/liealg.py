@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import ExactMatrix, as_gauss, ZERO, ONE
+from .exact import ExactMatrix, _echelon, as_gauss, ZERO, ONE
 
 __all__ = [
     "LieAlgebra",
@@ -211,17 +211,12 @@ class LieAlgebra:
         return not any(self.nonzero)
 
     def _bracket_space(self, basis_a, basis_b) -> list:
-        """Row-space basis of [span(basis_a), span(basis_b)]."""
-        products = []
-        for a in basis_a:
-            for b in basis_b:
-                v = self.bracket(a, b)
-                if any(not x.is_zero() for x in v):
-                    products.append(v)
-        if not products:
-            return []
-        red, pivots = ExactMatrix.from_rows(products).rref()
-        return [list(red.row(r)) for r in range(len(pivots))]
+        """Row-space basis of [span(basis_a), span(basis_b)]: the rows of
+        its reduced row echelon form."""
+        piv = _echelon(({k: x for k, x in enumerate(self.bracket(a, b)) if x}
+                        for a in basis_a for b in basis_b), reduced=True)
+        return [[row.get(k, ZERO) for k in range(self.n)]
+                for _, row in sorted(piv.items())]
 
     def _full_basis(self) -> list:
         return [

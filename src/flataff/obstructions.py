@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactMatrix, MultiPoly, poly_det, HALF, ZERO
+from .exact import ExactMatrix, MultiPoly, _echelon, poly_det, HALF, ZERO
 from .liealg import LieAlgebra
 from .connections import InvariantConnection
 from .affine import AffMap, DimensionMismatch, etale_from_lsa
@@ -104,27 +104,32 @@ def h1_dim(rep: LinearRep) -> int:
 
     A cochain f: g -> V is flattened into n*V_dim unknowns with
     f(e_j)_a at index j*V_dim + a. Cocycles satisfy
-    f([e_i, e_j]) = rho(e_i) f(e_j) - rho(e_j) f(e_i).
+    f([e_i, e_j]) = rho(e_i) f(e_j) - rho(e_j) f(e_i). Both systems are
+    built as sparse rows from g.nonzero and the nonzero entries of the
+    rho(e_i), and ranked by exact._echelon; no dense matrix is formed.
     """
     g = rep.g
     n, d = g.n, rep.V_dim
-    nunk = n * d
-    rows = []
-    for i in range(n):
+    # rho_rows[i][a]: the nonzero (b, rho(e_i)[a, b])
+    rho_rows = [[[(b, x) for b, x in enumerate(m.row(a)) if x]
+                 for a in range(d)] for m in rep.rho]
+    rows = []  # one sparse row per (i < j, a), zero sums dropped by _echelon
+    for i, entries in enumerate(g.nonzero):
+        c_i = {}  # c_i[j]: the nonzero (k, c[i][j][k])
+        for j, k, v in entries:
+            c_i.setdefault(j, []).append((k, v))
         for j in range(i + 1, n):
             for a in range(d):
-                row = [ZERO] * nunk
-                for k in range(n):
-                    if not g.c[i][j][k].is_zero():
-                        row[k * d + a] = row[k * d + a] + g.c[i][j][k]
-                for b in range(d):
-                    row[j * d + b] = row[j * d + b] - rep.rho[i][a, b]
-                    row[i * d + b] = row[i * d + b] + rep.rho[j][a, b]
+                row = {k * d + a: v for k, v in c_i.get(j, ())}
+                for b, x in rho_rows[i][a]:
+                    row[j * d + b] = row.get(j * d + b, ZERO) - x
+                for b, x in rho_rows[j][a]:
+                    row[i * d + b] = row.get(i * d + b, ZERO) + x
                 rows.append(row)
-    z1 = nunk - ExactMatrix.from_rows(rows).rank()
+    z1 = n * d - len(_echelon(rows))
     # B^1 is the image of v -> (e_i -> rho(e_i) v): the rank of the
     # rho(e_i) stacked into one (n d) x d matrix
-    b1 = ExactMatrix(n * d, d, [x for m in rep.rho for x in m.entries]).rank()
+    b1 = len(_echelon([dict(r) for m in rho_rows for r in m]))
     return z1 - b1
 
 
@@ -155,7 +160,7 @@ def fundamental_det_poly(rep: LinearRep):
     return d, not d.is_zero()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObstructionEvidence:
     """Evidence attached to a semisimple NO.
 
@@ -173,7 +178,7 @@ class ObstructionEvidence:
     statement: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionReport:
     verdict: str  # YES | NO | UNKNOWN
     connection: InvariantConnection | None
@@ -204,7 +209,7 @@ def _abelian_ideal_connection(g: LieAlgebra):
     for t in range(max(g.n, 1)):
         if all(t in (a, b) and k != t
                for a, entries in enumerate(g.nonzero) for b, k, _ in entries):
-            zero = [[ZERO] * g.n] * g.n
+            zero = ((ZERO,) * g.n,) * g.n
             return InvariantConnection(
                 g, [g.c[t] if i == t else zero for i in range(g.n)])
     return None

@@ -579,7 +579,8 @@ def _gl2_files(tmp_path):
 def test_each_exact_check_runs_once_per_command(tmp_path, monkeypatch,
                                                 capsys):
     counts = {}
-    for name in ("check_homomorphism", "curvature", "torsion"):
+    for name in ("check_homomorphism", "curvature", "torsion", "is_flat",
+                 "is_torsion_free"):
         _count_calls(monkeypatch, name, counts)
 
     zero_A = [[_zero_pair()] * 3 for _ in range(3)]
@@ -596,14 +597,27 @@ def test_each_exact_check_runs_once_per_command(tmp_path, monkeypatch,
     assert data["etale"] is True and data["induced_flat"] is True
     assert counts["check_homomorphism"] == 1
 
+    # flatness and torsion are checked pair by pair, and the curvature
+    # tensor is built only for the Weyl tensor of a curved connection
+    def check_connection_counts(argv):
+        for name in ("curvature", "torsion", "is_flat", "is_torsion_free"):
+            counts[name] = 0
+        assert main(argv + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        return ((data["flat"], data["torsion_free"], data["projectively_flat"]),
+                (counts["is_flat"], counts["is_torsion_free"],
+                 counts["curvature"], counts["torsion"]))
+
     algebra, conn = _gl2_files(tmp_path)
-    counts.update(curvature=0, torsion=0)
-    assert main(["check-connection", algebra, "--gamma", conn,
-                 "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["flat"] is True and data["torsion_free"] is True
-    assert data["projectively_flat"] is True
-    assert (counts["curvature"], counts["torsion"]) == (1, 1)
+    assert check_connection_counts(["check-connection", algebra, "--gamma",
+                                    conn]) == ((True, True, True), (1, 1, 0, 0))
+    sl2 = builtin("sl2")
+    half = _write(tmp_path, "sl2_standard.json", {"gamma": [
+        [[(x / 2).to_pair() for x in row] for row in plane]
+        for plane in sl2.c]})
+    assert check_connection_counts(["check-connection", "--builtin", "sl2",
+                                    "--gamma", half]) == (
+        (False, True, True), (1, 1, 1, 0))
 
 
 def test_analyze_gl2_is_yes_by_the_matrix_product(tmp_path, capsys):

@@ -419,6 +419,43 @@ def test_decide_sl4_semisimple_no():
     assert ev.det_poly_is_zero
 
 
+def test_h1_adjoint_dimensions():
+    cases = [(builtin("sl2"), 0), (_sl2_plus_sl2(), 0), (_sl3(), 0),
+             (_sl4(), 0), (builtin("heis3"), 4), (builtin("sol3"), 1)]
+    for g, want in cases:
+        assert h1_dim(LinearRep.adjoint(g)) == want
+
+
+def test_h1_trivial_is_the_abelianization():
+    """H^1(g, C) = (g / [g, g])^*, of dimension n - dim [g, g]."""
+    algebras = [builtin(name) for name in ("abelian3", "heis3", "sol3", "sl2")]
+    aff1 = from_structure_constants(2, brackets={(0, 1): [0, 1]})
+    for g in algebras + [aff1, _gl2(), _sl2_plus_sl2(), _sl3()]:
+        full = g._full_basis()
+        want = g.n - len(g._bracket_space(full, full))
+        assert h1_dim(LinearRep.trivial(g)) == want
+    assert [h1_dim(LinearRep.trivial(g)) for g in algebras] == [3, 2, 1, 0]
+
+
+def test_h1_builds_no_dense_matrix(monkeypatch):
+    reps = [LinearRep.adjoint(g) for g in (_sl3(), builtin("heis3"))]
+    reps.append(LinearRep.trivial(builtin("sol3"), 2))
+
+    def refuse(*args):
+        raise AssertionError("ExactMatrix built")
+
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    assert [h1_dim(rep) for rep in reps] == [0, 4, 2]
+
+
+def test_sl4_decides_quickly():
+    g = _sl4()
+    start = time.perf_counter()
+    report = decide_existence(g)
+    assert time.perf_counter() - start < 0.3
+    assert report.verdict == "NO" and report.obstruction.h1_adjoint == 0
+
+
 _RULE_NOTE = (
     "all basis vectors but one span an abelian ideal: the connection ad "
     "on that vector and 0 on the ideal is flat and torsion-free"

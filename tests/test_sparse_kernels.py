@@ -1,12 +1,13 @@
 """The sparse exact kernels (the bracket-defect kernel behind curvature,
 flatness, the homomorphism check and LinearRep; the Killing form; the
-Jacobi check; the matrix product) against the dense loops they replaced,
-kept here as references."""
+Jacobi check; the matrix product; the Z[i] elimination behind rank, rref
+and H^1) against the dense loops they replaced, kept here as references."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flataff.exact import ExactMatrix, GaussRat, ZERO
 from flataff.liealg import (
@@ -362,3 +363,97 @@ def test_linear_rep_kernel_matches_the_product_loop():
         assert str(exc.value) == (
             "representation property fails at pair (%d, %d)" % want)
     assert 20 <= failures < len(tuples)
+
+
+def _dense_rref(m):
+    """The dense GaussRat loop that rref ran before the Z[i] elimination:
+    (rref matrix, pivot columns)."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = GaussRat(1) / rows[r][c]
+        rows[r] = [b * inv for b in rows[r]]
+        for i in range(m.rows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [x - f * b for x, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return ExactMatrix(m.rows, m.cols, [x for row in rows for x in row]), pivots
+
+
+_BIG = 10**400
+_PARTS = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))
+_ENTRY = st.one_of(st.just(ZERO), st.sampled_from(
+    [GaussRat(re, im) for re in _PARTS for im in _PARTS]))
+# row scales near 10^400 and 10^-400, real and complex
+_HUGE = st.one_of(
+    st.integers(-2, 2).map(lambda k: GaussRat(_BIG + k)),
+    st.integers(1, 3).map(lambda k: GaussRat(Fraction(k, _BIG - k))),
+    st.integers(1, 3).map(lambda k: GaussRat(_BIG, k)),
+)
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """Up to 7 x 7, empty shapes included, with some rows and columns
+    zeroed, some rows scaled near 10^400 or 10^-400 and some rows made
+    dependent on the others."""
+    rows = draw(st.integers(0, 7))
+    cols = rows if square else draw(st.integers(0, 7))
+    e = draw(st.lists(_ENTRY, min_size=rows * cols, max_size=rows * cols))
+    m = [e[i * cols:(i + 1) * cols] for i in range(rows)]
+    if rows and cols:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            m[i] = [ZERO] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in m:
+                row[j] = ZERO
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            scale = draw(_HUGE)
+            m[i] = [scale * x for x in m[i]]
+        if rows > 2 and draw(st.booleans()):
+            a, b = draw(_ENTRY), draw(_ENTRY)
+            m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return ExactMatrix(rows, cols, [x for row in m for x in row])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_elimination_matches_dense_rref(m):
+    red, pivots = _dense_rref(m)
+    assert m.rref() == (red, pivots)
+    assert m.rank() == len(pivots)
+    nullspace = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[fc] = GaussRat(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r, fc]
+        nullspace.append(v)
+    assert m.rank_nullspace() == (len(pivots), nullspace)
+    assert m.nullspace() == nullspace
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(square=True))
+def test_inverse_matches_dense_rref(m):
+    n = m.rows
+    aug = ExactMatrix(n, 2 * n, [x for i in range(n) for x in
+                                 m.row(i) + ExactMatrix.identity(n).row(i)])
+    red, pivots = _dense_rref(aug)
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert inv == ExactMatrix(n, n, [red[i, n + j]
+                                     for i in range(n) for j in range(n)])
+    assert m @ inv == ExactMatrix.identity(n)
