@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 __all__ = [
     "GaussRat",
@@ -199,56 +199,67 @@ def as_gauss(x) -> GaussRat:
     return x if isinstance(x, GaussRat) else GaussRat(x)
 
 
-def _cross(p: dict, r: dict, c: int) -> dict:
-    """f r - h p over Z[i] for (f, h) = (p_c, r_c) / gcd of their parts:
-    zero at column c, without zero entries, divided by its content."""
-    (a, b), (x, y) = p[c], r[c]
-    g = gcd(a, b, x, y)
-    a, b, x, y = a // g, b // g, x // g, y // g
+def _step(p: dict, r: dict, f: tuple, d: tuple, e: tuple) -> dict:
+    """(d r - f p) / e over Z[i], without zero entries, for an e that
+    divides every entry."""
+    (a, b), (x, y) = d, f
     out = {j: (a * u - b * v, a * v + b * u) for j, (u, v) in r.items()}
     for j, (u, v) in p.items():
         s, t = out.get(j, (0, 0))
         out[j] = (s - x * u + y * v, t - x * v - y * u)
-    out = {j: z for j, z in out.items() if z != (0, 0)}
-    g = gcd(*(q for z in out.values() for q in z))
-    return out if g < 2 else {j: (u // g, v // g) for j, (u, v) in out.items()}
+    (x, y), n = e, e[0] * e[0] + e[1] * e[1]
+    if y:
+        return {j: ((u * x + v * y) // n, (v * x - u * y) // n)
+                for j, (u, v) in out.items() if u or v}
+    return {j: (u // x, v // x) for j, (u, v) in out.items() if u or v}
 
 
-def _echelon(rows, reduced: bool = False) -> dict:
-    """Sparse fraction-free row echelon form over Z[i] (after Bareiss,
-    Math. Comp. 22, 1968) of rows given as dicts {col: GaussRat}. Each row
-    is scaled once to (re, im) int pairs, then r <- p_c r - r_c p (_cross)
-    at its leading column c while a pivot row p leads there. Returns
-    {c: pivot row leading at c}; its length is the rank. With reduced, the
-    rows are also cleared at later pivot columns and divided by their
-    pivots once: the reduced row echelon form, as dicts of GaussRat."""
-    piv = {}
+def _echelon(rows, reduced: bool = False):
+    """Sparse fraction-free row echelon form over Z[i] (Bareiss, Math.
+    Comp. 22, 1968) of rows given as dicts {col: GaussRat}. Each row is
+    scaled once to (re, im) int pairs and taken through the pivots in the
+    order they were made: at pivot t (column c_t, row p_t, value d_t)
+    where r is nonzero, r <- (d_t r - r[c_t] p_t) / d_s, d_s the value of
+    the last pivot that changed r (d_0 = 1). The result is r's Bareiss row
+    at level t, whose entries are minors of the scaled input (Sylvester's
+    identity): the division is exact and entries stay within Hadamard's
+    bound. A row left nonzero is raised to level k (times d_k / d_s) and
+    becomes a pivot at its first nonzero column. Returns the pivots
+    (c_t, p_t, d_t), as many as the rank. With reduced, returns the
+    reduced row echelon form {c_t: row dict of GaussRat}, from the integer
+    rows N_t = (d_k p_t - sum_{u > t} p_t[c_u] N_u) / d_t divided by d_k."""
+    piv, pos, one = [], {}, (1, 0)
     for row in rows:
         den = lcm(*(d for x in row.values()
                     for d in (x.re.denominator, x.im.denominator)))
         r = {j: (x.re.numerator * (den // x.re.denominator),
                  x.im.numerator * (den // x.im.denominator))
              for j, x in row.items() if x}
-        while r:
+        e = one
+        while ts := [pos[j] for j in r if j in pos]:
+            c, p, d = piv[min(ts)]
+            r, e = _step(p, r, r[c], d, e), d
+        if r:
+            if piv and piv[-1][2] != e:
+                r = _step({}, r, one, piv[-1][2], e)
             c = min(r)
-            if c not in piv:
-                piv[c] = r
-                break
-            r = _cross(piv[c], r, c)
+            pos[c] = len(piv)
+            piv.append((c, r, r[c]))
     if not reduced:
         return piv
-    for c in sorted(piv, reverse=True):
-        r = piv[c]
-        for j in [j for j in r if j != c and j in piv]:
-            r = _cross(piv[j], r, j)
-        piv[c] = r
-    for c, r in piv.items():
-        a, b = r[c]
-        n = a * a + b * b
-        piv[c] = {j: _exact(Fraction(u * a + v * b, n) or _F0,
-                            Fraction(v * a - u * b, n) or _F0)
-                  for j, (u, v) in r.items()}
-    return piv
+    D = piv[-1][2] if piv else one
+    N = {}  # N[c_t]: N_t at the non-pivot columns
+    for c, p, d in reversed(piv):
+        acc = _step({}, {j: z for j, z in p.items() if j not in pos}, one, D, one)
+        for j in [j for j in p if j in N]:
+            acc = _step(N[j], acc, p[j], one, one)
+        N[c] = _step({}, acc, one, one, d)
+    a, b = D
+    a, b, n = (a, b, a * a + b * b) if b else (1, 0, a)  # 1 / D
+    return {c: {c: ONE, **{j: _exact(Fraction(u * a + v * b, n) or _F0,
+                                     Fraction(v * a - u * b, n) or _F0)
+                           for j, (u, v) in row.items()}}
+            for c, row in N.items()}
 
 
 class ExactMatrix:
@@ -482,19 +493,12 @@ class ExactMatrix:
         if rhs.rows != self.rows:
             raise ValueError("right-hand side row count mismatch")
         n = self.rows
-        aug = ExactMatrix(
-            n,
-            n + rhs.cols,
-            [e for i in range(n) for e in (self.row(i) + rhs.row(i))],
-        )
-        red, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
+        piv = _echelon(({j: x for j, x in enumerate(self.row(i) + rhs.row(i))
+                         if x} for i in range(n)), reduced=True)
+        if not all(c in piv for c in range(n)):
             raise ValueError("singular matrix")
-        return ExactMatrix(
-            n,
-            rhs.cols,
-            [red[i, n + j] for i in range(n) for j in range(rhs.cols)],
-        )
+        return ExactMatrix(n, rhs.cols, [piv[i].get(n + j, ZERO) for i in range(n)
+                                         for j in range(rhs.cols)])
 
     def inverse(self) -> "ExactMatrix":
         return self.solve(ExactMatrix.identity(self.rows))

@@ -10,6 +10,7 @@ one check that matrices represent g. Entries are GaussRat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .exact import ExactMatrix, _echelon, as_gauss, ZERO, ONE
 
@@ -179,28 +180,28 @@ class LieAlgebra:
         Only the nonzero rows of the M and the nonzero constants are read,
         and a caller that stops at the first nonempty D computes no later
         pair."""
-        rows = [{r: row for r in range(m.rows)
-                 if (row := [(s, x) for s, x in enumerate(m.row(r)) if x])}
-                for m in mats]
-        neg = [{r: [(s, -x) for s, x in row] for r, row in p.items()}
-               for p in rows]
-        for i, entries in enumerate(self.nonzero):
-            minus_c = {}  # minus_c[j]: (k, -c[i][j][k]) for nonzero c[i][j][k]
-            for j, k, v in entries:
-                minus_c.setdefault(j, []).append((k, -v))
+        rows = [m._nonzero_rows() for m in mats]
+        neg = [[{s: -x for s, x in row.items()} for row in p] for p in rows]
+        for i in range(self.n):
+            by_j = self._constants_by_j(i)
             for j in range(i + 1, self.n):
                 # M_i M_j + (-M_j) M_i, then - c[i][j][k] M_k
                 D = {}
                 for p, q in ((rows[i], rows[j]), (neg[j], rows[i])):
-                    for r, row in p.items():
-                        for t, a in row:
-                            for s, b in q.get(t, ()):
+                    for r, row in enumerate(p):
+                        for t, a in row.items():
+                            for s, b in q[t].items():
                                 D[r, s] = D.get((r, s), ZERO) + a * b
-                for k, w in minus_c.get(j, ()):
-                    for r, row in rows[k].items():
-                        for s, x in row:
-                            D[r, s] = D.get((r, s), ZERO) + w * x
+                for k, v in by_j.get(j, ()):
+                    for r, row in enumerate(rows[k]):
+                        for s, x in row.items():
+                            D[r, s] = D.get((r, s), ZERO) - v * x
                 yield i, j, {rs: x for rs, x in D.items() if x}
+
+    def _constants_by_j(self, i) -> dict:
+        """{j: [(k, c[i][j][k]) for nonzero c[i][j][k]]}; nonzero[i] is by j."""
+        return {j: [(k, v) for _, k, v in entries]
+                for j, entries in groupby(self.nonzero[i], lambda e: e[0])}
 
     def _first_defect(self, mats):
         """The first (i, j) of _defects(mats) with a nonzero defect, or

@@ -105,31 +105,26 @@ def h1_dim(rep: LinearRep) -> int:
     A cochain f: g -> V is flattened into n*V_dim unknowns with
     f(e_j)_a at index j*V_dim + a. Cocycles satisfy
     f([e_i, e_j]) = rho(e_i) f(e_j) - rho(e_j) f(e_i). Both systems are
-    built as sparse rows from g.nonzero and the nonzero entries of the
-    rho(e_i), and ranked by exact._echelon; no dense matrix is formed.
+    built as sparse rows and ranked by exact._echelon, with no dense matrix.
     """
     g = rep.g
     n, d = g.n, rep.V_dim
-    # rho_rows[i][a]: the nonzero (b, rho(e_i)[a, b])
-    rho_rows = [[[(b, x) for b, x in enumerate(m.row(a)) if x]
-                 for a in range(d)] for m in rep.rho]
+    rho_rows = [m._nonzero_rows() for m in rep.rho]  # [i][a]: {b: rho(e_i)[a, b]}
     rows = []  # one sparse row per (i < j, a), zero sums dropped by _echelon
-    for i, entries in enumerate(g.nonzero):
-        c_i = {}  # c_i[j]: the nonzero (k, c[i][j][k])
-        for j, k, v in entries:
-            c_i.setdefault(j, []).append((k, v))
+    for i in range(n):
+        c_i = g._constants_by_j(i)
         for j in range(i + 1, n):
             for a in range(d):
                 row = {k * d + a: v for k, v in c_i.get(j, ())}
-                for b, x in rho_rows[i][a]:
+                for b, x in rho_rows[i][a].items():
                     row[j * d + b] = row.get(j * d + b, ZERO) - x
-                for b, x in rho_rows[j][a]:
+                for b, x in rho_rows[j][a].items():
                     row[i * d + b] = row.get(i * d + b, ZERO) + x
                 rows.append(row)
     z1 = n * d - len(_echelon(rows))
     # B^1 is the image of v -> (e_i -> rho(e_i) v): the rank of the
     # rho(e_i) stacked into one (n d) x d matrix
-    b1 = len(_echelon([dict(r) for m in rho_rows for r in m]))
+    b1 = len(_echelon(r for m in rho_rows for r in m))
     return z1 - b1
 
 

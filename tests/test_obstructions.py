@@ -456,6 +456,37 @@ def test_sl4_decides_quickly():
     assert report.verdict == "NO" and report.obstruction.h1_adjoint == 0
 
 
+def _rebased(g, p):
+    """g in the basis f_a = sum_i p[i, a] e_i, for invertible p."""
+    q = p.inverse()
+    cols = [p.col(a) for a in range(g.n)]
+    return LieAlgebra(g.n, [[q.mul_vec(g.bracket(x, y)) for y in cols]
+                            for x in cols])
+
+
+def test_complex_bases_of_semisimple_algebras_decide_quickly():
+    """sl3 and sl4 with e1 -> (2 + i) e1, and sl3 in a basis mixed by
+    Gaussian integers above the diagonal. The elimination divides each
+    row exactly by an earlier pivot, so a non-real Gaussian prime such as
+    2 + i cannot pile up in the H^1 rows."""
+    def basis(n, upper):
+        return ExactMatrix(n, n, [GaussRat(2, 1) if i == j == 0 else
+                                  GaussRat(1) if i == j else
+                                  upper(i, j) if i < j else ZERO
+                                  for i in range(n) for j in range(n)])
+
+    def mixed(i, j):
+        return GaussRat((i + 2 * j) % 5 - 2, (3 * i + j) % 5 - 2)
+
+    for g in (_rebased(_sl3(), basis(8, lambda i, j: ZERO)),
+              _rebased(_sl4(), basis(15, lambda i, j: ZERO)),
+              _rebased(_sl3(), basis(8, mixed))):
+        start = time.perf_counter()
+        report = decide_existence(g)
+        assert time.perf_counter() - start < 5
+        assert report.verdict == "NO" and report.obstruction.h1_adjoint == 0
+
+
 _RULE_NOTE = (
     "all basis vectors but one span an abelian ideal: the connection ad "
     "on that vector and 0 on the ideal is flat and torsion-free"

@@ -4,6 +4,7 @@ Jacobi check; the matrix product; the Z[i] elimination behind rank, rref
 and H^1) against the dense loops they replaced, kept here as references."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -457,3 +458,26 @@ def test_inverse_matches_dense_rref(m):
     assert inv == ExactMatrix(n, n, [red[i, n + j]
                                      for i in range(n) for j in range(n)])
     assert m @ inv == ExactMatrix.identity(n)
+
+
+def test_elimination_matches_dense_rref_at_rank_20_and_more():
+    """Products of random Gaussian-integer factors, of rank 20 to 24.
+    Each pivot divides the rows below it exactly, so no Gaussian prime
+    piles up and both rank and rref stay fast."""
+    rng = random.Random(20)
+
+    def rand(rows, cols):
+        return ExactMatrix(rows, cols, [GaussRat(rng.randint(-3, 3),
+                                                 rng.randint(-3, 3))
+                                        for _ in range(rows * cols)])
+
+    for rows, cols, rank in ((24, 24, 24), (26, 22, 20), (21, 30, 21)):
+        m = rand(rows, rank) @ rand(rank, cols)
+        red, pivots = _dense_rref(m)
+        start = time.perf_counter()
+        assert m.rank() == len(pivots) == rank
+        assert m.rref() == (red, pivots)
+        assert time.perf_counter() - start < 2
+    square = rand(22, 22)
+    inv = square.inverse()
+    assert square @ inv == ExactMatrix.identity(22)
