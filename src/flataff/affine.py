@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import ExactMatrix, as_gauss, ZERO, ONE
+from .exact import ExactMatrix, _Immutable, as_gauss, ZERO, ONE
 from .liealg import LieAlgebra, builtin
 from .connections import InvariantConnection, _l_matrices
 
@@ -55,7 +55,7 @@ class NotFlatTorsionFree(ValueError):
     """Connection is not flat or not torsion-free."""
 
 
-class AffElement:
+class AffElement(_Immutable):
     """Element (A, v) of gl(n,C) ⋉ C^n."""
 
     __slots__ = ("A", "v")
@@ -68,9 +68,6 @@ class AffElement:
             raise ValueError("translation length does not match linear part")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "v", tuple(v))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffElement is immutable")
 
     @property
     def ambient(self) -> int:
@@ -126,7 +123,7 @@ def aff_bracket(x: AffElement, y: AffElement) -> AffElement:
     return AffElement(lin, trans)
 
 
-class AffMap:
+class AffMap(_Immutable):
     """Linear map g -> gl(m,C) ⋉ C^m given on the basis of g."""
 
     __slots__ = ("g", "images", "ambient")
@@ -145,9 +142,6 @@ class AffMap:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "ambient", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffMap is immutable")
 
     def apply(self, x) -> AffElement:
         """Image of the coordinate vector x."""

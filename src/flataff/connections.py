@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import is_
 
-from .exact import GaussRat, ExactMatrix, as_gauss, ZERO, HALF
+from .exact import GaussRat, ExactMatrix, _Immutable, as_gauss, ZERO, HALF
 from .liealg import LieAlgebra, _bilinear, _plane_matrix
 
 __all__ = [
@@ -53,16 +53,15 @@ class DimensionTooSmall(ValueError):
     """Projective flatness via the Weyl tensor needs dimension >= 3."""
 
 
-class InvariantConnection:
+class InvariantConnection(_Immutable):
     """A left-invariant holomorphic affine connection, determined by its
     constant Christoffel array gamma[i][j][k]. Rows and planes that
     already are tuples of GaussRat are kept, not copied, so a connection
     shares them with g.c or with another connection."""
 
-    __slots__ = ("g", "gamma", "_frozen")
+    __slots__ = ("g", "gamma")
 
     def __init__(self, g: LieAlgebra, gamma):
-        self.g = g
         n = g.n
         if len(gamma) != n:
             raise ValueError("Christoffel array has wrong shape")
@@ -72,14 +71,9 @@ class InvariantConnection:
             same = type(seq) is tuple and len(seq) == n
             return seq if same and all(map(is_, out, seq)) else out
 
-        self.gamma = kept(gamma, lambda plane: kept(
-            plane, lambda row: kept(row, as_gauss)))
-        self._frozen = True
-
-    def __setattr__(self, name, value):
-        if getattr(self, "_frozen", False):
-            raise AttributeError("InvariantConnection is immutable")
-        super().__setattr__(name, value)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "gamma", kept(gamma, lambda plane: kept(
+            plane, lambda row: kept(row, as_gauss))))
 
     def __eq__(self, other):
         if not isinstance(other, InvariantConnection):

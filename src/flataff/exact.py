@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 __all__ = [
     "GaussRat",
@@ -39,7 +39,17 @@ def _coerce_rational(x) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
-class GaussRat:
+class _Immutable:
+    """Base of the value classes: a constructor sets each field once with
+    object.__setattr__, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussRat(_Immutable):
     """A Gaussian rational re + im*i with Fraction components.
 
     Fraction keeps each part canonical (positive denominator, reduced),
@@ -53,9 +63,6 @@ class GaussRat:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _coerce_rational(re) or _F0)
         object.__setattr__(self, "im", _coerce_rational(im) or _F0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
 
     @staticmethod
     def _coerce(other):
@@ -262,7 +269,7 @@ def _echelon(rows, reduced: bool = False):
             for c, row in N.items()}
 
 
-class ExactMatrix:
+class ExactMatrix(_Immutable):
     """Dense matrix over GaussRat, row-major storage."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -276,9 +283,6 @@ class ExactMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
@@ -436,55 +440,34 @@ class ExactMatrix:
         return len(piv), basis
 
     def det(self) -> GaussRat:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant off the Z[i] elimination. With rank n every row is
+        a pivot, in input order, and the last pivot value is the
+        determinant of the rows as _echelon scaled them (each by the lcm
+        den_r of its denominators) with the columns in pivot order
+        (Sylvester's identity): det = sign(c_1 ... c_n) d_n / prod den_r."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return ONE
-        m = [list(self.row(i)) for i in range(n)]
-        sign = 1
-        prev = ONE
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                swap = None
-                for i in range(k + 1, n):
-                    if not m[i][k].is_zero():
-                        swap = i
-                        break
-                if swap is None:
-                    return ZERO
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            prev = m[k][k]
-        d = m[n - 1][n - 1]
-        return d if sign == 1 else -d
+        rows = self._nonzero_rows()
+        piv = _echelon(rows)
+        if len(piv) < self.rows:
+            return ZERO
+        cols = [c for c, _, _ in piv]
+        odd = sum(a > b for t, a in enumerate(cols) for b in cols[t + 1:]) % 2
+        den = (-1 if odd else 1) * prod(
+            lcm(*(d for x in row.values()
+                  for d in (x.re.denominator, x.im.denominator)))
+            for row in rows)
+        a, b = piv[-1][2] if piv else (1, 0)
+        return _exact(Fraction(a, den) or _F0, Fraction(b, den) or _F0)
 
     def det_cofactor(self) -> GaussRat:
         """Determinant by cofactor expansion (independent cross-check)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-
-        def go(rows, cols):
-            if len(cols) == 1:
-                return self.entries[rows[0] * self.cols + cols[0]]
-            acc = ZERO
-            sub_rows = rows[1:]
-            for t, c in enumerate(cols):
-                a = self.entries[rows[0] * self.cols + c]
-                if a.is_zero():
-                    continue
-                sub_cols = cols[:t] + cols[t + 1 :]
-                term = a * go(sub_rows, sub_cols)
-                acc = acc + term if t % 2 == 0 else acc - term
-            return acc
-
         if self.rows == 0:
             return ONE
-        return go(tuple(range(self.rows)), tuple(range(self.cols)))
+        return _cofactor(lambda i, j: self.entries[i * self.cols + j],
+                         self.rows, ZERO)
 
     def solve(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Solve self @ X = rhs for square nonsingular self."""
@@ -516,7 +499,7 @@ MAX_POLY_VARS = 6
 MAX_POLY_DEGREE = 8
 
 
-class MultiPoly:
+class MultiPoly(_Immutable):
     """Multivariate polynomial over GaussRat, stored as a canonical
     exponent-vector -> coefficient map (no zero coefficients kept).
     """
@@ -542,9 +525,6 @@ class MultiPoly:
                     del clean[exps]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", dict(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -645,6 +625,25 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
+def _cofactor(entry, n: int, zero):
+    """Determinant of the n x n matrix with entries entry(i, j), n >= 1,
+    by cofactor expansion along the first row, skipping zero entries."""
+
+    def go(i, cols):
+        if len(cols) == 1:
+            return entry(i, cols[0])
+        acc = zero
+        for t, c in enumerate(cols):
+            a = entry(i, c)
+            if a.is_zero():
+                continue
+            term = a * go(i + 1, cols[:t] + cols[t + 1:])
+            acc = acc + term if t % 2 == 0 else acc - term
+        return acc
+
+    return go(0, tuple(range(n)))
+
+
 def poly_det(rows) -> MultiPoly:
     """Symbolic determinant of a square matrix of MultiPoly, by cofactor
     expansion along the first row."""
@@ -653,20 +652,4 @@ def poly_det(rows) -> MultiPoly:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         raise ValueError("empty matrix")
-    nvars = rows[0][0].nvars
-
-    def go(row_idx, col_idx):
-        if len(col_idx) == 1:
-            return rows[row_idx[0]][col_idx[0]]
-        acc = MultiPoly.zero(nvars)
-        sub_rows = row_idx[1:]
-        for t, c in enumerate(col_idx):
-            a = rows[row_idx[0]][c]
-            if a.is_zero():
-                continue
-            sub_cols = col_idx[:t] + col_idx[t + 1 :]
-            term = a * go(sub_rows, sub_cols)
-            acc = acc + term if t % 2 == 0 else acc - term
-        return acc
-
-    return go(tuple(range(n)), tuple(range(n)))
+    return _cofactor(lambda i, j: rows[i][j], n, MultiPoly.zero(rows[0][0].nvars))

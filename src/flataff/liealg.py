@@ -3,7 +3,7 @@
 A LieAlgebra stores the full array c[i][j][k] with
 [e_i, e_j] = sum_k c[i][j][k] e_k, validated for antisymmetry and the
 Jacobi identity at construction time, and indexed by its nonzero entries
-(`nonzero`) for the Jacobi check, the Killing form and `_defects`, the
+(`nonzero`) for those two checks, the Killing form and `_defects`, the
 one check that matrices represent g. Entries are GaussRat.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .exact import ExactMatrix, _echelon, as_gauss, ZERO, ONE
+from .exact import ExactMatrix, _Immutable, _echelon, as_gauss, ZERO, ONE
 
 __all__ = [
     "LieAlgebra",
@@ -72,7 +72,7 @@ def _plane_matrix(plane) -> ExactMatrix:
     return ExactMatrix(n, n, [plane[j][k] for k in range(n) for j in range(n)])
 
 
-class LieAlgebra:
+class LieAlgebra(_Immutable):
     """Finite-dimensional complex Lie algebra over the Gaussian rationals.
 
     Immutable; construct via from_structure_constants or builtin, or pass
@@ -82,8 +82,7 @@ class LieAlgebra:
     def __init__(self, n: int, c, names=None):
         if n < 0:
             raise ValueError("dimension must be nonnegative")
-        self.n = n
-        self.c = tuple(
+        c = tuple(
             tuple(
                 tuple(as_gauss(c[i][j][k]) or ZERO for k in range(n))
                 for j in range(n)
@@ -94,28 +93,25 @@ class LieAlgebra:
             names = [f"e{i + 1}" for i in range(n)]
         if len(names) != n:
             raise ValueError("need one name per basis element")
-        self.names = tuple(str(s) for s in names)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "names", tuple(str(s) for s in names))
         # entry a lists (b, k, c[a][b][k]) for each nonzero c[a][b][k]
-        self.nonzero = tuple(tuple((b, k, x) for b, row in enumerate(plane)
-                                   for k, x in enumerate(row) if x)
-                             for plane in self.c)
+        object.__setattr__(self, "nonzero", tuple(
+            tuple((b, k, x) for b, row in enumerate(plane)
+                  for k, x in enumerate(row) if x) for plane in c))
         self._check_antisymmetry()
         self._check_jacobi()
-        self._frozen = True
-
-    def __setattr__(self, name, value):
-        if getattr(self, "_frozen", False):
-            raise AttributeError("LieAlgebra is immutable")
-        super().__setattr__(name, value)
 
     def _check_antisymmetry(self):
-        for i in range(self.n):
-            for j in range(i, self.n):
-                for k in range(self.n):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise InconsistentEntry(
-                            f"c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]"
-                        )
+        """InconsistentEntry at the least (i, j, k), i <= j, where
+        c[i][j][k] != -c[j][i][k]. One side of such an entry is nonzero,
+        so it is in the index."""
+        bad = [(min(a, b), max(a, b), k) for a, entries in enumerate(self.nonzero)
+               for b, k, x in entries if self.c[b][a][k] != -x]
+        if bad:
+            i, j, k = min(bad)
+            raise InconsistentEntry(f"c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]")
 
     def _check_jacobi(self):
         """JacobiViolation at the first (i, j, k, l), i < j < k, where

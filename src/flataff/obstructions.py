@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactMatrix, MultiPoly, _echelon, poly_det, HALF, ZERO
+from .exact import ExactMatrix, MultiPoly, _Immutable, _echelon, poly_det, HALF, ZERO
 from .liealg import LieAlgebra
 from .connections import InvariantConnection
 from .affine import AffMap, DimensionMismatch, etale_from_lsa
@@ -49,7 +49,7 @@ class InvalidRep(ValueError):
     """Matrices do not satisfy the representation property."""
 
 
-class LinearRep:
+class LinearRep(_Immutable):
     """A representation rho: g -> gl(V), one exact matrix per basis
     element, validated exactly at construction."""
 
@@ -73,9 +73,6 @@ class LinearRep:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "V_dim", d)
         object.__setattr__(self, "rho", rho)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearRep is immutable")
 
     @classmethod
     def adjoint(cls, g: LieAlgebra) -> "LinearRep":

@@ -322,3 +322,36 @@ def test_poly_det_diagonal_product():
         * MultiPoly.variable(3, 2)
     )
     assert d == expect
+
+
+
+def _value_objects():
+    """One instance of each immutable value class, with one of its fields."""
+    from flataff.affine import AffElement, AffMap
+    from flataff.connections import zero_connection
+    from flataff.liealg import LieAlgebra, builtin
+    from flataff.obstructions import LinearRep
+
+    g = builtin("heis3")
+    x = AffElement(ExactMatrix.zeros(1, 1), [ONE])
+    return {
+        "GaussRat": (GaussRat(1, 2), "re"),
+        "ExactMatrix": (ExactMatrix.identity(2), "entries"),
+        "MultiPoly": (MultiPoly.variable(2, 0), "terms"),
+        "AffElement": (x, "v"),
+        "AffMap": (AffMap(LieAlgebra(1, [[[0]]]), [x]), "images"),
+        "LinearRep": (LinearRep.adjoint(g), "rho"),
+        "LieAlgebra": (g, "c"),
+        "InvariantConnection": (zero_connection(g), "gamma"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_value_objects()))
+def test_value_classes_refuse_assignment(name):
+    """Assigning a field or a new attribute raises, with one message."""
+    obj, field = _value_objects()[name]
+    assert type(obj).__name__ == name
+    for attr in (field, "not_a_field"):
+        with pytest.raises(AttributeError) as exc:
+            setattr(obj, attr, None)
+        assert str(exc.value) == f"{name} is immutable"
