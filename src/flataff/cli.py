@@ -27,11 +27,9 @@ from .connections import (
     InvariantConnection,
     zero_connection,
     standard_connection,
-    curvature,
     is_flat,
     is_torsion_free,
-    _tensor_is_zero,
-    _weyl,
+    _weyl_entries,
 )
 from .affine import (
     AffElement,
@@ -249,9 +247,9 @@ def _connection_analysis(conn: InvariantConnection) -> dict:
         "flat": flat,
         "torsion_free": tf,
         # the projective Weyl tensor needs zero torsion and n >= 3; R = 0
-        # makes Ric and W vanish, so only a curved connection builds them
+        # makes Ric and W vanish, so only a curved connection is checked
         "projectively_flat": (
-            (flat or _tensor_is_zero(_weyl(curvature(conn))))
+            (flat or next(_weyl_entries(conn), None) is None)
             if tf and conn.g.n >= 3 else None
         ),
     }

@@ -14,10 +14,11 @@ For constant Christoffels the curvature expands to
                          - c[i][j][m] gamma[m][k][l]).
 With L_i the matrix of nabla_{e_i} (column j is gamma[i][j]), this is
 entry (l, k) of [L_i, L_j] - sum_m c[i][j][m] L_m, the bracket defect of
-e_i -> L_i, so curvature() and is_flat() read it for i < j off
-LieAlgebra._defects. Swapping i and j negates every term (c[j][i][m] =
--c[i][j][m]), so curvature() writes -R at (j, i); is_flat() stops at the
-first curved pair and builds no tensor.
+e_i -> L_i, so curvature(), is_flat() and the Weyl check read it for
+i < j off LieAlgebra._defects. Swapping i and j negates every term
+(c[j][i][m] = -c[i][j][m]), so curvature() writes -R at (j, i); is_flat()
+stops at the first curved pair and builds no tensor, and neither does
+is_projectively_flat().
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from operator import is_
 
 from .exact import GaussRat, ExactMatrix, _Immutable, as_gauss, ZERO, HALF
-from .liealg import LieAlgebra, _bilinear, _plane_matrix
+from .liealg import LieAlgebra, _bilinear, _nonzero_index, _plane_matrix
 
 __all__ = [
     "InvariantConnection",
@@ -82,52 +83,33 @@ class InvariantConnection(_Immutable):
 
     def nabla(self, x, y) -> list:
         """nabla_x y for coordinate vectors x, y."""
-        return _bilinear(self.gamma, x, y)
+        return _bilinear(_nonzero_index(self.gamma), x, y)
 
     def __repr__(self):
-        nz = sum(
-            1
-            for plane in self.gamma
-            for row in plane
-            for e in row
-            if not e.is_zero()
-        )
+        nz = sum(map(len, _nonzero_index(self.gamma)))
         return f"InvariantConnection(n={self.g.n}, nonzero Christoffels={nz})"
 
 
 def zero_connection(g: LieAlgebra) -> InvariantConnection:
-    n = g.n
-    return InvariantConnection(
-        g, [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    )
+    return InvariantConnection(g, [[[ZERO] * g.n] * g.n] * g.n)
 
 
 def standard_connection(g: LieAlgebra) -> InvariantConnection:
     """The connection nabla_x y = (1/2)[x, y], i.e. gamma = c/2."""
     n = g.n
-    return InvariantConnection(
-        g,
-        [
-            [[HALF * g.c[i][j][k] for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ],
-    )
+    gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, entries in enumerate(g.nonzero):
+        for j, k, x in entries:
+            gamma[i][j][k] = HALF * x
+    return InvariantConnection(g, gamma)
 
 
 def torsion(conn: InvariantConnection):
     """T[i][j][k] = gamma[i][j][k] - gamma[j][i][k] - c[i][j][k]."""
-    n = conn.g.n
-    gm = conn.gamma
-    c = conn.g.c
-    return tuple(
-        tuple(
-            tuple(
-                gm[i][j][k] - gm[j][i][k] - c[i][j][k] for k in range(n)
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    n, gm, c = conn.g.n, conn.gamma, conn.g.c
+    return tuple(tuple(tuple(x - y - z for x, y, z in
+                             zip(gm[i][j], gm[j][i], c[i][j]))
+                       for j in range(n)) for i in range(n))
 
 
 def _l_matrices(conn: InvariantConnection) -> list:
@@ -135,37 +117,31 @@ def _l_matrices(conn: InvariantConnection) -> list:
     return [_plane_matrix(plane) for plane in conn.gamma]
 
 
+def _dense(n: int, entries):
+    """The n x n x n x n tuple T with T[l][k][i][j] = x and T[l][k][j][i]
+    = -x for each (l, k, i, j, x) of entries, and ZERO elsewhere."""
+    T = [ZERO] * n**4  # T[l][k][i][j] at ((l n + k) n + i) n + j
+    for l, k, i, j, x in entries:
+        lk = (l * n + k) * n
+        T[(lk + i) * n + j] = x
+        T[(lk + j) * n + i] = -x
+    for _ in range(3):
+        T = [tuple(T[s:s + n]) for s in range(0, len(T), max(n, 1))]
+    return tuple(T)
+
+
 def curvature(conn: InvariantConnection):
     """R[l][k][i][j], the coefficient of e_l in R(e_i, e_j) e_k."""
-    n = conn.g.n
-    R = [ZERO] * n**4  # R[l][k][i][j] at ((l n + k) n + i) n + j
-    for i, j, D in conn.g._defects(_l_matrices(conn)):
-        for (l, k), x in D.items():
-            lk = (l * n + k) * n
-            R[(lk + i) * n + j] = x
-            R[(lk + j) * n + i] = -x
-    for _ in range(3):
-        R = [tuple(R[s:s + n]) for s in range(0, len(R), max(n, 1))]
-    return tuple(R)
+    return _dense(conn.g.n, ((l, k, i, j, x)
+                             for i, j, D in conn.g._defects(_l_matrices(conn))
+                             for (l, k), x in D.items()))
 
 
 def ricci(curv) -> ExactMatrix:
     """Ric[j][k] = sum_i R[i][k][i][j]."""
     n = len(curv)
-    ents = []
-    for j in range(n):
-        for k in range(n):
-            acc = ZERO
-            for i in range(n):
-                acc = acc + curv[i][k][i][j]
-            ents.append(acc)
-    return ExactMatrix(n, n, ents)
-
-
-def _tensor_is_zero(t) -> bool:
-    if isinstance(t, GaussRat):
-        return t.is_zero()
-    return all(_tensor_is_zero(s) for s in t)
+    return ExactMatrix(n, n, [sum((curv[i][k][i][j] for i in range(n)), ZERO)
+                              for j in range(n) for k in range(n)])
 
 
 def is_flat(conn: InvariantConnection) -> bool:
@@ -189,20 +165,21 @@ def projective_change(conn: InvariantConnection, phi) -> InvariantConnection:
     phi = [as_gauss(p) for p in phi]
     if len(phi) != n:
         raise ValueError("covector length mismatch")
-    gm = conn.gamma
-    new = [
-        [
-            [
-                gm[i][j][k]
-                + (phi[j] if i == k else ZERO)
-                + (phi[i] if j == k else ZERO)
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    new = [[list(row) for row in plane] for plane in conn.gamma]
+    for i in range(n):
+        for j in range(n):
+            new[i][j][i] += phi[j]
+            new[i][j][j] += phi[i]
     return InvariantConnection(conn.g, new)
+
+
+def _weyl_checks(conn: InvariantConnection):
+    if conn.g.n <= 2:
+        raise DimensionTooSmall(
+            "projective Weyl tensor needs dimension at least 3"
+        )
+    if not is_torsion_free(conn):
+        raise NonzeroTorsion("projective Weyl tensor needs zero torsion")
 
 
 def projective_weyl(conn: InvariantConnection):
@@ -220,47 +197,47 @@ def projective_weyl(conn: InvariantConnection):
     sign of the last (skew) term is forced by the first check alone;
     the other two cannot see it when the Ricci tensor is symmetric.
     """
+    _weyl_checks(conn)
+    return _dense(conn.g.n, _weyl_entries(conn))
+
+
+def _weyl_entries(conn: InvariantConnection):
+    """Yield (l, k, i, j, W[l][k][i][j]) for each nonzero W with i < j (W
+    is antisymmetric in (i, j), as R is) of a torsion-free connection in
+    dimension n >= 3, without those checks. Ric is summed from the defects:
+    R[l][k][i][j] = x, i < j, adds x to Ric[j][k] if l = i and -x to
+    Ric[i][k] if l = j. W is evaluated only where R or a gamma term is
+    nonzero."""
     n = conn.g.n
-    if n <= 2:
-        raise DimensionTooSmall(
-            "projective Weyl tensor needs dimension at least 3"
-        )
-    if not is_torsion_free(conn):
-        raise NonzeroTorsion("projective Weyl tensor needs zero torsion")
-    return _weyl(curvature(conn))
-
-
-def _weyl(curv):
-    """projective_weyl from the curvature R of a torsion-free connection
-    in dimension n >= 3, without those checks."""
-    n = len(curv)
-    ric = ricci(curv)
-    denom = GaussRat(Fraction(1, n * n - 1))
-    gam = [
-        [(GaussRat(n) * ric[j, k] + ric[k, j]) * denom for k in range(n)]
-        for j in range(n)
-    ]
-    out = []
-    for l in range(n):
-        out_l = []
-        for k in range(n):
-            out_k = []
-            for i in range(n):
-                out_i = []
-                for j in range(n):
-                    w = curv[l][k][i][j]
-                    if i == l:
-                        w = w - gam[j][k]
-                    if j == l:
-                        w = w + gam[i][k]
-                    if k == l:
-                        w = w + (gam[i][j] - gam[j][i])
-                    out_i.append(w)
-                out_k.append(tuple(out_i))
-            out_l.append(tuple(out_k))
-        out.append(tuple(out_l))
-    return tuple(out)
+    R = {(i, j): D for i, j, D in conn.g._defects(_l_matrices(conn)) if D}
+    ric = {}
+    for (i, j), D in R.items():
+        for (l, k), x in D.items():
+            if l == i:
+                ric[j, k] = ric.get((j, k), ZERO) + x
+            elif l == j:
+                ric[i, k] = ric.get((i, k), ZERO) - x
+    scale = GaussRat(Fraction(1, n * n - 1))
+    gam = [{} for _ in range(n)]  # gam[j][k]: the nonzero gamma[j][k]
+    for j, k in sorted(set(ric) | {(k, j) for j, k in ric}):
+        x = (n * ric.get((j, k), ZERO) + ric.get((k, j), ZERO)) * scale
+        if x:
+            gam[j][k] = x
+    for i in range(n):
+        for j in range(i + 1, n):
+            W = dict(R.get((i, j), {}))
+            for k, x in gam[j].items():
+                W[i, k] = W.get((i, k), ZERO) - x
+            for k, x in gam[i].items():
+                W[j, k] = W.get((j, k), ZERO) + x
+            skew = gam[i].get(j, ZERO) - gam[j].get(i, ZERO)
+            if skew:
+                for l in range(n):
+                    W[l, l] = W.get((l, l), ZERO) + skew
+            yield from ((l, k, i, j, x) for (l, k), x in W.items() if x)
 
 
 def is_projectively_flat(conn: InvariantConnection) -> bool:
-    return _tensor_is_zero(projective_weyl(conn))
+    """W = 0, up to the first nonzero entry."""
+    _weyl_checks(conn)
+    return next(_weyl_entries(conn), None) is None

@@ -206,6 +206,25 @@ def as_gauss(x) -> GaussRat:
     return x if isinstance(x, GaussRat) else GaussRat(x)
 
 
+def _den(values) -> int:
+    """The lcm of the denominators of the GaussRat values (1 if none)."""
+    return lcm(*(d for x in values
+                 for d in (x.re.denominator, x.im.denominator)))
+
+
+def _ints(row: dict, den: int) -> dict:
+    """den x as an (re, im) int pair for each nonzero x of the dict row,
+    for a den that every denominator of row divides."""
+    return {j: (x.re.numerator * (den // x.re.denominator),
+                x.im.numerator * (den // x.im.denominator))
+            for j, x in row.items() if x}
+
+
+def _from_ints(u: int, v: int, den: int) -> GaussRat:
+    """(u + v i) / den for ints u, v and a nonzero int den."""
+    return _exact(Fraction(u, den) or _F0, Fraction(v, den) or _F0)
+
+
 def _step(p: dict, r: dict, f: tuple, d: tuple, e: tuple) -> dict:
     """(d r - f p) / e over Z[i], without zero entries, for an e that
     divides every entry."""
@@ -237,11 +256,7 @@ def _echelon(rows, reduced: bool = False):
     rows N_t = (d_k p_t - sum_{u > t} p_t[c_u] N_u) / d_t divided by d_k."""
     piv, pos, one = [], {}, (1, 0)
     for row in rows:
-        den = lcm(*(d for x in row.values()
-                    for d in (x.re.denominator, x.im.denominator)))
-        r = {j: (x.re.numerator * (den // x.re.denominator),
-                 x.im.numerator * (den // x.im.denominator))
-             for j, x in row.items() if x}
+        r = _ints(row, _den(row.values()))
         e = one
         while ts := [pos[j] for j in r if j in pos]:
             c, p, d = piv[min(ts)]
@@ -263,8 +278,7 @@ def _echelon(rows, reduced: bool = False):
         N[c] = _step({}, acc, one, one, d)
     a, b = D
     a, b, n = (a, b, a * a + b * b) if b else (1, 0, a)  # 1 / D
-    return {c: {c: ONE, **{j: _exact(Fraction(u * a + v * b, n) or _F0,
-                                     Fraction(v * a - u * b, n) or _F0)
+    return {c: {c: ONE, **{j: _from_ints(u * a + v * b, v * a - u * b, n)
                            for j, (u, v) in row.items()}}
             for c, row in N.items()}
 
@@ -453,12 +467,9 @@ class ExactMatrix(_Immutable):
             return ZERO
         cols = [c for c, _, _ in piv]
         odd = sum(a > b for t, a in enumerate(cols) for b in cols[t + 1:]) % 2
-        den = (-1 if odd else 1) * prod(
-            lcm(*(d for x in row.values()
-                  for d in (x.re.denominator, x.im.denominator)))
-            for row in rows)
+        den = prod(_den(row.values()) for row in rows)
         a, b = piv[-1][2] if piv else (1, 0)
-        return _exact(Fraction(a, den) or _F0, Fraction(b, den) or _F0)
+        return _from_ints(a, b, -den if odd else den)
 
     def det_cofactor(self) -> GaussRat:
         """Determinant by cofactor expansion (independent cross-check)."""

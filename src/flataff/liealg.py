@@ -3,16 +3,17 @@
 A LieAlgebra stores the full array c[i][j][k] with
 [e_i, e_j] = sum_k c[i][j][k] e_k, validated for antisymmetry and the
 Jacobi identity at construction time, and indexed by its nonzero entries
-(`nonzero`) for those two checks, the Killing form and `_defects`, the
-one check that matrices represent g. Entries are GaussRat.
+(`nonzero`) for those two checks, the bracket, the Killing form and
+`_defects`, the one check that matrices represent g. Entries are GaussRat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 
-from .exact import ExactMatrix, _Immutable, _echelon, as_gauss, ZERO, ONE
+from .exact import (ExactMatrix, _Immutable, _den, _echelon, _from_ints,
+                    _ints, as_gauss, ZERO, ONE)
 
 __all__ = [
     "LieAlgebra",
@@ -47,21 +48,24 @@ def _coerce_vector(v, n) -> list:
     return v
 
 
-def _bilinear(t, x, y) -> list:
-    """sum_{i, j} x_i y_j t[i][j] for an n x n x n array t: the bracket
-    for t = c, and nabla_x y for t = gamma."""
-    n = len(t)
+def _nonzero_index(t) -> tuple:
+    """Entry a lists (b, k, t[a][b][k]) for each nonzero t[a][b][k] of
+    an n x n x n array t, by b, then k."""
+    return tuple(tuple((b, k, x) for b, row in enumerate(plane)
+                       for k, x in enumerate(row) if x) for plane in t)
+
+
+def _bilinear(index, x, y) -> list:
+    """sum_{i, j} x_i y_j t[i][j] for the n x n x n array t with nonzero
+    index `index`: the bracket for t = c, and nabla_x y for t = gamma."""
+    n = len(index)
     x, y = _coerce_vector(x, n), _coerce_vector(y, n)
     out = [ZERO] * n
     for i, a in enumerate(x):
-        if not a:
-            continue
-        for j, b in enumerate(y):
-            if b:
-                f = a * b
-                for k, w in enumerate(t[i][j]):
-                    if w:
-                        out[k] = out[k] + f * w
+        if a:
+            for j, k, w in index[i]:
+                if y[j]:
+                    out[k] = out[k] + a * y[j] * w
     return out
 
 
@@ -97,9 +101,7 @@ class LieAlgebra(_Immutable):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "names", tuple(str(s) for s in names))
         # entry a lists (b, k, c[a][b][k]) for each nonzero c[a][b][k]
-        object.__setattr__(self, "nonzero", tuple(
-            tuple((b, k, x) for b, row in enumerate(plane)
-                  for k, x in enumerate(row) if x) for plane in c))
+        object.__setattr__(self, "nonzero", _nonzero_index(c))
         self._check_antisymmetry()
         self._check_jacobi()
 
@@ -135,7 +137,7 @@ class LieAlgebra(_Immutable):
 
     def bracket(self, x, y) -> list:
         """Bracket of two coordinate vectors."""
-        return _bilinear(self.c, x, y)
+        return _bilinear(self.nonzero, x, y)
 
     def ad_matrix(self, i: int) -> ExactMatrix:
         """Matrix of ad(e_i); column j holds the coordinates of [e_i, e_j]."""
@@ -169,30 +171,62 @@ class LieAlgebra(_Immutable):
         return ExactMatrix(n, n, K)
 
     def _defects(self, mats):
-        """For square ExactMatrix M_0 ... M_{n-1} of one size, yield
+        """For square ExactMatrix M_0 ... M_{n-1} of one size m, yield
         (i, j, D) for each i < j in lexicographic order, where D maps
         (r, s) to each nonzero entry of [M_i, M_j] - sum_k c[i][j][k] M_k.
         The M are a representation of g exactly when every D is empty.
         Only the nonzero rows of the M and the nonzero constants are read,
         and a caller that stops at the first nonempty D computes no later
-        pair."""
+        pair.
+
+        The sums run on ints. With d the lcm of every denominator of the
+        M and the constants, N = d M and C = d c are Gaussian integer
+        arrays, and d^2 D = [N_i, N_j] - sum_k C_ijk N_k. Each a + b i is
+        packed into the int a + b X, X = 2^K (Kronecker substitution), so
+        a product is one int product and a sum of them is S_0 + S_1 X +
+        S_2 X^2, standing for (S_0 - S_2) + S_1 i. An entry sums at most
+        2m + n products, each adding under 2 top^2 to every |S_t|, top
+        bounding every |a|, |b|, so for K as below the S_t are the
+        balanced base-X digits of the sum."""
         rows = [m._nonzero_rows() for m in mats]
-        neg = [[{s: -x for s, x in row.items()} for row in p] for p in rows]
+        xs = [*chain((x for p in rows for row in p for x in row.values()),
+                     (v for entries in self.nonzero for _, _, v in entries))]
+        d = _den(xs)
+        top = d * max((abs(f.numerator) for x in xs for f in (x.re, x.im)),
+                      default=0)
+        terms = 2 * len(rows[0] if rows else ()) + self.n
+        K = 2 * top.bit_length() + terms.bit_length() + 2
+        h, mask = 1 << (K - 1), (1 << K) - 1
+
+        def pack(row):
+            return {s: a + (b << K) for s, (a, b) in _ints(row, d).items()}
+
+        N = [[pack(row) for row in p] for p in rows]
+        C = [{j: pack(dict(kv)) for j, kv in self._constants_by_j(i).items()}
+             for i in range(self.n)]
         for i in range(self.n):
-            by_j = self._constants_by_j(i)
             for j in range(i + 1, self.n):
-                # M_i M_j + (-M_j) M_i, then - c[i][j][k] M_k
                 D = {}
-                for p, q in ((rows[i], rows[j]), (neg[j], rows[i])):
-                    for r, row in enumerate(p):
-                        for t, a in row.items():
-                            for s, b in q[t].items():
-                                D[r, s] = D.get((r, s), ZERO) + a * b
-                for k, v in by_j.get(j, ()):
-                    for r, row in enumerate(rows[k]):
-                        for s, x in row.items():
-                            D[r, s] = D.get((r, s), ZERO) - v * x
-                yield i, j, {rs: x for rs, x in D.items() if x}
+                for r, (ri, rj) in enumerate(zip(N[i], N[j])):
+                    # row r of N_i N_j - N_j N_i - sum_k C_ijk N_k
+                    acc = {}
+                    for t, a in ri.items():
+                        for s, x in N[j][t].items():
+                            acc[s] = acc.get(s, 0) + a * x
+                    for t, a in rj.items():
+                        for s, x in N[i][t].items():
+                            acc[s] = acc.get(s, 0) - a * x
+                    for k, a in C[i].get(j, {}).items():
+                        for s, x in N[k][r].items():
+                            acc[s] = acc.get(s, 0) - a * x
+                    for s, z in acc.items():
+                        s0 = ((z + h) & mask) - h
+                        z = (z - s0) >> K
+                        s1 = ((z + h) & mask) - h
+                        re = s0 - ((z - s1) >> K)
+                        if re or s1:
+                            D[r, s] = _from_ints(re, s1, d * d)
+                yield i, j, D
 
     def _constants_by_j(self, i) -> dict:
         """{j: [(k, c[i][j][k]) for nonzero c[i][j][k]]}; nonzero[i] is by j."""

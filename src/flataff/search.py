@@ -327,17 +327,25 @@ def _best_rational(x: float, den: int):
 
 
 def _snap_fraction(x: float, den: int):
-    """_best_rational(x, den) as a Fraction if within _RATIONALIZE_TOL
-    of x, else None; int / int rounds as float(Fraction(p, q)) does."""
+    """(Fraction(p, q), p / q) for p / q = _best_rational(x, den) if
+    within _RATIONALIZE_TOL of x, else None; int / int rounds as
+    float(Fraction(p, q)) does."""
     p, q = _best_rational(x, den)
-    if abs(p / q - x) <= _RATIONALIZE_TOL:
-        return Fraction(p, q)
+    f = p / q
+    if abs(f - x) <= _RATIONALIZE_TOL:
+        return Fraction(p, q), f
     return None
 
 
+class _Snap(list):
+    """The GaussRat unknowns of one snap, with `approx`, their complex
+    floats as _snap_fraction computed them."""
+
+
 def _snap_may_be_flat(sys: FlatnessSystem, s_exact) -> bool:
-    """Float gate: False only if the snap s_exact (GaussRat unknowns) is
-    certainly not flat, so that its exact check can be skipped.
+    """Float gate: False only if the snap s_exact (GaussRat unknowns, or
+    a _Snap with their floats) is certainly not flat, so that its exact
+    check can be skipped.
 
     It tests max|r| <= tau K^2, with r = sys.residual at the floats of
     s_exact and K = 1 + max|s| + max|c|. If the snap is exactly flat, r
@@ -352,7 +360,7 @@ def _snap_may_be_flat(sys: FlatnessSystem, s_exact) -> bool:
     below tau K^2, and below tau K^2 for all n < 800. A NaN residual
     keeps the exact check. Every snap the gate keeps is checked exactly.
     """
-    s = np.array(s_exact, dtype=complex)
+    s = np.array(getattr(s_exact, "approx", s_exact), dtype=complex)
     r = np.abs(sys.residual(s)).max(initial=0.0)
     k = 1.0 + np.abs(s).max(initial=0.0) + sys.c_max
     return not r > _GATE_TOL * k * k
@@ -366,13 +374,15 @@ def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem):
     exact check of snaps that are certainly not flat. Returns None when
     no snap passes the exact test."""
     for den in _DENOMINATOR_LADDER:
-        s_exact = []
+        s_exact = _Snap()
+        s_exact.approx = []
         for z in candidate.s:
             re = _snap_fraction(z.real, den)
             im = None if re is None else _snap_fraction(z.imag, den)
             if im is None:
                 break
-            s_exact.append(_exact(re, im))
+            s_exact.append(_exact(re[0], im[0]))
+            s_exact.approx.append(complex(re[1], im[1]))
         if (len(s_exact) < len(candidate.s)
                 or not _snap_may_be_flat(sys, s_exact)):
             continue

@@ -597,8 +597,8 @@ def test_each_exact_check_runs_once_per_command(tmp_path, monkeypatch,
     assert data["etale"] is True and data["induced_flat"] is True
     assert counts["check_homomorphism"] == 1
 
-    # flatness and torsion are checked pair by pair, and the curvature
-    # tensor is built only for the Weyl tensor of a curved connection
+    # flatness and torsion are checked pair by pair, and the Weyl check
+    # of a curved connection reads the defects, not a curvature tensor
     def check_connection_counts(argv):
         for name in ("curvature", "torsion", "is_flat", "is_torsion_free"):
             counts[name] = 0
@@ -617,7 +617,7 @@ def test_each_exact_check_runs_once_per_command(tmp_path, monkeypatch,
         for plane in sl2.c]})
     assert check_connection_counts(["check-connection", "--builtin", "sl2",
                                     "--gamma", half]) == (
-        (False, True, True), (1, 1, 1, 0))
+        (False, True, True), (1, 1, 0, 0))
 
 
 def test_analyze_gl2_is_yes_by_the_matrix_product(tmp_path, capsys):

@@ -515,8 +515,9 @@ def _assert_snaps_like_reference(x):
     for den in search._DENOMINATOR_LADDER:
         f = Fraction(x).limit_denominator(den)
         assert search._best_rational(x, den) == (f.numerator, f.denominator)
-        assert search._snap_fraction(x, den) == _reference_snap_fraction(
-            x, den), (x, den)
+        ref = _reference_snap_fraction(x, den)
+        assert search._snap_fraction(x, den) == (
+            None if ref is None else (ref, float(ref))), (x, den)
 
 
 # near-rationals put the tolerance decision and the tie between the
@@ -546,10 +547,10 @@ def test_snap_fraction_fixed_cases():
     for x in cases:
         _assert_snaps_like_reference(float(x))
     assert search._snap_fraction(0.3334, 3) is None
-    assert search._snap_fraction(third + 1e-7, 3) == Fraction(1, 3)
-    assert search._snap_fraction(-0.0, 1) == 0
+    assert search._snap_fraction(third + 1e-7, 3) == (Fraction(1, 3), third)
+    assert search._snap_fraction(-0.0, 1) == (0, 0.0)
     # 0 lies exactly _RATIONALIZE_TOL from 1e-6, which still snaps
-    assert search._snap_fraction(-1e-6, 1) == 0
+    assert search._snap_fraction(-1e-6, 1) == (0, 0.0)
 
 
 def _reference_rationalize(candidate, sys):

@@ -1,8 +1,9 @@
 """The sparse exact kernels (the bracket-defect kernel behind curvature,
-flatness, the homomorphism check and LinearRep; the Killing form; the
-antisymmetry and Jacobi checks; the matrix product; the Z[i] elimination
-behind rank, rref, det and H^1) against the dense loops they replaced,
-kept here as references."""
+flatness, the homomorphism check and LinearRep; the projective Weyl
+check; the bracket; the Killing form; the antisymmetry and Jacobi
+checks; the matrix product; the Z[i] elimination behind rank, rref, det
+and H^1) against the dense loops they replaced, kept here as
+references."""
 
 import random
 import time
@@ -23,7 +24,10 @@ from flataff.connections import (
     InvariantConnection,
     curvature,
     is_flat,
+    is_projectively_flat,
     is_torsion_free,
+    projective_change,
+    projective_weyl,
     standard_connection,
     zero_connection,
 )
@@ -31,11 +35,12 @@ from flataff.affine import (
     AffElement,
     AffMap,
     NotFlatTorsionFree,
+    _augmented,
     aff_bracket,
     check_homomorphism,
     etale_from_lsa,
 )
-from flataff.obstructions import InvalidRep, LinearRep
+from flataff.obstructions import InvalidRep, LinearRep, decide_existence
 
 
 def _dense_curvature(conn):
@@ -575,3 +580,247 @@ def test_det_of_a_24_by_24_complex_matrix():
     d = m.det()
     assert time.perf_counter() - start < 0.1
     assert d == _dense_det(m) != ZERO
+
+
+def _reference_defects(g, mats):
+    """The GaussRat loop that LieAlgebra._defects ran before it summed
+    on integers: [(i, j, D)] for i < j, D the nonzero entries of
+    [M_i, M_j] - sum_k c[i][j][k] M_k."""
+    rows = [m._nonzero_rows() for m in mats]
+    neg = [[{s: -x for s, x in row.items()} for row in p] for p in rows]
+    out = []
+    for i in range(g.n):
+        by_j = g._constants_by_j(i)
+        for j in range(i + 1, g.n):
+            D = {}
+            for p, q in ((rows[i], rows[j]), (neg[j], rows[i])):
+                for r, row in enumerate(p):
+                    for t, a in row.items():
+                        for s, b in q[t].items():
+                            D[r, s] = D.get((r, s), ZERO) + a * b
+            for k, v in by_j.get(j, ()):
+                for r, row in enumerate(rows[k]):
+                    for s, x in row.items():
+                        D[r, s] = D.get((r, s), ZERO) - v * x
+            out.append((i, j, {rs: x for rs, x in D.items() if x}))
+    return out
+
+
+def _scaled(g, lam):
+    """g with every constant times lam: g in the basis lam e_i."""
+    return LieAlgebra(g.n, [[[lam * x for x in row] for row in plane]
+                            for plane in g.c])
+
+
+_SCALES = (GaussRat(1), GaussRat(Fraction(-1, 3)), GaussRat(2, 1),
+           GaussRat(_BIG), GaussRat(Fraction(1, _BIG - 1)), GaussRat(_BIG, 3))
+
+
+@st.composite
+def _defect_cases(draw):
+    """(g, mats): g an algebra of _algebras(), aff1 or dimension 0 or 1,
+    its constants scaled by a fractional, complex or 10^400 or 10^-400
+    factor; mats n square matrices of one size m: random ones (entries
+    of mixed denominators, complex), the adjoint representation, or
+    augmented (m + 1)-size images [[A, v], [0, 0]]; some of them zeroed
+    or scaled near 10^400 or 10^-400, and one entry sometimes moved."""
+    base = draw(st.sampled_from(_algebras() + [
+        _aff1()[0], LieAlgebra(0, []), LieAlgebra(1, [[[ZERO]]])]))
+    g = _scaled(base, draw(st.sampled_from(_SCALES)))
+    n = g.n
+
+    def square(m):
+        return ExactMatrix(m, m, draw(st.lists(_ENTRY, min_size=m * m,
+                                               max_size=m * m)))
+
+    kind = draw(st.sampled_from(["random", "adjoint", "augmented"]))
+    if kind == "adjoint":
+        mats = g.adjoint_rep()
+    elif kind == "random":
+        m = draw(st.integers(0, 4))
+        mats = [square(m) for _ in range(n)]
+    else:
+        m = draw(st.integers(0, 3))
+        mats = [_augmented(AffElement(square(m), draw(st.lists(
+            _ENTRY, min_size=m, max_size=m)))) for _ in range(n)]
+    if n:
+        for t in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            mats[t] = mats[t].scale(ZERO)
+        for t in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            mats[t] = mats[t].scale(draw(_HUGE))
+        size = mats[0].rows
+        if size and draw(st.booleans()):
+            t = draw(st.integers(0, n - 1))
+            entries = list(mats[t].entries)
+            entries[draw(st.integers(0, size * size - 1))] += draw(_ENTRY)
+            mats[t] = ExactMatrix(size, size, entries)
+    return g, mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(_defect_cases())
+def test_defects_match_the_gaussrat_loop(case):
+    g, mats = case
+    assert list(g._defects(mats)) == _reference_defects(g, mats)
+
+
+def test_defects_of_a_scaled_representation_are_empty():
+    """The adjoint representation of every algebra, scaled as in
+    _defect_cases, has no defect; so has the augmented embedding of a
+    flat certificate."""
+    for base in _algebras():
+        for lam in _SCALES:
+            g = _scaled(base, lam)
+            assert g._first_defect(g.adjoint_rep()) is None
+    for g, conn in (_gl2(), _aff1()):
+        emb = etale_from_lsa(conn)
+        assert g._first_defect([_augmented(x) for x in emb.images]) is None
+
+
+def _dense_weyl(conn):
+    """The dense n^4 loop that projective_weyl ran before the sparse
+    check, on the dense curvature, with Ric[j][k] = sum_i R[i][k][i][j]
+    and gamma = (n Ric + Ric^T) / (n^2 - 1)."""
+    curv = _dense_curvature(conn)
+    n = len(curv)
+    ric = [[sum((curv[i][k][i][j] for i in range(n)), ZERO)
+            for k in range(n)] for j in range(n)]
+    denom = GaussRat(Fraction(1, n * n - 1))
+    gam = [[(GaussRat(n) * ric[j][k] + ric[k][j]) * denom for k in range(n)]
+           for j in range(n)]
+    out = []
+    for l in range(n):
+        out_l = []
+        for k in range(n):
+            out_k = []
+            for i in range(n):
+                out_i = []
+                for j in range(n):
+                    w = curv[l][k][i][j]
+                    if i == l:
+                        w = w - gam[j][k]
+                    if j == l:
+                        w = w + gam[i][k]
+                    if k == l:
+                        w = w + (gam[i][j] - gam[j][i])
+                    out_i.append(w)
+                out_k.append(tuple(out_i))
+            out_l.append(tuple(out_k))
+        out.append(tuple(out_l))
+    return tuple(out)
+
+
+def _sl3():
+    """sl3 from commutators of 3 x 3 matrices, in the basis E12, E13,
+    E21, E23, E31, E32, E11 - E22, E22 - E33."""
+    offdiag = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+
+    def unit(r, c):
+        return ExactMatrix.from_rows(
+            [[int((a, b) == (r, c)) for b in range(3)] for a in range(3)])
+
+    basis = [unit(r, c) for r, c in offdiag]
+    basis += [unit(0, 0) - unit(1, 1), unit(1, 1) - unit(2, 2)]
+
+    def coords(m):
+        return [m[r, c] for r, c in offdiag] + [m[0, 0], m[0, 0] + m[1, 1]]
+
+    return from_structure_constants(8, brackets={
+        (i, j): coords(basis[i] @ basis[j] - basis[j] @ basis[i])
+        for i in range(8) for j in range(i + 1, 8)})
+
+
+def _symmetric_perturbation(rng, conn, count):
+    """conn plus s, s symmetric in (i, j) with count random entries: a
+    torsion-free connection when conn is."""
+    n = conn.g.n
+    gamma = [[list(row) for row in plane] for plane in conn.gamma]
+    for _ in range(count):
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        x = _rand_gauss(rng)
+        gamma[i][j][k] = gamma[i][j][k] + x
+        if i != j:
+            gamma[j][i][k] = gamma[j][i][k] + x
+    return InvariantConnection(conn.g, gamma)
+
+
+def test_weyl_matches_the_dense_loop():
+    """Standard connections of heis3, sol3, sl2 (projectively flat),
+    abelian3 (flat), sl3, sl2 + sl2 and gl2 (not), their projective
+    changes, and sparse and dense symmetric perturbations of c/2."""
+    rng = random.Random(1509)
+    outcomes = set()
+    for name, g, count in (
+            ("heis3", builtin("heis3"), 3), ("sol3", builtin("sol3"), 3),
+            ("sl2", builtin("sl2"), 3), ("abelian3", builtin("abelian3"), 3),
+            ("sl3", _sl3(), 1), ("sl2+sl2", _sl2_plus_sl2(), 2),
+            ("gl2", _gl2()[0], 3)):
+        std = standard_connection(g)
+        assert is_projectively_flat(std) == (
+            name in ("heis3", "sol3", "sl2", "abelian3")), name
+        conns = [std]
+        conns += [projective_change(std, [_rand_gauss(rng)
+                                          for _ in range(g.n)])
+                  for _ in range(count)]
+        conns += [_symmetric_perturbation(rng, std, rng.choice([1, 3, 60]))
+                  for _ in range(count)]
+        for conn in conns:
+            want = _dense_weyl(conn)
+            assert projective_weyl(conn) == want, name
+            flat = all(x.is_zero() for a in want for b in a for c in b
+                       for x in c)
+            assert is_projectively_flat(conn) == flat, name
+            outcomes.add(flat)
+    assert outcomes == {True, False}
+
+
+def test_bracket_and_standard_connection_match_the_dense_arrays():
+    """bracket reads g.nonzero; standard_connection halves only the
+    nonzero constants; both equal the dense formulas."""
+    rng = random.Random(77)
+    for g in _algebras() + [_sl3()]:
+        n = g.n
+        assert standard_connection(g) == InvariantConnection(g, [
+            [[x / 2 for x in row] for row in plane] for plane in g.c])
+        for _ in range(5):
+            x = [rng.choice([ZERO, _rand_gauss(rng)]) for _ in range(n)]
+            y = [rng.choice([ZERO, _rand_gauss(rng)]) for _ in range(n)]
+            want = [sum((x[i] * y[j] * g.c[i][j][k] for i in range(n)
+                         for j in range(n)), ZERO) for k in range(n)]
+            assert g.bracket(x, y) == want
+
+
+def _filiform(n):
+    """L_n: [e1, e_i] = e_(i+1) for 2 <= i < n."""
+    return from_structure_constants(
+        n, brackets={(0, i): [int(k == i + 1) for k in range(n)]
+                     for i in range(1, n - 1)})
+
+
+def _transported(conn, P):
+    """conn in the basis f_a = sum_b P[a][b] e_b, with its algebra."""
+    g, n = conn.g, conn.g.n
+    back = ExactMatrix.from_rows(P).inverse().transpose()
+    h = from_structure_constants(n, brackets={
+        (a, b): back.mul_vec(g.bracket(P[a], P[b]))
+        for a in range(n) for b in range(a + 1, n)})
+    return InvariantConnection(h, [[back.mul_vec(conn.nabla(P[a], P[b]))
+                                    for b in range(n)] for a in range(n)])
+
+
+def test_is_flat_of_l12_in_a_generic_basis():
+    """The YES certificate of L12 moved to a seeded GL(12, Z) basis has
+    about 1,600 nonzero constants with denominators up to 10^5; its
+    flatness check sums on integers in well under 0.2 s (about 2.5 s
+    with GaussRat sums)."""
+    rng = random.Random(12)
+    while True:
+        P = [[rng.randint(-2, 2) for _ in range(12)] for _ in range(12)]
+        if not ExactMatrix.from_rows(P).det().is_zero():
+            break
+    conn = _transported(decide_existence(_filiform(12)).connection, P)
+    assert sum(map(len, conn.g.nonzero)) > 1500
+    start = time.perf_counter()
+    assert is_flat(conn)
+    assert time.perf_counter() - start < 0.2
+    assert is_torsion_free(conn)
