@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import asdict
 
-from .exact import GaussRat, ExactMatrix
+from .exact import GaussRat, ExactMatrix, ZERO
 from .liealg import (
     LieAlgebra,
     from_structure_constants,
@@ -65,6 +65,8 @@ class ParseError(ValueError):
 
 
 def _coeff(value, position: str) -> GaussRat:
+    if value == ["0", "0"]:
+        return ZERO
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
@@ -271,13 +273,13 @@ def analyze(g: LieAlgebra, cfg: SearchConfig | None = None,
     }
 
 
-def classify_dim3(cfg: SearchConfig | None = None) -> dict:
+def classify_dim3() -> dict:
     """The dimension-3 table: abelian3, heis3, sol3 admit flat
     torsion-free invariant connections, sl2 does not."""
     rows = []
     for name in ("abelian3", "heis3", "sol3", "sl2"):
         g = builtin(name)
-        decision = decide_existence(g, cfg)
+        decision = decide_existence(g)
         rows.append(
             {
                 "algebra": name,

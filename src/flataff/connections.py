@@ -85,6 +85,13 @@ class InvariantConnection(_Immutable):
         """nabla_x y for coordinate vectors x, y."""
         return _bilinear(_nonzero_index(self.gamma), x, y)
 
+    def in_basis(self, P) -> "InvariantConnection":
+        """The connection in the basis f_a = sum_b P[a][b] e_b."""
+        rows, back = self.g._change_of_basis(P)
+        index = _nonzero_index(self.gamma)
+        return InvariantConnection(self.g.in_basis(P), [
+            [back.mul_vec(_bilinear(index, x, y)) for y in rows] for x in rows])
+
     def __repr__(self):
         nz = sum(map(len, _nonzero_index(self.gamma)))
         return f"InvariantConnection(n={self.g.n}, nonzero Christoffels={nz})"

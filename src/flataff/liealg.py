@@ -3,8 +3,9 @@
 A LieAlgebra stores the full array c[i][j][k] with
 [e_i, e_j] = sum_k c[i][j][k] e_k, validated for antisymmetry and the
 Jacobi identity at construction time, and indexed by its nonzero entries
-(`nonzero`) for those two checks, the bracket, the Killing form and
-`_defects`, the one check that matrices represent g. Entries are GaussRat.
+(`nonzero`) for those two checks, the bracket, the Killing form, the
+traces of ad and `_defects`, the one check that matrices represent g.
+`in_basis` rewrites g in another basis. Entries are GaussRat.
 """
 
 from __future__ import annotations
@@ -147,12 +148,7 @@ class LieAlgebra(_Immutable):
 
     def ad(self, x) -> ExactMatrix:
         """Matrix of ad(x) for an arbitrary coordinate vector x."""
-        x = _coerce_vector(x, self.n)
-        m = ExactMatrix.zeros(self.n, self.n)
-        for i in range(self.n):
-            if not x[i].is_zero():
-                m = m + self.ad_matrix(i).scale(x[i])
-        return m
+        return _plane_matrix([self.bracket(x, e) for e in self._full_basis()])
 
     def adjoint_rep(self) -> list:
         return [self.ad_matrix(i) for i in range(self.n)]
@@ -283,7 +279,9 @@ class LieAlgebra(_Immutable):
         return self.lower_central_dims()[-1] == 0
 
     def is_unimodular(self) -> bool:
-        return all(self.ad_matrix(i).trace().is_zero() for i in range(self.n))
+        # tr ad(e_i) = sum_j c[i][j][j]
+        return not any(sum((x for j, k, x in e if j == k), ZERO)
+                       for e in self.nonzero)
 
     def killing_rank(self) -> int:
         return self.killing_form().rank()
@@ -308,6 +306,21 @@ class LieAlgebra(_Immutable):
             derived_series_dims=derived,
             lower_central_dims=lower,
         )
+
+    def in_basis(self, P) -> "LieAlgebra":
+        """g in the basis f_a = sum_b P[a][b] e_b, for an invertible n x n
+        P, given by its rows or as an ExactMatrix."""
+        rows, back = self._change_of_basis(P)
+        return from_structure_constants(self.n, brackets={
+            (a, b): back.mul_vec(self.bracket(rows[a], rows[b]))
+            for a in range(self.n) for b in range(a + 1, self.n)})
+
+    def _change_of_basis(self, P) -> tuple:
+        """The rows of P, and (P^-1)^T, which takes e- to f-coordinates."""
+        P = P if isinstance(P, ExactMatrix) else ExactMatrix.from_rows(P)
+        if (P.rows, P.cols) != (self.n, self.n):
+            raise ValueError(f"P must be {self.n} x {self.n}")
+        return P.to_lists(), P.inverse().transpose()
 
     def same_constants(self, other: "LieAlgebra") -> bool:
         """Equality of structure constant arrays (basis-dependent)."""

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import HALF, _exact
+from .exact import ExactMatrix, HALF, _exact
 from .liealg import LieAlgebra
 from .connections import InvariantConnection, is_flat, is_torsion_free
 
@@ -404,25 +404,21 @@ class SearchOutcome:
 
 
 def run_search(g: LieAlgebra, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """Full pipeline: assemble, multistart, rationalize, verify, run on
-    the unit-scaled algebra c/lam, lam = max(|re|, |im|) over the
-    structure constants (1 if g is abelian). That algebra is g in the
-    basis e_i/lam, so a certificate Gamma' for it gives the certificate
-    lam Gamma' for g, exactly: R(lam Gamma') = lam^2 R'(Gamma'). The first
-    candidate (by start index) whose snap passes exact verification
-    supplies the certificate. Candidates are reported in the unknowns of
-    the unit-scaled algebra."""
+    """Full pipeline: assemble, multistart, rationalize, verify. It runs
+    on g in the basis e_i/lam, whose constants are c/lam, lam = max(|re|,
+    |im|) over c (1 if g is abelian), and moves the snap of the first
+    candidate (by start index) that passes exact verification back to the
+    basis e_i: the certificate lam Gamma' for g. Candidates are reported
+    in the unknowns of the unit-scaled algebra."""
     lam = max((abs(part) for entries in g.nonzero for _, _, v in entries
                for part in (v.re, v.im)), default=Fraction(1))
-    unit = LieAlgebra(g.n, [[[x / lam for x in row] for row in plane]
-                            for plane in g.c], g.names)
-    sys = assemble(unit)
+    eye = ExactMatrix.identity(g.n)
+    sys = assemble(g.in_basis(eye.scale(1 / lam)))
     candidates = tuple(newton_multistart(sys, cfg))
     for cand in candidates:
         conn = rationalize_and_verify(cand, sys)
         if conn is not None:
-            gamma = [[[lam * x for x in row] for row in plane]
-                     for plane in conn.gamma]
+            gamma = conn.in_basis(eye.scale(lam)).gamma
             return SearchOutcome(candidates, InvariantConnection(g, gamma),
                                  cand.start_index)
     return SearchOutcome(candidates, None, None)

@@ -11,8 +11,6 @@ randomized check of the exact linear algebra substrate.
 import json
 import random
 import time
-from fractions import Fraction
-
 from flataff.exact import (
     GaussRat,
     ExactMatrix,
@@ -48,23 +46,7 @@ from flataff.obstructions import (
 )
 from flataff.search import SearchConfig, run_search
 from flataff.cli import search_report, emit
-
-
-def _rand_gauss(rng, span=4):
-    return GaussRat(
-        Fraction(rng.randint(-span, span), rng.randint(1, 3)),
-        Fraction(rng.randint(-span, span), rng.randint(1, 3)),
-    )
-
-
-def _tensor_zero(t):
-    return all(x == ZERO for plane in t for row in plane for x in row)
-
-
-def _tensor4_zero(t):
-    return all(
-        x == ZERO for cube in t for plane in cube for row in plane for x in row
-    )
+from known_algebras import rand_gauss, tensor_zero
 
 
 def test_dim3_classification_with_exact_certificates():
@@ -101,8 +83,8 @@ def test_reference_embeddings_induce_flat_connections():
         assert verdict.ok, kind
         assert is_etale(emb), kind
         conn = lsa_from_etale(emb)
-        assert _tensor4_zero(curvature(conn)), kind
-        assert _tensor_zero(torsion(conn)), kind
+        assert tensor_zero(curvature(conn)), kind
+        assert tensor_zero(torsion(conn)), kind
 
 
 def test_zero_connection_flat_and_torsion_detects_abelian():
@@ -160,7 +142,7 @@ def test_weyl_tensor_projective_invariance():
     sl2 = builtin("sl2")
     std = standard_connection(sl2)
     assert is_torsion_free(std)
-    assert _tensor4_zero(projective_weyl(std))
+    assert tensor_zero(projective_weyl(std))
 
     rng = random.Random(60606)
 
@@ -169,7 +151,7 @@ def test_weyl_tensor_projective_invariance():
         s = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                v = [_rand_gauss(rng, span=2) for _ in range(n)]
+                v = [rand_gauss(rng, span=2) for _ in range(n)]
                 s[i][j] = v
                 s[j][i] = v
         gm = [
@@ -191,7 +173,7 @@ def test_weyl_tensor_projective_invariance():
     for conn in tests:
         w = projective_weyl(conn)
         for _ in range(50):
-            phi = [_rand_gauss(rng, span=3) for _ in range(conn.g.n)]
+            phi = [rand_gauss(rng, span=3) for _ in range(conn.g.n)]
             changed = projective_change(conn, phi)
             assert is_torsion_free(changed)
             assert projective_weyl(changed) == w
@@ -199,7 +181,7 @@ def test_weyl_tensor_projective_invariance():
     # flat certificates give identically zero Weyl tensor
     for name in ("abelian3", "heis3", "sol3"):
         report = decide_existence(builtin(name))
-        assert _tensor4_zero(projective_weyl(report.connection)), name
+        assert tensor_zero(projective_weyl(report.connection)), name
 
 
 def test_search_soundness_and_determinism():
@@ -230,7 +212,7 @@ def test_exact_linear_algebra_bulk_fuzz():
         n = rng.randint(1, 3)
         m = rng.randint(1, 3)
         mat = ExactMatrix.from_rows(
-            [[_rand_gauss(rng, span=3) for _ in range(m)] for _ in range(n)]
+            [[rand_gauss(rng, span=3) for _ in range(m)] for _ in range(n)]
         )
 
         # reducing an already reduced matrix changes nothing
@@ -241,20 +223,20 @@ def test_exact_linear_algebra_bulk_fuzz():
 
         # the two determinant algorithms agree on square matrices
         sq = ExactMatrix.from_rows(
-            [[_rand_gauss(rng, span=3) for _ in range(n)] for _ in range(n)]
+            [[rand_gauss(rng, span=3) for _ in range(n)] for _ in range(n)]
         )
         assert sq.det() == sq.det_cofactor()
 
         # determinant of a polynomial matrix commutes with evaluation
         nvars = rng.randint(1, 3)
-        point = [_rand_gauss(rng, span=2) for _ in range(nvars)]
+        point = [rand_gauss(rng, span=2) for _ in range(nvars)]
 
         def _rand_poly():
-            p = MultiPoly.constant(nvars, _rand_gauss(rng, span=2))
+            p = MultiPoly.constant(nvars, rand_gauss(rng, span=2))
             for v in range(nvars):
                 if rng.random() < 0.5:
                     coeff = MultiPoly.constant(
-                        nvars, _rand_gauss(rng, span=2)
+                        nvars, rand_gauss(rng, span=2)
                     )
                     p = p + coeff * MultiPoly.variable(nvars, v)
             return p

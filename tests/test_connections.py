@@ -22,19 +22,13 @@ from flataff.connections import (
     is_torsion_free,
     is_projectively_flat,
 )
-
-
-def _rand_gauss(rng, span=4):
-    return GaussRat(
-        Fraction(rng.randint(-span, span), rng.randint(1, 3)),
-        Fraction(rng.randint(-span, span), rng.randint(1, 3)),
-    )
+from known_algebras import rand_gauss, tensor_zero
 
 
 def _random_connection(g, rng):
     n = g.n
     gm = [
-        [[_rand_gauss(rng) for _ in range(n)] for _ in range(n)]
+        [[rand_gauss(rng) for _ in range(n)] for _ in range(n)]
         for _ in range(n)
     ]
     return InvariantConnection(g, gm)
@@ -46,7 +40,7 @@ def _random_torsion_free(g, rng):
     s = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = [_rand_gauss(rng) for _ in range(n)]
+            v = [rand_gauss(rng) for _ in range(n)]
             s[i][j] = v
             s[j][i] = v
     gm = [
@@ -57,12 +51,6 @@ def _random_torsion_free(g, rng):
         for i in range(n)
     ]
     return InvariantConnection(g, gm)
-
-
-def _tensor_zero(t):
-    if isinstance(t, GaussRat):
-        return t.is_zero()
-    return all(_tensor_zero(s) for s in t)
 
 
 def test_torsion_of_zero_connection_is_minus_bracket():
@@ -143,7 +131,7 @@ def test_curvature_flat_cases():
     conn = InvariantConnection(g, gm)
     assert is_flat(conn)
     assert is_torsion_free(conn)
-    assert _tensor_zero(curvature(conn))
+    assert tensor_zero(curvature(conn))
 
 
 def test_ricci_of_standard_sl2_is_quarter_killing():
@@ -218,7 +206,7 @@ def test_projective_change_preserves_torsion():
     for name in ("heis3", "sol3", "sl2"):
         g = builtin(name)
         conn = _random_connection(g, rng)
-        phi = [_rand_gauss(rng) for _ in range(3)]
+        phi = [rand_gauss(rng) for _ in range(3)]
         assert torsion(projective_change(conn, phi)) == torsion(conn)
 
 
@@ -226,14 +214,14 @@ def test_weyl_zero_for_flat_torsion_free():
     g = builtin("heis3")
     gm = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
     gm[0][1][2] = ONE
-    assert _tensor_zero(projective_weyl(InvariantConnection(g, gm)))
-    assert _tensor_zero(projective_weyl(zero_connection(builtin("abelian3"))))
+    assert tensor_zero(projective_weyl(InvariantConnection(g, gm)))
+    assert tensor_zero(projective_weyl(zero_connection(builtin("abelian3"))))
 
 
 def test_weyl_zero_on_standard_sl2():
     conn = standard_connection(builtin("sl2"))
     assert is_projectively_flat(conn)
-    assert _tensor_zero(projective_weyl(conn))
+    assert tensor_zero(projective_weyl(conn))
 
 
 def test_weyl_detects_non_projectively_flat():
@@ -244,7 +232,7 @@ def test_weyl_detects_non_projectively_flat():
     conn = InvariantConnection(g, gm)
     assert is_torsion_free(conn)
     w = projective_weyl(conn)
-    assert not _tensor_zero(w)
+    assert not tensor_zero(w)
     assert w[0][0][1][2] == GaussRat(Fraction(-3, 4))
 
 
@@ -255,7 +243,7 @@ def test_weyl_invariant_under_projective_change():
         for _ in range(5):
             conn = _random_torsion_free(g, rng)
             w = projective_weyl(conn)
-            phi = [_rand_gauss(rng) for _ in range(3)]
+            phi = [rand_gauss(rng) for _ in range(3)]
             assert projective_weyl(projective_change(conn, phi)) == w
 
 

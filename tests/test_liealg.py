@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flataff.exact import GaussRat, ExactMatrix, ZERO, ONE
 from flataff.liealg import (
@@ -13,6 +14,8 @@ from flataff.liealg import (
     builtin,
     BUILTIN_NAMES,
 )
+from flataff.connections import standard_connection
+from known_algebras import gl2, gl_z
 
 
 def test_catalog_names():
@@ -219,3 +222,29 @@ def test_bracket_bilinearity_random():
             assert lhs == rhs
             # antisymmetry on vectors
             assert g.bracket(x, y) == [-t for t in g.bracket(y, x)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_in_basis_and_back_keeps_the_constants(data):
+    """g.in_basis(P).in_basis(P^-1) has the constants of g, in dimensions
+    0 to 4, and the connection c/2 moved there and back is c/2."""
+    for g in (from_structure_constants(0), from_structure_constants(1),
+              builtin("heis3"), builtin("sl2"), gl2()):
+        P = data.draw(gl_z(g.n))
+        Q = ExactMatrix.from_rows(P).inverse()
+        assert g.in_basis(P).in_basis(Q).same_constants(g)
+        conn = standard_connection(g)
+        assert conn.in_basis(P).in_basis(Q) == conn
+
+
+def test_in_basis_refuses_a_singular_or_wrongly_sized_matrix():
+    g = builtin("heis3")
+    for P in ([[1, 2, 0], [2, 4, 0], [0, 0, 1]], [[1, 0], [0, 1]],
+              [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1], [0, 0, 1]]):
+        for x in (g, standard_connection(g)):
+            with pytest.raises(ValueError):
+                x.in_basis(P)
+    for n, P in ((0, [[1]]), (1, []), (1, [[0]]), (1, [[1, 0], [0, 1]])):
+        with pytest.raises(ValueError):
+            from_structure_constants(n).in_basis(P)

@@ -24,6 +24,7 @@ from flataff.affine import (
     NotFlatTorsionFree,
     canonical_embedding,
     check_homomorphism,
+    etale_from_lsa,
     is_etale,
     lsa_from_etale,
 )
@@ -36,6 +37,7 @@ from flataff.obstructions import (
     decide_existence,
 )
 from flataff.search import SearchConfig, SearchOutcome
+from known_algebras import SL2, filiform, gl2, gl_z, sl2_plus_sl2, sl3
 
 
 def _sl2_irreducible_3dim():
@@ -252,42 +254,8 @@ def test_report_invariants():
         assert r.notes
 
 
-def _sl2_plus_sl2():
-    sl2 = {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}
-    brackets = {}
-    for (i, j), v in sl2.items():
-        brackets[(i, j)] = v + [0, 0, 0]
-        brackets[(i + 3, j + 3)] = [0, 0, 0] + v
-    return from_structure_constants(6, brackets=brackets)
-
-
-def _sl3():
-    """sl3 from commutators of 3x3 matrices, in the basis E12, E13,
-    E21, E23, E31, E32, E11 - E22, E22 - E33."""
-    offdiag = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-
-    def unit(r, c):
-        return ExactMatrix.from_rows(
-            [[int((a, b) == (r, c)) for b in range(3)] for a in range(3)]
-        )
-
-    basis = [unit(r, c) for r, c in offdiag]
-    basis += [unit(0, 0) - unit(1, 1), unit(1, 1) - unit(2, 2)]
-
-    def coords(m):
-        # diag(d0, d1, d2) with zero trace is d0 H1 + (d0 + d1) H2
-        return [m[r, c] for r, c in offdiag] + [m[0, 0], m[0, 0] + m[1, 1]]
-
-    brackets = {}
-    for i in range(8):
-        for j in range(i + 1, 8):
-            x, y = basis[i], basis[j]
-            brackets[(i, j)] = coords(x @ y - y @ x)
-    return from_structure_constants(8, brackets=brackets)
-
-
 def test_decide_sl3_semisimple_no():
-    report = decide_existence(_sl3())
+    report = decide_existence(sl3())
     assert report.verdict == "NO"
     ev = report.obstruction
     assert ev.killing_rank == 8
@@ -332,7 +300,7 @@ def test_each_certificate_is_verified_once(monkeypatch):
         assert decide_existence(g, cfg).verdict == "YES"
         return counts["defects"], counts["check_homomorphism"]
 
-    for g in (builtin("abelian3"), builtin("heis3"), builtin("sol3"), _gl2()):
+    for g in (builtin("abelian3"), builtin("heis3"), builtin("sol3"), gl2()):
         assert per_yes(g) == (1, 0)
     g = _search_only_algebra()
     defect_calls, hom_calls = per_yes(g, SearchConfig(starts=20, seed=1))
@@ -353,7 +321,7 @@ def test_each_certificate_is_verified_once(monkeypatch):
         return killing_rank(self)
 
     monkeypatch.setattr(LieAlgebra, "killing_rank", counted_rank)
-    for g in (builtin("sl2"), _sl2_plus_sl2()):
+    for g in (builtin("sl2"), sl2_plus_sl2()):
         ranks.clear()
         report = decide_existence(g)
         assert report.verdict == "NO"
@@ -364,7 +332,7 @@ def test_each_certificate_is_verified_once(monkeypatch):
 
 def test_adjoint_matches_the_validated_representation():
     algebras = [builtin(name) for name in ("abelian3", "heis3", "sol3", "sl2")]
-    for g in algebras + [_sl2_plus_sl2()]:
+    for g in algebras + [sl2_plus_sl2()]:
         adj = LinearRep.adjoint(g)
         assert LinearRep(g, g.adjoint_rep()).rho == adj.rho
         assert adj.V_dim == g.n and adj.g is g
@@ -420,7 +388,7 @@ def test_decide_sl4_semisimple_no():
 
 
 def test_h1_adjoint_dimensions():
-    cases = [(builtin("sl2"), 0), (_sl2_plus_sl2(), 0), (_sl3(), 0),
+    cases = [(builtin("sl2"), 0), (sl2_plus_sl2(), 0), (sl3(), 0),
              (_sl4(), 0), (builtin("heis3"), 4), (builtin("sol3"), 1)]
     for g, want in cases:
         assert h1_dim(LinearRep.adjoint(g)) == want
@@ -430,7 +398,7 @@ def test_h1_trivial_is_the_abelianization():
     """H^1(g, C) = (g / [g, g])^*, of dimension n - dim [g, g]."""
     algebras = [builtin(name) for name in ("abelian3", "heis3", "sol3", "sl2")]
     aff1 = from_structure_constants(2, brackets={(0, 1): [0, 1]})
-    for g in algebras + [aff1, _gl2(), _sl2_plus_sl2(), _sl3()]:
+    for g in algebras + [aff1, gl2(), sl2_plus_sl2(), sl3()]:
         full = g._full_basis()
         want = g.n - len(g._bracket_space(full, full))
         assert h1_dim(LinearRep.trivial(g)) == want
@@ -438,7 +406,7 @@ def test_h1_trivial_is_the_abelianization():
 
 
 def test_h1_builds_no_dense_matrix(monkeypatch):
-    reps = [LinearRep.adjoint(g) for g in (_sl3(), builtin("heis3"))]
+    reps = [LinearRep.adjoint(g) for g in (sl3(), builtin("heis3"))]
     reps.append(LinearRep.trivial(builtin("sol3"), 2))
 
     def refuse(*args):
@@ -456,31 +424,25 @@ def test_sl4_decides_quickly():
     assert report.verdict == "NO" and report.obstruction.h1_adjoint == 0
 
 
-def _rebased(g, p):
-    """g in the basis f_a = sum_i p[i, a] e_i, for invertible p."""
-    q = p.inverse()
-    cols = [p.col(a) for a in range(g.n)]
-    return LieAlgebra(g.n, [[q.mul_vec(g.bracket(x, y)) for y in cols]
-                            for x in cols])
-
-
 def test_complex_bases_of_semisimple_algebras_decide_quickly():
     """sl3 and sl4 with e1 -> (2 + i) e1, and sl3 in a basis mixed by
     Gaussian integers above the diagonal. The elimination divides each
     row exactly by an earlier pivot, so a non-real Gaussian prime such as
     2 + i cannot pile up in the H^1 rows."""
     def basis(n, upper):
+        # f_j = sum_i p[i, j] e_i, p upper triangular: row j of p^T
         return ExactMatrix(n, n, [GaussRat(2, 1) if i == j == 0 else
                                   GaussRat(1) if i == j else
                                   upper(i, j) if i < j else ZERO
-                                  for i in range(n) for j in range(n)])
+                                  for i in range(n) for j in range(n)]
+                           ).transpose()
 
     def mixed(i, j):
         return GaussRat((i + 2 * j) % 5 - 2, (3 * i + j) % 5 - 2)
 
-    for g in (_rebased(_sl3(), basis(8, lambda i, j: ZERO)),
-              _rebased(_sl4(), basis(15, lambda i, j: ZERO)),
-              _rebased(_sl3(), basis(8, mixed))):
+    for g in (sl3().in_basis(basis(8, lambda i, j: ZERO)),
+              _sl4().in_basis(basis(15, lambda i, j: ZERO)),
+              sl3().in_basis(basis(8, mixed))):
         start = time.perf_counter()
         report = decide_existence(g)
         assert time.perf_counter() - start < 5
@@ -493,21 +455,6 @@ _RULE_NOTE = (
 )
 
 
-def _permuted(g, perm):
-    """g in the basis e'_perm[a] = e_a."""
-    c = [[[ZERO] * g.n for _ in range(g.n)] for _ in range(g.n)]
-    for a, b, k in itertools.product(range(g.n), repeat=3):
-        c[perm[a]][perm[b]][perm[k]] = g.c[a][b][k]
-    return LieAlgebra(g.n, c)
-
-
-def _filiform(n):
-    """L_n: [e1, e_i] = e_(i+1) for 2 <= i < n."""
-    return from_structure_constants(
-        n, brackets={(0, i): [int(k == i + 1) for k in range(n)]
-                     for i in range(1, n - 1)})
-
-
 def test_abelian_ideal_rule_decides_without_the_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("run_search called")
@@ -518,13 +465,15 @@ def test_abelian_ideal_rule_decides_without_the_search(monkeypatch):
         for lam in (2, Fraction(1, 3), GaussRat(0, 1))]
     algebras = (
         [from_structure_constants(0), from_structure_constants(1)]
-        + [_permuted(builtin(name), perm) for name in ("heis3", "sol3")
+        + [builtin(name).in_basis([[int(perm[a] == b) for a in range(3)]
+                                   for b in range(3)])
+           for name in ("heis3", "sol3")
            for perm in itertools.permutations(range(3))]
         + [from_structure_constants(2, brackets={(0, 1): [0, 1]}),
            from_structure_constants(2, brackets={(0, 1): [1, 0]}),
            from_structure_constants(3, brackets={(0, 1): [0, 1, 0]}),
            from_structure_constants(2, brackets={(0, 1): [0, 10**400]})]
-        + r3 + [_filiform(n) for n in range(4, 12)]
+        + r3 + [filiform(n) for n in range(4, 12)]
     )
     for g in algebras:
         report = decide_existence(g)
@@ -532,7 +481,7 @@ def test_abelian_ideal_rule_decides_without_the_search(monkeypatch):
         assert report.notes == (_RULE_NOTE,)
     # the certificate check is the costly part at n = 12
     start = time.perf_counter()
-    assert decide_existence(_filiform(12)).verdict == "YES"
+    assert decide_existence(filiform(12)).verdict == "YES"
     assert time.perf_counter() - start < 1.0
 
 
@@ -545,19 +494,12 @@ def test_a_yes_builds_no_curvature_or_torsion_tensor(monkeypatch):
 
     for name in ("curvature", "torsion"):
         monkeypatch.setattr(connections, name, refuse)
-    for g in (from_structure_constants(40), _filiform(12)):
+    for g in (from_structure_constants(40), filiform(12)):
         assert decide_existence(g).verdict == "YES"
 
 
-def _gl2():
-    """gl2 on E11, E12, E21, E22."""
-    return from_structure_constants(4, brackets={
-        (0, 1): [0, 1, 0, 0], (0, 2): [0, 0, -1, 0], (1, 2): [1, 0, 0, -1],
-        (1, 3): [0, 1, 0, 0], (2, 3): [0, 0, -1, 0]})
-
-
 def test_abelian_ideal_rule_refuses_other_algebras():
-    for g in (builtin("sl2"), _gl2(), _search_only_algebra()):
+    for g in (builtin("sl2"), gl2(), _search_only_algebra()):
         assert obstructions._abelian_ideal_connection(g) is None
 
 
@@ -580,15 +522,15 @@ def test_a_broken_certificate_raises(monkeypatch):
             with pytest.raises(NotFlatTorsionFree):
                 decide_existence(_search_only_algebra())
 
-    gl2 = _gl2()
-    with_torsion, curved = zero_connection(gl2), standard_connection(gl2)
+    g = gl2()
+    with_torsion, curved = zero_connection(g), standard_connection(g)
     assert is_flat(with_torsion) and not is_torsion_free(with_torsion)
     assert is_torsion_free(curved) and not is_flat(curved)
     for bad in (with_torsion, curved):
         with monkeypatch.context() as m:
             m.setattr(obstructions, "_reductive_connection", lambda g: bad)
             with pytest.raises(NotFlatTorsionFree):
-                decide_existence(gl2)
+                decide_existence(g)
 
 
 _REDUCTIVE_NOTE = (
@@ -603,33 +545,13 @@ def _plus_center(brackets3, k):
         pair: v + [0] * k for pair, v in brackets3.items()})
 
 
-_SL2 = {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}
 _SO3 = {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (2, 0): [0, 1, 0]}
 _REDUCTIVE = {
-    "gl2": _gl2(),
-    "sl2+C": _plus_center(_SL2, 1),
-    "sl2+C2": _plus_center(_SL2, 2),
+    "gl2": gl2(),
+    "sl2+C": _plus_center(SL2, 1),
+    "sl2+C2": _plus_center(SL2, 2),
     "so3+C": _plus_center(_SO3, 1),
 }
-
-
-def _in_basis(g, P):
-    """g in the basis f_a = sum_b P[a][b] e_b, for invertible P."""
-    Pinv = ExactMatrix.from_rows(P).inverse()
-    brackets = {}
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            v = g.bracket(P[a], P[b])
-            brackets[(a, b)] = [sum((v[k] * Pinv[k, m] for k in range(g.n)),
-                                    ZERO) for m in range(g.n)]
-    return from_structure_constants(g.n, brackets=brackets)
-
-
-def _gl_z(n):
-    """n x n integer matrices with entries in [-2, 2] and nonzero det."""
-    return st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n).map(
-        lambda e: [e[r * n:(r + 1) * n] for r in range(n)]).filter(
-        lambda P: not ExactMatrix.from_rows(P).det().is_zero())
 
 
 @pytest.mark.parametrize("name", sorted(_REDUCTIVE))
@@ -645,10 +567,42 @@ def test_reductive_rule_decides_in_any_basis(name, data):
     g = _REDUCTIVE[name]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(obstructions, "run_search", no_search)
-        for h in (g, _in_basis(g, data.draw(_gl_z(g.n), label="P"))):
+        for h in (g, g.in_basis(data.draw(gl_z(g.n), label="P"))):
             report = decide_existence(h)
             assert report.verdict == "YES"
             assert report.notes == (_REDUCTIVE_NOTE,)
+
+
+_CERTIFIED = {
+    **{name: builtin(name) for name in ("abelian3", "heis3", "sol3")},
+    "aff1": from_structure_constants(2, brackets={(0, 1): [0, 1]}),
+    "gl2": gl2(),
+    "L5": filiform(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_a_certificate_moved_by_in_basis_stays_a_certificate(name, data):
+    """The YES certificate of g, moved to a GL(n, Z) basis, is flat and
+    torsion-free on g in that basis, and etale_from_lsa accepts it."""
+    conn = decide_existence(_CERTIFIED[name]).connection
+    moved = conn.in_basis(data.draw(gl_z(conn.g.n), label="P"))
+    assert is_flat(moved) and is_torsion_free(moved)
+    assert is_etale(etale_from_lsa(moved))
+
+
+_SEMISIMPLE = {"sl2": builtin("sl2"), "sl2+sl2": sl2_plus_sl2(), "sl3": sl3()}
+
+
+@pytest.mark.parametrize("name", sorted(_SEMISIMPLE))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_semisimple_algebras_stay_no_in_a_drawn_basis(name, data):
+    g = _SEMISIMPLE[name]
+    report = decide_existence(g.in_basis(data.draw(gl_z(g.n), label="P")))
+    assert report.verdict == "NO" and report.obstruction.h1_adjoint == 0
 
 
 def test_reductive_rule_is_fast_and_runs_no_check(monkeypatch):
@@ -656,7 +610,7 @@ def test_reductive_rule_is_fast_and_runs_no_check(monkeypatch):
     check (the defect kernel) or the search; aligned gl2 decides in
     under 0.1 s."""
     start = time.perf_counter()
-    assert decide_existence(_gl2()).notes == (_REDUCTIVE_NOTE,)
+    assert decide_existence(gl2()).notes == (_REDUCTIVE_NOTE,)
     assert time.perf_counter() - start < 0.1
 
     def refuse(*args):
@@ -687,6 +641,6 @@ def test_reductive_rule_declines_other_shapes():
         (0, 1): [0, 1, 0, 0], (2, 3): [0, 0, 0, 1]})
     free = _free_two_step(3)
     assert free.n == 6 and free.derived_series_dims() == [6, 3, 0]
-    for g in (builtin("sl2"), _sl2_plus_sl2(), _sl3(), aff1_squared,
+    for g in (builtin("sl2"), sl2_plus_sl2(), sl3(), aff1_squared,
               _search_only_algebra(), free):
         assert obstructions._reductive_connection(g) is None

@@ -20,6 +20,7 @@ from flataff.search import (
     rationalize_and_verify,
     run_search,
 )
+from known_algebras import gl2
 
 
 def test_config_validation():
@@ -223,18 +224,10 @@ def _reference_jacobian(sys, s):
     return np.array(cols, dtype=complex).T
 
 
-def _gl2():
-    # basis E11, E12, E21, E22
-    return from_structure_constants(4, brackets={
-        (0, 1): [0, 1, 0, 0], (0, 2): [0, 0, -1, 0], (1, 2): [1, 0, 0, -1],
-        (1, 3): [0, 1, 0, 0], (2, 3): [0, 0, -1, 0],
-    })
-
-
 def test_jacobian_matches_reference_and_is_affine():
     rng = np.random.default_rng(11)
     algebras = [builtin(name) for name in ("abelian3", "heis3", "sol3", "sl2")]
-    for g in algebras + [_gl2()]:
+    for g in algebras + [gl2()]:
         sys = assemble(g)
         m = sys.unknown_count
         points = [rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m)
@@ -271,7 +264,7 @@ def test_float_gate_keeps_flat_snaps():
 def test_float_gate_rejects_only_curved_snaps(monkeypatch):
     # gl2 converges to irrational points of a solution family, so its
     # snaps are curved; each one the gate drops must fail the exact check
-    sys = assemble(_gl2())
+    sys = assemble(gl2())
     cfg = SearchConfig(starts=8, seed=0)
     gate = search._snap_may_be_flat
     rejected = []
@@ -325,6 +318,15 @@ def test_run_search_is_scale_invariant():
         out = run_search(aff1(k), cfg)
         assert out.found, k
         assert is_flat(out.certificate) and is_torsion_free(out.certificate)
+
+
+def test_run_search_certificate_is_on_its_input():
+    """The certificate found on the unit-scaled algebra is moved back onto
+    g itself."""
+    cfg = SearchConfig(starts=8, seed=0)
+    for k in (3, Fraction(1, 7), 10**400):
+        g = from_structure_constants(2, brackets={(0, 1): [0, k]})
+        assert run_search(g, cfg).certificate.g is g
 
 
 # ------------------------------------------- the LM pool against one start
@@ -414,7 +416,7 @@ def _assert_same_runs(pool, ref):
 
 def test_pool_matches_per_start_reference():
     exits = set()
-    for g in [builtin(name) for name in ("heis3", "sol3", "sl2")] + [_gl2()]:
+    for g in [builtin(name) for name in ("heis3", "sol3", "sl2")] + [gl2()]:
         sys = assemble(g)
         pool_size = _pool_size(sys)
         assert pool_size == (50 if g.n == 3 else 10)
@@ -573,7 +575,7 @@ def _reference_rationalize(candidate, sys):
 
 
 @pytest.mark.parametrize("g, cfg, certified", [
-    (_gl2(), SearchConfig(starts=48, seed=0), []),
+    (gl2(), SearchConfig(starts=48, seed=0), []),
     (builtin("sol3"), SearchConfig(starts=13, seed=1), [12]),
     (builtin("heis3"), SearchConfig(starts=1, seed=1), [0]),
 ], ids=["gl2", "sol3", "heis3"])

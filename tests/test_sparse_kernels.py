@@ -41,6 +41,7 @@ from flataff.affine import (
     etale_from_lsa,
 )
 from flataff.obstructions import InvalidRep, LinearRep, decide_existence
+from known_algebras import filiform, gl2, sl2_plus_sl2, sl3
 
 
 def _dense_curvature(conn):
@@ -122,26 +123,13 @@ def _matmul_algebra(units):
     return g, InvariantConnection(g, gamma)
 
 
-def _gl2():
-    return _matmul_algebra([(0, 0), (0, 1), (1, 0), (1, 1)])
-
-
 def _aff1():
     return _matmul_algebra([(0, 0), (0, 1)])
 
 
-def _sl2_plus_sl2():
-    sl2 = {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}
-    brackets = {}
-    for (i, j), v in sl2.items():
-        brackets[(i, j)] = v + [0, 0, 0]
-        brackets[(i + 3, j + 3)] = [0, 0, 0] + v
-    return from_structure_constants(6, brackets=brackets)
-
-
 def _algebras():
     return [builtin(name) for name in ("abelian3", "heis3", "sol3", "sl2")] + [
-        _gl2()[0], _sl2_plus_sl2()]
+        gl2(), sl2_plus_sl2()]
 
 
 def _rand_gauss(rng):
@@ -161,7 +149,8 @@ def test_curvature_matches_dense_reference():
                      for _ in range(n)]
             conn = InvariantConnection(g, gamma)
             assert curvature(conn) == _dense_curvature(conn)
-    for g, conn in (_gl2(), _aff1()):
+    for g, conn in (_matmul_algebra([(0, 0), (0, 1), (1, 0), (1, 1)]),
+                    _aff1()):
         assert is_torsion_free(conn) and is_flat(conn)
         assert curvature(conn) == _dense_curvature(conn)
 
@@ -297,7 +286,7 @@ def _kernel_test_connections(rng):
     abelian algebra, the standard connection of heis3, Gamma[0] = c[0] on
     sol3), curved standard connections, torsioned zero connections, their
     one-entry perturbations and dense random Christoffels."""
-    gl2, aff1 = _gl2(), _aff1()
+    gl2, aff1 = _matmul_algebra([(0, 0), (0, 1), (1, 0), (1, 1)]), _aff1()
     sol3 = builtin("sol3")
     flat = [gl2[1], aff1[1], standard_connection(builtin("heis3")),
             zero_connection(builtin("abelian3")),
@@ -606,12 +595,6 @@ def _reference_defects(g, mats):
     return out
 
 
-def _scaled(g, lam):
-    """g with every constant times lam: g in the basis lam e_i."""
-    return LieAlgebra(g.n, [[[lam * x for x in row] for row in plane]
-                            for plane in g.c])
-
-
 _SCALES = (GaussRat(1), GaussRat(Fraction(-1, 3)), GaussRat(2, 1),
            GaussRat(_BIG), GaussRat(Fraction(1, _BIG - 1)), GaussRat(_BIG, 3))
 
@@ -626,7 +609,8 @@ def _defect_cases(draw):
     or scaled near 10^400 or 10^-400, and one entry sometimes moved."""
     base = draw(st.sampled_from(_algebras() + [
         _aff1()[0], LieAlgebra(0, []), LieAlgebra(1, [[[ZERO]]])]))
-    g = _scaled(base, draw(st.sampled_from(_SCALES)))
+    g = base.in_basis(
+        ExactMatrix.identity(base.n).scale(draw(st.sampled_from(_SCALES))))
     n = g.n
 
     def square(m):
@@ -670,9 +654,10 @@ def test_defects_of_a_scaled_representation_are_empty():
     flat certificate."""
     for base in _algebras():
         for lam in _SCALES:
-            g = _scaled(base, lam)
+            g = base.in_basis(ExactMatrix.identity(base.n).scale(lam))
             assert g._first_defect(g.adjoint_rep()) is None
-    for g, conn in (_gl2(), _aff1()):
+    for g, conn in (_matmul_algebra([(0, 0), (0, 1), (1, 0), (1, 1)]),
+                    _aff1()):
         emb = etale_from_lsa(conn)
         assert g._first_defect([_augmented(x) for x in emb.images]) is None
 
@@ -710,26 +695,6 @@ def _dense_weyl(conn):
     return tuple(out)
 
 
-def _sl3():
-    """sl3 from commutators of 3 x 3 matrices, in the basis E12, E13,
-    E21, E23, E31, E32, E11 - E22, E22 - E33."""
-    offdiag = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-
-    def unit(r, c):
-        return ExactMatrix.from_rows(
-            [[int((a, b) == (r, c)) for b in range(3)] for a in range(3)])
-
-    basis = [unit(r, c) for r, c in offdiag]
-    basis += [unit(0, 0) - unit(1, 1), unit(1, 1) - unit(2, 2)]
-
-    def coords(m):
-        return [m[r, c] for r, c in offdiag] + [m[0, 0], m[0, 0] + m[1, 1]]
-
-    return from_structure_constants(8, brackets={
-        (i, j): coords(basis[i] @ basis[j] - basis[j] @ basis[i])
-        for i in range(8) for j in range(i + 1, 8)})
-
-
 def _symmetric_perturbation(rng, conn, count):
     """conn plus s, s symmetric in (i, j) with count random entries: a
     torsion-free connection when conn is."""
@@ -753,8 +718,8 @@ def test_weyl_matches_the_dense_loop():
     for name, g, count in (
             ("heis3", builtin("heis3"), 3), ("sol3", builtin("sol3"), 3),
             ("sl2", builtin("sl2"), 3), ("abelian3", builtin("abelian3"), 3),
-            ("sl3", _sl3(), 1), ("sl2+sl2", _sl2_plus_sl2(), 2),
-            ("gl2", _gl2()[0], 3)):
+            ("sl3", sl3(), 1), ("sl2+sl2", sl2_plus_sl2(), 2),
+            ("gl2", gl2(), 3)):
         std = standard_connection(g)
         assert is_projectively_flat(std) == (
             name in ("heis3", "sol3", "sl2", "abelian3")), name
@@ -778,7 +743,7 @@ def test_bracket_and_standard_connection_match_the_dense_arrays():
     """bracket reads g.nonzero; standard_connection halves only the
     nonzero constants; both equal the dense formulas."""
     rng = random.Random(77)
-    for g in _algebras() + [_sl3()]:
+    for g in _algebras() + [sl3()]:
         n = g.n
         assert standard_connection(g) == InvariantConnection(g, [
             [[x / 2 for x in row] for row in plane] for plane in g.c])
@@ -788,24 +753,6 @@ def test_bracket_and_standard_connection_match_the_dense_arrays():
             want = [sum((x[i] * y[j] * g.c[i][j][k] for i in range(n)
                          for j in range(n)), ZERO) for k in range(n)]
             assert g.bracket(x, y) == want
-
-
-def _filiform(n):
-    """L_n: [e1, e_i] = e_(i+1) for 2 <= i < n."""
-    return from_structure_constants(
-        n, brackets={(0, i): [int(k == i + 1) for k in range(n)]
-                     for i in range(1, n - 1)})
-
-
-def _transported(conn, P):
-    """conn in the basis f_a = sum_b P[a][b] e_b, with its algebra."""
-    g, n = conn.g, conn.g.n
-    back = ExactMatrix.from_rows(P).inverse().transpose()
-    h = from_structure_constants(n, brackets={
-        (a, b): back.mul_vec(g.bracket(P[a], P[b]))
-        for a in range(n) for b in range(a + 1, n)})
-    return InvariantConnection(h, [[back.mul_vec(conn.nabla(P[a], P[b]))
-                                    for b in range(n)] for a in range(n)])
 
 
 def test_is_flat_of_l12_in_a_generic_basis():
@@ -818,7 +765,7 @@ def test_is_flat_of_l12_in_a_generic_basis():
         P = [[rng.randint(-2, 2) for _ in range(12)] for _ in range(12)]
         if not ExactMatrix.from_rows(P).det().is_zero():
             break
-    conn = _transported(decide_existence(_filiform(12)).connection, P)
+    conn = decide_existence(filiform(12)).connection.in_basis(P)
     assert sum(map(len, conn.g.nonzero)) > 1500
     start = time.perf_counter()
     assert is_flat(conn)
