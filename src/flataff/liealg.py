@@ -87,9 +87,11 @@ class LieAlgebra(_Immutable):
     def __init__(self, n: int, c, names=None):
         if n < 0:
             raise ValueError("dimension must be nonnegative")
+        zero_row = (ZERO,) * n  # shared by every zero row of c
         c = tuple(
             tuple(
-                tuple(as_gauss(c[i][j][k]) or ZERO for k in range(n))
+                row if any(row := tuple(as_gauss(c[i][j][k]) or ZERO
+                                        for k in range(n))) else zero_row
                 for j in range(n)
             )
             for i in range(n)

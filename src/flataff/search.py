@@ -24,15 +24,14 @@ approximation under the rung, found on plain integers, and becomes a
 Fraction only if it lies within _RATIONALIZE_TOL. A float gate with
 a proven rounding-error bound drops snaps that cannot be flat; every
 other snap is checked exactly, so nothing floating-point ever leaves
-this module inside a certificate.
+this module inside a certificate. Every numpy user here runs on a
+FlatnessSystem, so the first one imports numpy, and exact verdicts never do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import ExactMatrix, HALF, _exact
 from .liealg import LieAlgebra
@@ -107,6 +106,8 @@ class FlatnessSystem:
     """
 
     def __init__(self, g: LieAlgebra):
+        global np
+        import numpy as np
         self.g = g
         n = g.n
         self.n = n
@@ -307,30 +308,36 @@ def newton_multistart(sys: FlatnessSystem, cfg: SearchConfig) -> list:
     return sorted(out, key=lambda c: c.start_index)
 
 
-def _best_rational(x: float, den: int):
-    """The best approximation p/q of x with q <= den, as Fraction gives
-    it: the last convergent p1/q1 of x with q1 <= den, or the
-    semiconvergent with the largest q <= den if strictly closer to x."""
-    n, d = x.as_integer_ratio()
-    if d <= den:
-        return n, d
-    top, p0, q0, p1, q1 = d, 0, 1, 1, 0
-    while (q2 := q0 + (a := n // d) * q1) <= den:
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (den - q0) // q1
-    # x lies between p1/q1 and the semiconvergent, 1/(q1 (q0 + k q1))
-    # apart, and d/(q1 top) from p1/q1
-    if 2 * d * (q0 + k * q1) <= top:
-        return p1, q1
-    return p0 + k * p1, q0 + k * q1
+def _best_rationals(x: float, dens) -> list:
+    """For each bound den of the ascending dens, the best p/q of x with
+    q <= den, as Fraction gives it: the last convergent p1/q1 of x with
+    q1 <= den, or the semiconvergent with the largest q <= den if strictly
+    closer to x. One walk of the continued fraction serves every bound."""
+    num, top = x.as_integer_ratio()
+    n, d, p0, q0, p1, q1, out = num, top, 0, 1, 1, 0, []
+    for den in dens:
+        if top <= den:
+            out.append((num, top))
+            continue
+        while (q2 := q0 + (a := n // d) * q1) <= den:
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (den - q0) // q1
+        # x lies between p1/q1 and the semiconvergent, 1/(q1 (q0 + k q1))
+        # apart, and d/(q1 top) from p1/q1
+        out.append((p1, q1) if 2 * d * (q0 + k * q1) <= top
+                   else (p0 + k * p1, q0 + k * q1))
+    return out
 
 
-def _snap_fraction(x: float, den: int):
-    """(Fraction(p, q), p / q) for p / q = _best_rational(x, den) if
-    within _RATIONALIZE_TOL of x, else None; int / int rounds as
-    float(Fraction(p, q)) does."""
-    p, q = _best_rational(x, den)
+def _snap_fraction(x: float, rung: int, walks: dict):
+    """(Fraction(p, q), p / q) if the best p/q of x under the rung's bound
+    is within _RATIONALIZE_TOL of x, else None. walks keeps the
+    _best_rationals of x from the first rung asked on, so that x is
+    expanded once; int / int rounds as float(Fraction(p, q)) does."""
+    first, best = walks.get(x) or walks.setdefault(
+        x, (rung, _best_rationals(x, _DENOMINATOR_LADDER[rung:])))
+    p, q = best[rung - first]
     f = p / q
     if abs(f - x) <= _RATIONALIZE_TOL:
         return Fraction(p, q), f
@@ -373,12 +380,13 @@ def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem):
     are caught at the simplest description. A float gate skips the
     exact check of snaps that are certainly not flat. Returns None when
     no snap passes the exact test."""
-    for den in _DENOMINATOR_LADDER:
+    walks = {}  # the continued-fraction walk of each part value
+    for rung in range(len(_DENOMINATOR_LADDER)):
         s_exact = _Snap()
         s_exact.approx = []
         for z in candidate.s:
-            re = _snap_fraction(z.real, den)
-            im = None if re is None else _snap_fraction(z.imag, den)
+            re = _snap_fraction(z.real, rung, walks)
+            im = None if re is None else _snap_fraction(z.imag, rung, walks)
             if im is None:
                 break
             s_exact.append(_exact(re[0], im[0]))

@@ -1,5 +1,6 @@
 """Tests for Lie algebra construction and structural analysis."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,8 @@ from flataff.liealg import (
     BUILTIN_NAMES,
 )
 from flataff.connections import standard_connection
-from known_algebras import gl2, gl_z
+from flataff.cli import analyze, emit
+from known_algebras import gl2, gl_z, sl3
 
 
 def test_catalog_names():
@@ -197,6 +199,26 @@ def test_sol3_unimodular_by_traces():
     # trace ad(e1) = 1 + (-1) = 0
     assert g.ad_matrix(0).trace() == ZERO
     assert g.is_unimodular()
+
+
+# sha256 of repr((c, nonzero)) and of the json analyze report of sl3,
+# recorded while each row of c was a tuple of its own
+_SL3_SHA256 = (
+    "8a801895c5eb6796261e304f07fa4c7cc4fb8e06692f30890d45415bebe334eb",
+    "ae10e1c9c7caa4ae0f3f93b9ea9770ce9acda4d8eed9ed6c7e6f77ae63b3ac2a",
+)
+
+
+def test_zero_rows_of_c_are_one_tuple():
+    g = sl3()
+    zero_rows = [row for plane in g.c for row in plane if not any(row)]
+    assert len(zero_rows) == 22
+    assert all(row is zero_rows[0] for row in zero_rows)
+    assert not any(row is zero_rows[0] for plane in g.c for row in plane
+                   if any(row))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
+        repr((g.c, g.nonzero)), emit(analyze(g, name="sl3"), "json")))
+    assert digests == _SL3_SHA256
 
 
 def test_immutability():

@@ -1,12 +1,17 @@
 """Tests for the flatness system and the numeric-to-exact search."""
 
+import os
 import random
+import subprocess
+import sys as _sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flataff
 from flataff import search
 from flataff.exact import GaussRat
 from flataff.liealg import builtin, from_structure_constants
@@ -30,6 +35,31 @@ def test_config_validation():
         SearchConfig(seed=-3)
     cfg = SearchConfig()
     assert cfg.starts == 200
+
+
+_COLD_START = """
+import sys
+import flataff, flataff.cli
+from flataff import SearchConfig, decide_existence, run_search
+from flataff.liealg import BUILTIN_NAMES, builtin
+from known_algebras import gl2, sl3
+for g in [builtin(name) for name in BUILTIN_NAMES] + [gl2(), sl3()]:
+    decide_existence(g)
+assert flataff.cli.main(["analyze", "--builtin", "sl2"]) == 0
+assert "numpy" not in sys.modules, "numpy loaded before any search"
+outcome = run_search(builtin("heis3"), SearchConfig(starts=5, seed=1))
+assert outcome.found and "numpy" in sys.modules
+"""
+
+
+def test_numpy_loads_at_the_first_search():
+    """In a fresh interpreter the exact verdicts and analyze leave numpy
+    unloaded, and the first search imports it and still certifies."""
+    path = [str(Path(flataff.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([_sys.executable, "-c", _COLD_START], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
 
 
 def test_system_counts_n3():
@@ -513,13 +543,24 @@ def _reference_snap_fraction(x: float, den: int):
     return None
 
 
+def _snap(x: float, den: int):
+    return search._snap_fraction(x, search._DENOMINATOR_LADDER.index(den), {})
+
+
 def _assert_snaps_like_reference(x):
-    for den in search._DENOMINATOR_LADDER:
-        f = Fraction(x).limit_denominator(den)
-        assert search._best_rational(x, den) == (f.numerator, f.denominator)
-        ref = _reference_snap_fraction(x, den)
-        assert search._snap_fraction(x, den) == (
-            None if ref is None else (ref, float(ref))), (x, den)
+    ladder = search._DENOMINATOR_LADDER
+    ref = [Fraction(x).limit_denominator(den) for den in ladder]
+    for first in range(len(ladder)):
+        # a walk begun at any rung goes on into the later ones and still
+        # lands where limit_denominator's own walk from the start does
+        assert search._best_rationals(x, ladder[first:]) == [
+            (f.numerator, f.denominator) for f in ref[first:]]
+        walks = {}
+        for rung in range(first, len(ladder)):
+            snapped = _reference_snap_fraction(x, ladder[rung])
+            assert search._snap_fraction(x, rung, walks) == (
+                None if snapped is None else (snapped, float(snapped))), (
+                x, ladder[rung])
 
 
 # near-rationals put the tolerance decision and the tie between the
@@ -538,9 +579,9 @@ def test_snap_fraction_matches_limit_denominator(x):
 
 def test_snap_fraction_fixed_cases():
     # ties at den 1 go to the convergent, as limit_denominator does
-    assert search._best_rational(0.5, 1) == (0, 1)
-    assert search._best_rational(1.5, 1) == (1, 1)
-    assert search._best_rational(-2.5, 1) == (-3, 1)
+    assert search._best_rationals(0.5, [1]) == [(0, 1)]
+    assert search._best_rationals(1.5, [1]) == [(1, 1)]
+    assert search._best_rationals(-2.5, [1]) == [(-3, 1)]
     third = 1 / 3
     cases = [0.5, 1.5, -2.5, 0.0, -0.0, 5e-324, 1e-300, 1e15,
              third + 1e-6, third - 1e-6, 0.3334, 1e-6, -1e-6]
@@ -548,11 +589,11 @@ def test_snap_fraction_fixed_cases():
               for sign in (1, -1) for toward in (0, 1)]
     for x in cases:
         _assert_snaps_like_reference(float(x))
-    assert search._snap_fraction(0.3334, 3) is None
-    assert search._snap_fraction(third + 1e-7, 3) == (Fraction(1, 3), third)
-    assert search._snap_fraction(-0.0, 1) == (0, 0.0)
+    assert _snap(0.3334, 3) is None
+    assert _snap(third + 1e-7, 3) == (Fraction(1, 3), third)
+    assert _snap(-0.0, 1) == (0, 0.0)
     # 0 lies exactly _RATIONALIZE_TOL from 1e-6, which still snaps
-    assert search._snap_fraction(-1e-6, 1) == (0, 0.0)
+    assert _snap(-1e-6, 1) == (0, 0.0)
 
 
 def _reference_rationalize(candidate, sys):
