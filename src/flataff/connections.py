@@ -98,17 +98,14 @@ class InvariantConnection(_Immutable):
 
 
 def zero_connection(g: LieAlgebra) -> InvariantConnection:
-    return InvariantConnection(g, [[[ZERO] * g.n] * g.n] * g.n)
+    return InvariantConnection(g, (((ZERO,) * g.n,) * g.n,) * g.n)
 
 
 def standard_connection(g: LieAlgebra) -> InvariantConnection:
-    """The connection nabla_x y = (1/2)[x, y], i.e. gamma = c/2."""
-    n = g.n
-    gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i, entries in enumerate(g.nonzero):
-        for j, k, x in entries:
-            gamma[i][j][k] = HALF * x
-    return InvariantConnection(g, gamma)
+    """nabla_x y = (1/2)[x, y], i.e. gamma = c/2, with the zero rows of c."""
+    return InvariantConnection(g, [
+        [[x if x is ZERO else HALF * x for x in row] if row.count(ZERO) < g.n
+         else row for row in plane] for plane in g.c])
 
 
 def torsion(conn: InvariantConnection):

@@ -11,6 +11,9 @@ derivatives once, and each LM step solves the complex normal equations
 gives each slot one damping trial per round, in one stacked solve and
 one stacked residual; a start makes the float operations of a lone run,
 and memory grows with the pool (_POOL_BYTES), not with the starts.
+Forked workers, one per CPU of the affinity set left free by the
+process's threads (a BLAS pool too), share the starts; reports do not
+depend on them, and `taskset -c 0` runs the search serially.
 
 The search runs on g in the basis e_i/lam that makes the largest real or
 imaginary part of a structure constant 1 (see run_search). That change
@@ -30,7 +33,8 @@ FlatnessSystem, so the first one imports numpy, and exact verdicts never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import os
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 
 from .exact import ExactMatrix, HALF, _exact
@@ -137,6 +141,7 @@ class FlatnessSystem:
         # sign G[b] to J[r, unk[a]] and sign G[a] to J[r, unk[b]]; the
         # c/2 part of G goes into J0 and the s part into H.
         m = self.unknown_count
+        self._pool_slots = max(1, _POOL_BYTES // (16 * max(m * m, 1)))
         l, k, i, j = comp.T[:, :, None]
         mm = np.arange(n)
         rows = np.arange(len(comp))[:, None] * m
@@ -235,15 +240,16 @@ def _solve(A: np.ndarray, lam: np.ndarray, b: np.ndarray):
         return dz, ok
 
 
-def _lm_minimize(sys: FlatnessSystem, cfg: SearchConfig, finish) -> None:
+def _lm_minimize(sys: FlatnessSystem, cfg: SearchConfig, finish, starts=None):
     """Levenberg-Marquardt on the complex normal equations
     (J^H J + lam I) dz = -J^H r, the realified real system in complex
-    form, from each start index, in a pool of slots. A start ends when it
-    converges, after cfg.max_iters iterations or when 12 damping trials
-    of one iteration fail: finish(start, s, cost, iterations) is
-    called, and the next start index takes its slot."""
+    form, from each start index in starts (all by default), in a pool of
+    slots. A start ends when it converges, after cfg.max_iters iterations
+    or when 12 damping trials of one iteration fail: finish(start, s,
+    cost, iterations) is called, and the next start takes its slot."""
+    starts = range(cfg.starts) if starts is None else starts
     m, R = sys.unknown_count, sys.residual_count
-    size = min(cfg.starts, max(1, _POOL_BYTES // (16 * max(m * m, 1))))
+    size = min(len(starts), sys._pool_slots)
     chunk = max(1, _POOL_BYTES // 8 // (16 * max(R * m, 1)))
     s, b = np.zeros((2, size, m), dtype=complex)
     r, A = np.zeros((size, R), complex), np.zeros((size, m, m), complex)
@@ -251,12 +257,12 @@ def _lm_minimize(sys: FlatnessSystem, cfg: SearchConfig, finish) -> None:
     start, it, trials = np.zeros((3, size), dtype=np.intp)
     live, nxt = np.zeros(size, dtype=bool), 0
     stepped = exhausted = np.zeros(0, dtype=np.intp)
-    while nxt < cfg.starts or live.any():
-        new = np.flatnonzero(~live)[:cfg.starts - nxt]
-        for k in new:
-            u = np.random.default_rng([cfg.seed, nxt]).uniform(-2, 2, (2, m))
-            s[k] = u[0] + 1j * u[1] if nxt else 0
-            start[k], nxt = nxt, nxt + 1
+    while nxt < len(starts) or live.any():
+        new = np.flatnonzero(~live)[:len(starts) - nxt]
+        for k, i in zip(new, starts[nxt:]):
+            u = np.random.default_rng([cfg.seed, i]).uniform(-2, 2, (2, m))
+            s[k], start[k] = u[0] + 1j * u[1] if i else 0, i
+        nxt += len(new)
         live[new], lam[new], it[new] = True, _DAMPING_INIT, 0
         if new.size:
             r[new] = sys.residual(s[new])
@@ -293,18 +299,60 @@ def _lm_minimize(sys: FlatnessSystem, cfg: SearchConfig, finish) -> None:
         exhausted = failed[trials[failed] == 12]
 
 
+def _cpu_count() -> int:
+    """CPUs of this process's affinity set per thread it runs (a BLAS pool
+    counts), so no two busy threads share one; 1 without fork or /proc."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)) * hasattr(os, "fork")
+                   // len(os.listdir("/proc/self/task")))
+    except (AttributeError, OSError):
+        return 1
+
+
 def newton_multistart(sys: FlatnessSystem, cfg: SearchConfig) -> list:
     """Run LM from cfg.starts starting points. Start 0 is the zero
     vector (the standard connection); the rest are uniform in the
     complex box of radius 2, seeded per start index. The converged
-    starts are returned as candidates, in start-index order."""
+    starts are returned as candidates, in start-index order. With W =
+    _cpu_count(), at most one per pool, shard w runs the starts w, w + W,
+    ...: shard 0 here, the others in forked workers that send back their
+    candidates as raw bytes. A start runs as if alone: W changes nothing."""
     out = []
 
     def keep(start, s, cost, iterations):
         if cost < _RESIDUAL_TOL:
             out.append(Candidate(start, tuple(s.tolist()), cost, iterations))
 
-    _lm_minimize(sys, cfg, keep)
+    w = min(_cpu_count(), -(-cfg.starts // sys._pool_slots))
+    record = np.dtype(f"p, ({sys.unknown_count},)c16, f8, p")  # Candidate
+    workers = {}  # pid -> the read end of its pipe
+    try:
+        for shard in range(1, w):
+            rd, wr = os.pipe()
+            if (pid := os.fork()) == 0:  # a worker: its shard, then exit
+                try:
+                    _lm_minimize(sys, cfg, keep, range(shard, cfg.starts, w))
+                    with open(wr, "wb") as pipe:
+                        pipe.write(np.array([astuple(c) for c in out], record))
+                    os._exit(0)
+                finally:  # a failure reproduces under `taskset -c 0`
+                    os._exit(1)
+            os.close(wr)
+            workers[pid] = open(rd, "rb")
+        _lm_minimize(sys, cfg, keep, range(0, cfg.starts, w))
+        for pid, pipe in list(workers.items()):
+            data = pipe.read()  # before waitpid: candidates can fill a pipe
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(pid).close()
+            if status:
+                raise ChildProcessError(f"a search worker failed ({status})")
+            for candidate in np.frombuffer(data, record).tolist():
+                keep(*candidate)
+    finally:  # no worker outlives the search
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
     return sorted(out, key=lambda c: c.start_index)
 
 

@@ -22,7 +22,7 @@ from flataff.connections import (
     is_torsion_free,
     is_projectively_flat,
 )
-from known_algebras import rand_gauss, tensor_zero
+from known_algebras import rand_gauss, sl3, tensor_zero
 
 
 def _random_connection(g, rng):
@@ -97,6 +97,15 @@ def test_standard_connection_values():
     assert standard_connection(builtin("abelian3")).gamma == zero_connection(
         builtin("abelian3")
     ).gamma
+
+
+def test_zero_rows_are_one_shared_tuple():
+    g = sl3()
+    for conn, zero_rows in ((standard_connection(g), 22),
+                            (zero_connection(g), 64)):
+        rows = [row for plane in conn.gamma for row in plane if not any(row)]
+        assert len(rows) == zero_rows
+        assert len({id(row) for row in rows}) == 1
 
 
 def test_standard_connection_torsion_free_always():

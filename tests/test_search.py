@@ -534,6 +534,105 @@ def test_pool_memory_does_not_grow_with_starts():
     assert peaks[2] <= 1.25 * peaks[1]
 
 
+# --------------------------------------- starts sharded over workers
+
+def _counting_forks(monkeypatch, cpus):
+    """Let the search see cpus CPUs; the list records each os.fork."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(search, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_sharded_search_matches_one_process(monkeypatch):
+    from flataff import cli
+
+    multistart, candidates = search.newton_multistart, []
+
+    def recording(sys, cfg):
+        candidates.append(multistart(sys, cfg))
+        return candidates[-1]
+
+    monkeypatch.setattr(search, "newton_multistart", recording)
+    # 101 and 31 starts are no multiple of 2 or 3. gl2 gets 4 pools, not
+    # 20: here numpy's BLAS threads already share the CPUs, and forced
+    # workers on top of them run its 40 x 40 products many times slower
+    runs = [(builtin(name), 200) for name in ("heis3", "sol3", "sl2")]
+    runs += [(builtin("sol3"), 101), (gl2(), 31)]
+    results = []
+    for cpus in (1, 2, 3):
+        forks = _counting_forks(monkeypatch, cpus)
+        for g, starts in runs:
+            del candidates[:], forks[:]
+            report = cli.search_report(g, SearchConfig(starts=starts, seed=1))
+            assert len(forks) == cpus - 1
+            results.append((candidates[0], cli.emit(report, "json")))
+    alone = results[:len(runs)]
+    assert [len(c) for c, _ in alone] == [199, 196, 0, 98, 30]
+    assert results == alone * 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failing_shard_raises_and_leaves_no_worker(monkeypatch):
+    import time
+
+    sys = assemble(builtin("sol3"))
+    lm_minimize = search._lm_minimize
+    _counting_forks(monkeypatch, 3)
+    for failing, error in ((1, ChildProcessError), (0, RuntimeError)):
+        def shard(sys, cfg, finish, starts, failing=failing):
+            if starts.start == failing:
+                raise RuntimeError("shard fails")
+            if failing == 0:  # the workers would outlive the caller
+                time.sleep(60)
+            lm_minimize(sys, cfg, finish, starts)
+
+        monkeypatch.setattr(search, "_lm_minimize", shard)
+        began = time.perf_counter()
+        with pytest.raises(error):
+            newton_multistart(sys, SearchConfig(starts=200, seed=1))
+        assert time.perf_counter() - began < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_search_within_one_pool_never_forks(monkeypatch):
+    from flataff import cli
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(search, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = SearchConfig(starts=13, seed=1)
+    assert cli.search_report(builtin("sol3"), cfg)["certificate_start"] == 12
+    assert newton_multistart(assemble(gl2()), SearchConfig(starts=10, seed=1))
+
+
+def test_cpu_count_shares_the_cpus_among_threads():
+    import threading
+
+    assert search._cpu_count() >= 1
+    # one waiting thread per CPU: more threads than CPUs, so one process
+    stop = threading.Event()
+    threads = [threading.Thread(target=stop.wait)
+               for _ in os.sched_getaffinity(0)]
+    for thread in threads:
+        thread.start()
+    try:
+        assert search._cpu_count() == 1
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+
+
 # ------------------------------------- snapping against Fraction's own
 
 def _reference_snap_fraction(x: float, den: int):
