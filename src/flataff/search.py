@@ -11,9 +11,9 @@ derivatives once, and each LM step solves the complex normal equations
 gives each slot one damping trial per round, in one stacked solve and
 one stacked residual; a start makes the float operations of a lone run,
 and memory grows with the pool (_POOL_BYTES), not with the starts.
-Forked workers, one per CPU of the affinity set left free by the
-process's threads (a BLAS pool too), share the starts; reports do not
-depend on them, and `taskset -c 0` runs the search serially.
+Forked workers, one per CPU of the process's affinity set, share the
+starts; reports do not depend on them, and `taskset -c 0` runs the
+search serially. numpy loads with one BLAS thread where no count is set.
 
 The search runs on g in the basis e_i/lam that makes the largest real or
 imaginary part of a structure constant 1 (see run_search). That change
@@ -111,6 +111,8 @@ class FlatnessSystem:
 
     def __init__(self, g: LieAlgebra):
         global np
+        for blas in ("OPENBLAS", "OMP", "MKL"):  # the CPUs go to workers
+            os.environ.setdefault(f"{blas}_NUM_THREADS", "1")
         import numpy as np
         self.g = g
         n = g.n
@@ -300,11 +302,12 @@ def _lm_minimize(sys: FlatnessSystem, cfg: SearchConfig, finish, starts=None):
 
 
 def _cpu_count() -> int:
-    """CPUs of this process's affinity set per thread it runs (a BLAS pool
-    counts), so no two busy threads share one; 1 without fork or /proc."""
+    """CPUs of this process's affinity set if it runs one thread, else 1
+    (a fork copies no other thread, so their locks can deadlock it); 1
+    where /proc does not show the threads."""
     try:
-        return max(1, len(os.sched_getaffinity(0)) * hasattr(os, "fork")
-                   // len(os.listdir("/proc/self/task")))
+        alone = len(os.listdir("/proc/self/task")) == 1
+        return len(os.sched_getaffinity(0)) if alone else 1
     except (AttributeError, OSError):
         return 1
 
@@ -315,8 +318,8 @@ def newton_multistart(sys: FlatnessSystem, cfg: SearchConfig) -> list:
     complex box of radius 2, seeded per start index. The converged
     starts are returned as candidates, in start-index order. With W =
     _cpu_count(), at most one per pool, shard w runs the starts w, w + W,
-    ...: shard 0 here, the others in forked workers that send back their
-    candidates as raw bytes. A start runs as if alone: W changes nothing."""
+    ...: shard 0 here, the others in forked workers (here if a fork fails).
+    A start runs as if alone, so W changes nothing."""
     out = []
 
     def keep(start, s, cost, iterations):
@@ -325,21 +328,31 @@ def newton_multistart(sys: FlatnessSystem, cfg: SearchConfig) -> list:
 
     w = min(_cpu_count(), -(-cfg.starts // sys._pool_slots))
     record = np.dtype(f"p, ({sys.unknown_count},)c16, f8, p")  # Candidate
-    workers = {}  # pid -> the read end of its pipe
+    workers, here = {}, [0]  # pid -> the read end of its pipe; own shards
     try:
         for shard in range(1, w):
             rd, wr = os.pipe()
-            if (pid := os.fork()) == 0:  # a worker: its shard, then exit
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the rest run here
+                os.close(rd)
+                os.close(wr)
+                here += range(shard, w)
+                break
+            if pid == 0:  # a worker: its shard, then exit
                 try:
                     _lm_minimize(sys, cfg, keep, range(shard, cfg.starts, w))
                     with open(wr, "wb") as pipe:
                         pipe.write(np.array([astuple(c) for c in out], record))
                     os._exit(0)
-                finally:  # a failure reproduces under `taskset -c 0`
+                except BaseException:  # the parent sees only the status
+                    import traceback
+                    traceback.print_exc()
                     os._exit(1)
             os.close(wr)
             workers[pid] = open(rd, "rb")
-        _lm_minimize(sys, cfg, keep, range(0, cfg.starts, w))
+        for shard in here:
+            _lm_minimize(sys, cfg, keep, range(shard, cfg.starts, w))
         for pid, pipe in list(workers.items()):
             data = pipe.read()  # before waitpid: candidates can fill a pipe
             status = os.waitpid(pid, 0)[1]

@@ -38,7 +38,7 @@ def test_config_validation():
 
 
 _COLD_START = """
-import sys
+import os, sys
 import flataff, flataff.cli
 from flataff import SearchConfig, decide_existence, run_search
 from flataff.liealg import BUILTIN_NAMES, builtin
@@ -49,14 +49,20 @@ assert flataff.cli.main(["analyze", "--builtin", "sl2"]) == 0
 assert "numpy" not in sys.modules, "numpy loaded before any search"
 outcome = run_search(builtin("heis3"), SearchConfig(starts=5, seed=1))
 assert outcome.found and "numpy" in sys.modules
+# numpy came with one BLAS thread, so the search may fork on every CPU
+from flataff.search import _cpu_count
+assert _cpu_count() == len(os.sched_getaffinity(0)), "more than one thread"
 """
 
 
 def test_numpy_loads_at_the_first_search():
     """In a fresh interpreter the exact verdicts and analyze leave numpy
-    unloaded, and the first search imports it and still certifies."""
+    unloaded, and the first search imports it, still certifies, and
+    leaves the process with one thread (no BLAS variable set)."""
     path = [str(Path(flataff.__file__).parents[1]), str(Path(__file__).parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(path)
     run = subprocess.run([_sys.executable, "-c", _COLD_START], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -541,6 +547,8 @@ def _counting_forks(monkeypatch, cpus):
     forks, fork = [], os.fork
 
     def counting_fork():
+        # the process forks with one thread (tests/conftest.py)
+        assert len(os.listdir("/proc/self/task")) == 1
         forks.append(None)
         return fork()
 
@@ -559,11 +567,9 @@ def test_sharded_search_matches_one_process(monkeypatch):
         return candidates[-1]
 
     monkeypatch.setattr(search, "newton_multistart", recording)
-    # 101 and 31 starts are no multiple of 2 or 3. gl2 gets 4 pools, not
-    # 20: here numpy's BLAS threads already share the CPUs, and forced
-    # workers on top of them run its 40 x 40 products many times slower
+    # 101 and 31 starts are no multiple of 2 or 3
     runs = [(builtin(name), 200) for name in ("heis3", "sol3", "sl2")]
-    runs += [(builtin("sol3"), 101), (gl2(), 31)]
+    runs += [(gl2(), 200), (builtin("sol3"), 101), (gl2(), 31)]
     results = []
     for cpus in (1, 2, 3):
         forks = _counting_forks(monkeypatch, cpus)
@@ -573,13 +579,13 @@ def test_sharded_search_matches_one_process(monkeypatch):
             assert len(forks) == cpus - 1
             results.append((candidates[0], cli.emit(report, "json")))
     alone = results[:len(runs)]
-    assert [len(c) for c, _ in alone] == [199, 196, 0, 98, 30]
+    assert [len(c) for c, _ in alone] == [199, 196, 0, 196, 98, 30]
     assert results == alone * 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_failing_shard_raises_and_leaves_no_worker(monkeypatch):
+def test_failing_shard_raises_and_leaves_no_worker(monkeypatch, capfd):
     import time
 
     sys = assemble(builtin("sol3"))
@@ -600,6 +606,34 @@ def test_failing_shard_raises_and_leaves_no_worker(monkeypatch):
         assert time.perf_counter() - began < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        # a failing worker prints its traceback
+        shown = "RuntimeError: shard fails" in capfd.readouterr().err
+        assert shown == (failing == 1)
+
+
+def test_shards_that_cannot_fork_run_in_the_caller(monkeypatch):
+    import errno
+
+    sys, cfg = assemble(builtin("sol3")), SearchConfig(starts=200, seed=1)
+    monkeypatch.setattr(search, "_cpu_count", lambda: 1)
+    alone = newton_multistart(sys, cfg)
+    fds = len(os.listdir("/proc/self/fd"))
+    for forks in (0, 1):  # no fork succeeds, or only the first
+        fork, made = os.fork, []
+
+        def failing_fork():
+            if len(made) == forks:
+                raise OSError(errno.EAGAIN, "no process to spare")
+            made.append(None)
+            return fork()
+
+        monkeypatch.setattr(search, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert newton_multistart(sys, cfg) == alone
+        assert len(made) == forks
+        assert len(os.listdir("/proc/self/fd")) == fds  # no pipe left open
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_search_within_one_pool_never_forks(monkeypatch):
@@ -615,22 +649,19 @@ def test_search_within_one_pool_never_forks(monkeypatch):
     assert newton_multistart(assemble(gl2()), SearchConfig(starts=10, seed=1))
 
 
-def test_cpu_count_shares_the_cpus_among_threads():
+def test_cpu_count_is_one_beside_another_thread():
     import threading
 
     assert search._cpu_count() >= 1
-    # one waiting thread per CPU: more threads than CPUs, so one process
+    # a fork copies only the calling thread: beside another, no workers
     stop = threading.Event()
-    threads = [threading.Thread(target=stop.wait)
-               for _ in os.sched_getaffinity(0)]
-    for thread in threads:
-        thread.start()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
     try:
         assert search._cpu_count() == 1
     finally:
         stop.set()
-        for thread in threads:
-            thread.join()
+        thread.join()
 
 
 # ------------------------------------- snapping against Fraction's own
