@@ -240,23 +240,28 @@ def _step(p: dict, r: dict, f: tuple, d: tuple, e: tuple) -> dict:
     return {j: (u // x, v // x) for j, (u, v) in out.items() if u or v}
 
 
+def _int_rows(rows):
+    """GaussRat dict rows as _echelon takes them: each cleared by itself."""
+    return (_ints(row, _den(row.values())) for row in rows)
+
+
 def _echelon(rows, reduced: bool = False):
     """Sparse fraction-free row echelon form over Z[i] (Bareiss, Math.
-    Comp. 22, 1968) of rows given as dicts {col: GaussRat}. Each row is
-    scaled once to (re, im) int pairs and taken through the pivots in the
-    order they were made: at pivot t (column c_t, row p_t, value d_t)
-    where r is nonzero, r <- (d_t r - r[c_t] p_t) / d_s, d_s the value of
-    the last pivot that changed r (d_0 = 1). The result is r's Bareiss row
-    at level t, whose entries are minors of the scaled input (Sylvester's
-    identity): the division is exact and entries stay within Hadamard's
-    bound. A row left nonzero is raised to level k (times d_k / d_s) and
-    becomes a pivot at its first nonzero column. Returns the pivots
-    (c_t, p_t, d_t), as many as the rank. With reduced, returns the
-    reduced row echelon form {c_t: row dict of GaussRat}, from the integer
-    rows N_t = (d_k p_t - sum_{u > t} p_t[c_u] N_u) / d_t divided by d_k."""
+    Comp. 22, 1968) of rows given as dicts {col: (re, im)} of nonzero
+    Gaussian integers (_int_rows makes them from GaussRat rows), each
+    taken through the pivots in the order they were made: at pivot t
+    (column c_t, row p_t, value d_t) where r is nonzero,
+    r <- (d_t r - r[c_t] p_t) / d_s, d_s the value of the last pivot that
+    changed r (d_0 = 1). The result is r's Bareiss row at level t, whose
+    entries are minors of the input (Sylvester's identity): the division
+    is exact and entries stay within Hadamard's bound. A row left nonzero
+    is raised to level k (times d_k / d_s) and becomes a pivot at its
+    first nonzero column. Returns the pivots (c_t, p_t, d_t), as many as
+    the rank. With reduced, returns the reduced row echelon form
+    {c_t: row dict of GaussRat}, from the integer rows
+    N_t = (d_k p_t - sum_{u > t} p_t[c_u] N_u) / d_t divided by d_k."""
     piv, pos, one = [], {}, (1, 0)
-    for row in rows:
-        r = _ints(row, _den(row.values()))
+    for r in rows:
         e = one
         while ts := [pos[j] for j in r if j in pos]:
             c, p, d = piv[min(ts)]
@@ -281,6 +286,13 @@ def _echelon(rows, reduced: bool = False):
     return {c: {c: ONE, **{j: _from_ints(u * a + v * b, v * a - u * b, n)
                            for j, (u, v) in row.items()}}
             for c, row in N.items()}
+
+
+def _nullspace(piv: dict, cols: int) -> list:
+    """Right nullspace basis of a matrix with cols columns and rref piv."""
+    return [[ONE if c == fc else -piv[c].get(fc, ZERO) if c in piv
+             else ZERO for c in range(cols)]
+            for fc in range(cols) if fc not in piv]
 
 
 class ExactMatrix(_Immutable):
@@ -425,12 +437,12 @@ class ExactMatrix(_Immutable):
         return all(e.is_zero() for e in self.entries)
 
     def _nonzero_rows(self) -> list:
-        return [{j: x for j, x in enumerate(self.row(i)) if x}
+        return [{j: x for j, x in enumerate(self.row(i)) if x is not ZERO and x}
                 for i in range(self.rows)]
 
     def rref(self):
         """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-        piv = _echelon(self._nonzero_rows(), reduced=True)
+        piv = _echelon(_int_rows(self._nonzero_rows()), reduced=True)
         pivots = sorted(piv)
         flat = [ZERO] * (self.rows * self.cols)
         for r, c in enumerate(pivots):
@@ -439,7 +451,7 @@ class ExactMatrix(_Immutable):
         return ExactMatrix(self.rows, self.cols, flat), pivots
 
     def rank(self) -> int:
-        return len(_echelon(self._nonzero_rows()))
+        return len(_echelon(_int_rows(self._nonzero_rows())))
 
     def nullspace(self) -> list:
         """Basis of the right nullspace, one list of GaussRat per vector."""
@@ -447,22 +459,19 @@ class ExactMatrix(_Immutable):
 
     def rank_nullspace(self):
         """(rank, nullspace basis) from one row reduction."""
-        piv = _echelon(self._nonzero_rows(), reduced=True)
-        basis = [[ONE if c == fc else -piv[c].get(fc, ZERO) if c in piv
-                  else ZERO for c in range(self.cols)]
-                 for fc in range(self.cols) if fc not in piv]
-        return len(piv), basis
+        piv = _echelon(_int_rows(self._nonzero_rows()), reduced=True)
+        return len(piv), _nullspace(piv, self.cols)
 
     def det(self) -> GaussRat:
         """Determinant off the Z[i] elimination. With rank n every row is
         a pivot, in input order, and the last pivot value is the
-        determinant of the rows as _echelon scaled them (each by the lcm
+        determinant of the rows as _int_rows scaled them (each by the lcm
         den_r of its denominators) with the columns in pivot order
         (Sylvester's identity): det = sign(c_1 ... c_n) d_n / prod den_r."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         rows = self._nonzero_rows()
-        piv = _echelon(rows)
+        piv = _echelon(_int_rows(rows))
         if len(piv) < self.rows:
             return ZERO
         cols = [c for c, _, _ in piv]
@@ -487,8 +496,8 @@ class ExactMatrix(_Immutable):
         if rhs.rows != self.rows:
             raise ValueError("right-hand side row count mismatch")
         n = self.rows
-        piv = _echelon(({j: x for j, x in enumerate(self.row(i) + rhs.row(i))
-                         if x} for i in range(n)), reduced=True)
+        piv = _echelon(_int_rows({j: x for j, x in enumerate(self.row(i) + rhs.row(i))
+                                  if x} for i in range(n)), reduced=True)
         if not all(c in piv for c in range(n)):
             raise ValueError("singular matrix")
         return ExactMatrix(n, rhs.cols, [piv[i].get(n + j, ZERO) for i in range(n)

@@ -4,7 +4,8 @@ A LieAlgebra stores the full array c[i][j][k] with
 [e_i, e_j] = sum_k c[i][j][k] e_k, validated for antisymmetry and the
 Jacobi identity at construction time, and indexed by its nonzero entries
 (`nonzero`) for those two checks, the bracket, the Killing form, the
-traces of ad and `_defects`, the one check that matrices represent g.
+traces of ad, [g, g] and `_defects`, the one check that matrices
+represent g. Sums run on the cleared constants of `_int_constants`.
 `in_basis` rewrites g in another basis. Entries are GaussRat.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 
 from .exact import (ExactMatrix, _Immutable, _den, _echelon, _from_ints,
-                    _ints, as_gauss, ZERO, ONE)
+                    _int_rows, _ints, as_gauss, ZERO, ONE)
 
 __all__ = [
     "LieAlgebra",
@@ -123,20 +124,35 @@ class LieAlgebra(_Immutable):
         sum_m c[i][j][m] c[m][k][l] + (cyclic in i, j, k) is not zero.
         A nonzero c[a][b][m] c[m][x][l], a < b, x not in {a, b}, is a term
         for the triple {a, b, x}, negated if a < x < b (c[k][i] = -c[i][k])."""
-        sums = {}
-        for a, entries in enumerate(self.nonzero):
-            for b, m, v in entries:
+        sums, C = {}, self._int_constants()[1]
+        for a, Ca in enumerate(C):
+            for b, row in Ca.items():
                 if b <= a:
                     continue
-                for x, l, w in self.nonzero[m]:
-                    if x == a or x == b:
-                        continue
-                    t = -v * w if a < x < b else v * w
-                    key = (*sorted((a, b, x)), l)
-                    sums[key] = sums.get(key, ZERO) + t
+                for m, (p, q) in row.items():
+                    for x, row_m in C[m].items():
+                        if x == a or x == b:
+                            continue
+                        u, v = (-p, -q) if a < x < b else (p, q)
+                        t = sorted((a, b, x))
+                        for l, (r, s) in row_m.items():
+                            re, im = sums.get((*t, l), (0, 0))
+                            sums[(*t, l)] = (re + u * r - v * s, im + u * s + v * r)
         for key in sorted(sums):
-            if sums[key]:
+            if sums[key] != (0, 0):
                 raise JacobiViolation(key)
+
+    def _int_constants(self, mats=()) -> tuple:
+        """(d, C, N), d the lcm of all denominators of the constants and
+        the ExactMatrix mats, C[i] = {j: {k: d c[i][j][k]}} (j, k increasing)
+        and N[t][r] = {s: d mats[t][r, s]}, nonzero (re, im) int pairs."""
+        rows = [m._nonzero_rows() for m in mats]
+        d = _den(chain((v for entries in self.nonzero for _, _, v in entries),
+                       (x for p in rows for row in p for x in row.values())))
+        C = [{j: _ints({k: v for _, k, v in group}, d)
+              for j, group in groupby(entries, lambda e: e[0])}
+             for entries in self.nonzero]
+        return d, C, [[_ints(row, d) for row in p] for p in rows]
 
     def bracket(self, x, y) -> list:
         """Bracket of two coordinate vectors."""
@@ -158,15 +174,19 @@ class LieAlgebra(_Immutable):
     def killing_form(self) -> ExactMatrix:
         """K[i][j] = trace(ad e_i ∘ ad e_j), a symmetric matrix, as the
         sum of c[i][k][m] c[j][m][k] = -c[i][k][m] c[m][j][k] over the
-        nonzero constants."""
+        nonzero constants, on the Gaussian integers d c."""
         n = self.n
-        K = [ZERO] * (n * n)
-        for i, entries in enumerate(self.nonzero):
-            for k, m, v in entries:
-                for j, kk, w in self.nonzero[m]:
-                    if kk == k:
-                        K[i * n + j] = K[i * n + j] - v * w
-        return ExactMatrix(n, n, K)
+        d, C, _ = self._int_constants()
+        K = [[0, 0] for _ in range(n * n)]
+        for i, Ci in enumerate(C):
+            for k, row in Ci.items():
+                for m, (a, b) in row.items():
+                    for j, row_m in C[m].items():
+                        if k in row_m:
+                            (x, y), z = row_m[k], K[i * n + j]
+                            z[:] = z[0] - a * x + b * y, z[1] - a * y - b * x
+        return ExactMatrix(n, n, [_from_ints(u, v, d * d) if u or v else ZERO
+                                  for u, v in K])
 
     def _defects(self, mats):
         """For square ExactMatrix M_0 ... M_{n-1} of one size m, yield
@@ -178,30 +198,26 @@ class LieAlgebra(_Immutable):
         pair.
 
         The sums run on ints. With d the lcm of every denominator of the
-        M and the constants, N = d M and C = d c are Gaussian integer
-        arrays, and d^2 D = [N_i, N_j] - sum_k C_ijk N_k. Each a + b i is
-        packed into the int a + b X, X = 2^K (Kronecker substitution), so
-        a product is one int product and a sum of them is S_0 + S_1 X +
-        S_2 X^2, standing for (S_0 - S_2) + S_1 i. An entry sums at most
-        2m + n products, each adding under 2 top^2 to every |S_t|, top
-        bounding every |a|, |b|, so for K as below the S_t are the
-        balanced base-X digits of the sum."""
-        rows = [m._nonzero_rows() for m in mats]
-        xs = [*chain((x for p in rows for row in p for x in row.values()),
-                     (v for entries in self.nonzero for _, _, v in entries))]
-        d = _den(xs)
-        top = d * max((abs(f.numerator) for x in xs for f in (x.re, x.im)),
-                      default=0)
-        terms = 2 * len(rows[0] if rows else ()) + self.n
+        M and the constants, N = d M and C = d c (_int_constants) are
+        Gaussian integer arrays, and d^2 D = [N_i, N_j] - sum_k C_ijk N_k.
+        Each a + b i is packed into the int a + b X, X = 2^K (Kronecker
+        substitution), so a product is one int product and a sum of them
+        is S_0 + S_1 X + S_2 X^2, standing for (S_0 - S_2) + S_1 i. An
+        entry sums at most 2m + n products, each adding under 2 top^2 to
+        every |S_t|, top bounding every |a|, |b|, so for K as below the
+        S_t are the balanced base-X digits of the sum."""
+        d, C, N = self._int_constants(mats)
+        top = max((abs(t) for row in chain(*N, *(Ci.values() for Ci in C))
+                   for z in row.values() for t in z), default=0)
+        terms = 2 * len(N[0] if N else ()) + self.n
         K = 2 * top.bit_length() + terms.bit_length() + 2
         h, mask = 1 << (K - 1), (1 << K) - 1
 
         def pack(row):
-            return {s: a + (b << K) for s, (a, b) in _ints(row, d).items()}
+            return {s: a + (b << K) for s, (a, b) in row.items()}
 
-        N = [[pack(row) for row in p] for p in rows]
-        C = [{j: pack(dict(kv)) for j, kv in self._constants_by_j(i).items()}
-             for i in range(self.n)]
+        N = [[pack(row) for row in p] for p in N]
+        C = [{j: pack(row) for j, row in Ci.items()} for Ci in C]
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 D = {}
@@ -226,11 +242,6 @@ class LieAlgebra(_Immutable):
                             D[r, s] = _from_ints(re, s1, d * d)
                 yield i, j, D
 
-    def _constants_by_j(self, i) -> dict:
-        """{j: [(k, c[i][j][k]) for nonzero c[i][j][k]]}; nonzero[i] is by j."""
-        return {j: [(k, v) for _, k, v in entries]
-                for j, entries in groupby(self.nonzero[i], lambda e: e[0])}
-
     def _first_defect(self, mats):
         """The first (i, j) of _defects(mats) with a nonzero defect, or
         None when the M represent g."""
@@ -239,11 +250,16 @@ class LieAlgebra(_Immutable):
     def is_abelian(self) -> bool:
         return not any(self.nonzero)
 
-    def _bracket_space(self, basis_a, basis_b) -> list:
-        """Row-space basis of [span(basis_a), span(basis_b)]: the rows of
-        its reduced row echelon form."""
-        piv = _echelon(({k: x for k, x in enumerate(self.bracket(a, b)) if x}
-                        for a in basis_a for b in basis_b), reduced=True)
+    def _bracket_space(self, basis_a=None, basis_b=None) -> list:
+        """The rref rows of [span(basis_a), span(basis_b)]; with no bases,
+        of [g, g], spanned by the rows c[i][j], i < j, of the index."""
+        if basis_a is None:
+            rows = (row for i, Ci in enumerate(self._int_constants()[1])
+                    for j, row in Ci.items() if j > i)
+        else:
+            rows = _int_rows({k: x for k, x in enumerate(self.bracket(a, b))
+                              if x} for a in basis_a for b in basis_b)
+        piv = _echelon(rows, reduced=True)
         return [[row.get(k, ZERO) for k in range(self.n)]
                 for _, row in sorted(piv.items())]
 
@@ -263,15 +279,12 @@ class LieAlgebra(_Immutable):
         return self._series_dims(lambda cur: self._bracket_space(full, cur))
 
     def _series_dims(self, step) -> list:
-        """Dimensions of g = s_0 ⊇ s_1 = step(s_0) ⊇ ..., each s_r a
-        row basis, until the dimension stops falling or reaches 0."""
-        dims = [self.n]
-        cur = self._full_basis()
-        while dims[-1] > 0:
-            cur = step(cur)
-            if len(cur) == dims[-1]:
-                break
+        """Dimensions of g ⊇ [g, g] = s_1 ⊇ step(s_1) ⊇ ..., each s_r a row
+        basis, until the dimension stops falling or reaches 0."""
+        dims, cur = [self.n], self._bracket_space()
+        while len(cur) < dims[-1]:
             dims.append(len(cur))
+            cur = step(cur) if cur else cur
         return dims
 
     def is_solvable(self) -> bool:

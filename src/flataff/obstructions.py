@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactMatrix, MultiPoly, _Immutable, _echelon, poly_det, HALF, ZERO
+from .exact import (ExactMatrix, MultiPoly, _Immutable, _echelon, _nullspace,
+                    poly_det, HALF, ZERO)
 from .liealg import LieAlgebra
 from .connections import InvariantConnection
 from .affine import AffMap, DimensionMismatch, etale_from_lsa
@@ -99,29 +100,38 @@ class LinearRep(_Immutable):
 def h1_dim(rep: LinearRep) -> int:
     """dim H^1(g, V) = dim Z^1 - dim B^1, both computed as exact ranks.
 
-    A cochain f: g -> V is flattened into n*V_dim unknowns with
-    f(e_j)_a at index j*V_dim + a. Cocycles satisfy
+    A cochain f: g -> V is flattened into n*V_dim unknowns with f(e_j)_a
+    at index a*n + j, which keeps the eliminations sparser. Cocycles satisfy
     f([e_i, e_j]) = rho(e_i) f(e_j) - rho(e_j) f(e_i). Both systems are
-    built as sparse rows and ranked by exact._echelon, with no dense matrix.
+    sparse rows of the Gaussian integers d c and d rho, ranked by
+    exact._echelon; for rho = ad (a tuple comparison, by identity for
+    LinearRep.adjoint) rho(e_i)[a, b] = c[i][b][a] is read off d c.
     """
     g = rep.g
-    n, d = g.n, rep.V_dim
-    rho_rows = [m._nonzero_rows() for m in rep.rho]  # [i][a]: {b: rho(e_i)[a, b]}
-    rows = []  # one sparse row per (i < j, a), zero sums dropped by _echelon
+    n, dim = g.n, rep.V_dim
+    adjoint = dim == n and all(m.entries == sum(zip(*plane), ())
+                               for m, plane in zip(rep.rho, g.c))
+    d, C, rho = g._int_constants(() if adjoint else rep.rho)
+    if adjoint:
+        rho = [[{b: row[a] for b, row in Ci.items() if a in row}
+                for a in range(n)] for Ci in C]
+    # rho[i][a]: {b: d rho(e_i)[a, b]}; one sparse row per (i < j, a), in
+    # which only a constant's entry can meet a rho entry
+    rows = []
     for i in range(n):
-        c_i = g._constants_by_j(i)
         for j in range(i + 1, n):
-            for a in range(d):
-                row = {k * d + a: v for k, v in c_i.get(j, ())}
-                for b, x in rho_rows[i][a].items():
-                    row[j * d + b] = row.get(j * d + b, ZERO) - x
-                for b, x in rho_rows[j][a].items():
-                    row[i * d + b] = row.get(i * d + b, ZERO) + x
+            for a in range(dim):
+                row = {b * n + j: (-u, -v) for b, (u, v) in rho[i][a].items()}
+                row.update({b * n + i: z for b, z in rho[j][a].items()})
+                for k, (u, v) in C[i].get(j, {}).items():
+                    re, im = row.pop(a * n + k, (0, 0))
+                    if re + u or im + v:
+                        row[a * n + k] = (re + u, im + v)
                 rows.append(row)
-    z1 = n * d - len(_echelon(rows))
+    z1 = n * dim - len(_echelon(rows))
     # B^1 is the image of v -> (e_i -> rho(e_i) v): the rank of the
     # rho(e_i) stacked into one (n d) x d matrix
-    b1 = len(_echelon(r for m in rho_rows for r in m))
+    b1 = len(_echelon(row for p in rho for row in p))
     return z1 - b1
 
 
@@ -221,27 +231,35 @@ def _reductive_connection(g: LieAlgebra):
     stays rational for non-split forms such as so(3) ⊕ C. None unless g
     has this shape."""
     n = g.n
-    full = g._full_basis()
-    s = g._bracket_space(full, full)
-    if n < 4 or len(s) != 3:
+    if n < 4 or len(s := g._bracket_space()) != 3:
         return None
-    # x is central when ad(e_i) x = 0 for every i
-    z = ExactMatrix(n * n, n, [g.c[i][j][k] for i in range(n)
-                               for k in range(n) for j in range(n)]).nullspace()
-    basis = ExactMatrix.from_rows(s + z)
-    if len(z) != n - 3 or basis.rank() != n:
+    # x is central when ad(e_i) x = 0 for every i: rows {j: c[i][j][k]}
+    z = _nullspace(_echelon(({j: row[k] for j, row in Ci.items() if k in row}
+                             for Ci in g._int_constants()[1] for k in range(n)),
+                            reduced=True), n)
+    try:  # one elimination, which fails unless s + z is a basis
+        coords = ExactMatrix.from_rows(s + z).inverse()
+    except ValueError:  # not square (dim z != n - 3) or singular
         return None
-    coords = basis.inverse()  # row i: e_i in the basis s, z
-    sigma = ExactMatrix(n, 3, [coords[i, a] for i in range(n)
-                               for a in range(3)]) @ ExactMatrix.from_rows(s)
+    # row i of coords: e_i in the basis s, z; sigma[i]: σ_i's nonzeros
+    sigma = (ExactMatrix(n, 3, [coords[i, a] for i in range(n) for a in range(3)])
+             @ ExactMatrix.from_rows(s))._nonzero_rows()
     pi = [coords[i, 3] for i in range(n)]
-    # z is central, so [σ_i, σ_j] = [e_i, e_j] and κ(σ_i, σ_j) = κ(e_i, e_j);
-    # zeros are stored as ZERO, as in LieAlgebra, to keep the report small
-    kappa = g.killing_form()
-    return InvariantConnection(g, [[[
-        HALF * g.c[i][j][k] + pi[i] * sigma[j, k] + pi[j] * sigma[i, k]
-        + (kappa[i, j] * Fraction(1, 8) + pi[i] * pi[j]) * z[0][k] or ZERO
-        for k in range(n)] for j in range(n)] for i in range(n)])
+    z1 = {k: x for k, x in enumerate(z[0]) if x}
+    # z is central, so [σ_i, σ_j] = [e_i, e_j] and κ(σ_i, σ_j) = κ(e_i, e_j).
+    # Only nonzero terms are summed; zeros are stored as ZERO, as in LieAlgebra
+    kappa = g.killing_form().scale(Fraction(1, 8))  # ⅛κ
+    gamma = [[[x and HALF * x for x in row] for row in plane] for plane in g.c]
+    for i in range(n):
+        for j in range(n):
+            for k, x in sigma[j].items() if pi[i] else ():
+                gamma[i][j][k] += pi[i] * x
+                gamma[j][i][k] += pi[i] * x
+            if w := kappa[i, j] + pi[i] * pi[j]:
+                for k, x in z1.items():
+                    gamma[i][j][k] += w * x
+    return InvariantConnection(g, [[[x or ZERO for x in row] for row in plane]
+                                   for plane in gamma])
 
 
 def decide_existence(g: LieAlgebra,

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -688,3 +689,66 @@ def test_dimensions_zero_and_one_through_every_command(tmp_path, capsys, n):
                 assert checks[name](json.loads(out))
             digest = hashlib.sha256(out.encode()).hexdigest()
             assert digest == _EDGE_SHA256[n, name, fmt]
+
+
+# sha256 of the analyze reports on the benchmark corpus and of the
+# classify-dim3 table. A change that moves a report's bytes fails here, so
+# it has to be deliberate and update the hash. Search reports are left
+# out, since their floats depend on the BLAS build.
+_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "algebras"
+_REPORT_SHA256 = {
+    ("analyze", "abelian3", "json"):
+        "a8e80f97a42a852712fd7f044fbd21f39844e86303fcd914618c99302f09bfd0",
+    ("analyze", "abelian3", "text"):
+        "deb3803b8241da1f343af384c8e9138cd5cf540498ff41efc389a9810430620e",
+    ("analyze", "aff1", "json"):
+        "932ea2246664299f4d4c906c3f05d1b47eb5e45d1fbe9610eaf1f55d45f177f8",
+    ("analyze", "aff1", "text"):
+        "e08ce70cdf34ae6b8cec93e3e2ab71c9eb2585a1bfa216111338278524d9c2e7",
+    ("analyze", "gl2", "json"):
+        "b999a056d179c9462ac90d36734b9477e866c078037471df5dfbd2344287d0e5",
+    ("analyze", "gl2", "text"):
+        "6b9409d384034fd020c35e885145b357e4a83f4ada8cc88e2657c4cc8bec356a",
+    ("analyze", "heis3", "json"):
+        "bccc4862c9e6f34907a6a39a7093701d6343fb4e12d6475e09c9d78d43d67af2",
+    ("analyze", "heis3", "text"):
+        "91ded29c7b80d5fbf5282d4b555fe11c6e70fca06f6a1766e7515fb7bf98bb1b",
+    ("analyze", "heis3_permuted", "json"):
+        "afea2092b9e7355a3588a3b32645e98abbab9a2a9fc4cfacc02192ed0cf6d3fe",
+    ("analyze", "heis3_permuted", "text"):
+        "d93cea4344607ede7d8c39f041e7ebc0e35047c2c5656e2fcf439bc226698731",
+    ("analyze", "sl2", "json"):
+        "41d0efa262b630e49e81af9c729695582c266b3ffc2518b08ce2af65adf3d9ca",
+    ("analyze", "sl2", "text"):
+        "440a44b8618c95eb37d53b74cd6bcb01a8980b2610fb19270530636a4b891db0",
+    ("analyze", "sl2xsl2", "json"):
+        "5727157c959fcc438c2f3a8829182f23ed049cd70c7905f171c068bd020f99f9",
+    ("analyze", "sl2xsl2", "text"):
+        "33dc7ea45290a67588c006a39029db4ada40a286bb864b988aad4007b2728941",
+    ("analyze", "sl3", "json"):
+        "18ada9d96ca3b8c2b2e953f624e0f638922759ae6adb7068a61310a6535d338f",
+    ("analyze", "sl3", "text"):
+        "29f43ec2da3d00b8d708ae91021b3f1cd53982fc256b86486a9000904a4710d6",
+    ("analyze", "sol3", "json"):
+        "f2c345ac0faf60bbb8b31d7f536dc13eb511993d07c06520cb349b250d3655df",
+    ("analyze", "sol3", "text"):
+        "0e36818ff87937a8e2c2c45190cb0b6863fbefb07fa148a39b0ce1315763159f",
+    ("analyze", "sol3_permuted", "json"):
+        "bb122e754ba51b5955f69b56732327aa8b8d65dd7d0052dc5dd4b741add98922",
+    ("analyze", "sol3_permuted", "text"):
+        "c8fa9c0502203a9d8d4b9bf9705153f00d4218c742a5ec70b878bc47d1b3641e",
+    ("classify-dim3", None, "json"):
+        "bd8690eaf3079b33a444089e8be52c4f59164c29b92c283552cb69c4c66c4467",
+    ("classify-dim3", None, "text"):
+        "525a9d4140a9eb6bc9501ac91df1a9fb210ea4802e50616271a62fc82b1ab16a",
+}
+
+
+@pytest.mark.parametrize("command, name, fmt", list(_REPORT_SHA256))
+def test_report_bytes_are_pinned(command, name, fmt, capsys):
+    argv = [command, "--format", fmt]
+    if name is not None:
+        argv.insert(1, str(_CORPUS / f"{name}.json"))
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == _REPORT_SHA256[command, name, fmt]

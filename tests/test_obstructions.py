@@ -14,6 +14,7 @@ from flataff import search as search_module
 from flataff.exact import GaussRat, ExactMatrix, MultiPoly, ZERO, ONE
 from flataff.liealg import LieAlgebra, builtin, from_structure_constants
 from flataff.connections import (
+    InvariantConnection,
     is_flat,
     is_torsion_free,
     standard_connection,
@@ -554,13 +555,35 @@ _REDUCTIVE = {
 }
 
 
+def _dense_reductive_connection(g):
+    """The product of _reductive_connection evaluated at all n^3 places,
+    ½c + π_i σ_j + π_j σ_i + (⅛κ + π_i π_j) z1, from the dense center
+    system, the brackets of the full basis and the traces of ad."""
+    n = g.n
+    full = g._full_basis()
+    s = g._bracket_space(full, full)
+    z = ExactMatrix(n * n, n, [g.c[i][j][k] for i in range(n)
+                               for k in range(n) for j in range(n)]).nullspace()
+    coords = ExactMatrix.from_rows(s + z).inverse()
+    sigma = ExactMatrix(n, 3, [coords[i, a] for i in range(n)
+                               for a in range(3)]) @ ExactMatrix.from_rows(s)
+    pi = [coords[i, 3] for i in range(n)]
+    kappa = [[(g.ad_matrix(i) @ g.ad_matrix(j)).trace() for j in range(n)]
+             for i in range(n)]
+    return InvariantConnection(g, [[[
+        g.c[i][j][k] / 2 + pi[i] * sigma[j, k] + pi[j] * sigma[i, k]
+        + (kappa[i][j] / 8 + pi[i] * pi[j]) * z[0][k]
+        for k in range(n)] for j in range(n)] for i in range(n)])
+
+
 @pytest.mark.parametrize("name", sorted(_REDUCTIVE))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_reductive_rule_decides_in_any_basis(name, data):
     """s = [g, g] of dimension 3 plus the center is YES by the matrix
     product, read off the bracket, in the aligned basis and after a
-    GL(n, Z) change of basis; the search is never reached."""
+    GL(n, Z) change of basis; the search is never reached. The product
+    summed from its nonzero terms equals the dense formula."""
     def no_search(*args):
         raise AssertionError("run_search called")
 
@@ -571,6 +594,7 @@ def test_reductive_rule_decides_in_any_basis(name, data):
             report = decide_existence(h)
             assert report.verdict == "YES"
             assert report.notes == (_REDUCTIVE_NOTE,)
+            assert report.connection == _dense_reductive_connection(h)
 
 
 _CERTIFIED = {

@@ -8,11 +8,13 @@ references."""
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flataff.exact import ExactMatrix, GaussRat, ONE, ZERO
+from flataff.cli import parse_algebra
+from flataff.exact import ExactMatrix, GaussRat, ONE, ZERO, _echelon, _int_rows
 from flataff.liealg import (
     LieAlgebra,
     InconsistentEntry,
@@ -40,8 +42,8 @@ from flataff.affine import (
     check_homomorphism,
     etale_from_lsa,
 )
-from flataff.obstructions import InvalidRep, LinearRep, decide_existence
-from known_algebras import filiform, gl2, sl2_plus_sl2, sl3
+from flataff.obstructions import InvalidRep, LinearRep, decide_existence, h1_dim
+from known_algebras import filiform, gl2, gl_z, rand_gauss, sl2_plus_sl2, sl3
 
 
 def _dense_curvature(conn):
@@ -169,9 +171,13 @@ def test_killing_form_matches_ad_trace():
 
 
 def test_jacobi_violation_matches_dense_reference():
+    """Perturbed constants of each algebra, and of each algebra times a
+    complex fraction: the integer sums name the same first (i, j, k, l)."""
     rng = random.Random(4242)
     violations = 0
-    for g in _algebras():
+    scale = GaussRat(Fraction(2, 3), Fraction(-1, 5))
+    for g in _algebras() + [g.in_basis(ExactMatrix.identity(g.n).scale(scale))
+                            for g in _algebras()]:
         n = g.n
         for _ in range(12):
             c = [[list(row) for row in plane] for plane in g.c]
@@ -579,7 +585,9 @@ def _reference_defects(g, mats):
     neg = [[{s: -x for s, x in row.items()} for row in p] for p in rows]
     out = []
     for i in range(g.n):
-        by_j = g._constants_by_j(i)
+        by_j = {}
+        for j, k, v in g.nonzero[i]:
+            by_j.setdefault(j, []).append((k, v))
         for j in range(i + 1, g.n):
             D = {}
             for p, q in ((rows[i], rows[j]), (neg[j], rows[i])):
@@ -771,3 +779,94 @@ def test_is_flat_of_l12_in_a_generic_basis():
     assert is_flat(conn)
     assert time.perf_counter() - start < 0.2
     assert is_torsion_free(conn)
+
+
+# The Killing form, [g, g] and the H^1 rows sum on the constants cleared
+# of their denominators (LieAlgebra._int_constants); the GaussRat loops
+# they replaced are the references.
+
+_CORPUS = {p.stem: parse_algebra(str(p)) for p in sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+     / "algebras").glob("*.json"))}
+
+
+def _reference_killing_form(g):
+    """K[i][j] = -sum c[i][k][m] c[m][j][k], summed in GaussRat."""
+    n = g.n
+    K = [ZERO] * (n * n)
+    for i, entries in enumerate(g.nonzero):
+        for k, m, v in entries:
+            for j, kk, w in g.nonzero[m]:
+                if kk == k:
+                    K[i * n + j] = K[i * n + j] - v * w
+    return ExactMatrix(n, n, K)
+
+
+def _reference_h1_dim(rep):
+    """dim Z^1 - dim B^1 from cocycle rows summed in GaussRat, each row
+    cleared of its own denominators only before the elimination."""
+    g = rep.g
+    n, d = g.n, rep.V_dim
+    rho_rows = [m._nonzero_rows() for m in rep.rho]
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in range(d):
+                row = {k * d + a: x for k, x in enumerate(g.c[i][j]) if x}
+                for b, x in rho_rows[i][a].items():
+                    row[j * d + b] = row.get(j * d + b, ZERO) - x
+                for b, x in rho_rows[j][a].items():
+                    row[i * d + b] = row.get(i * d + b, ZERO) + x
+                rows.append(row)
+    z1 = n * d - len(_echelon(_int_rows(rows)))
+    return z1 - len(_echelon(_int_rows(r for m in rho_rows for r in m)))
+
+
+def _assert_matches_the_gaussrat_loops(g, reps=()):
+    """The Killing form, [g, g] read off the index, and H^1 of the
+    adjoint, the trivial and the given representations."""
+    assert g.killing_form() == _reference_killing_form(g)
+    full = g._full_basis()
+    assert g._bracket_space() == g._bracket_space(full, full)
+    for rep in (LinearRep.adjoint(g), LinearRep.trivial(g), *reps):
+        assert h1_dim(rep) == _reference_h1_dim(rep)
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_lie_layer_matches_the_gaussrat_loops(name):
+    _assert_matches_the_gaussrat_loops(_CORPUS[name])
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_lie_layer_matches_the_gaussrat_loops_in_a_drawn_basis(name, data):
+    g = _CORPUS[name]
+    _assert_matches_the_gaussrat_loops(
+        g.in_basis(data.draw(gl_z(g.n), label="P")))
+
+
+def test_lie_layer_matches_the_gaussrat_loops_on_complex_fractions():
+    """Corpus algebras up to dimension 4 in a basis drawn from rand_gauss,
+    so that their constants are non-integer complex fractions, with the
+    adjoint representation conjugated by another such matrix: a
+    representation that is not ad, whose rows are cleared with the
+    constants, and whose H^1 equals that of ad."""
+    rng = random.Random(31)
+
+    def gauss_basis(n):
+        while True:
+            P = ExactMatrix(n, n, [rand_gauss(rng, span=2) for _ in range(n * n)])
+            if not P.det().is_zero():
+                return P
+
+    for name, base in sorted(_CORPUS.items()):
+        if base.n > 4:  # sl2 + sl2 takes seconds in such a basis
+            continue
+        g = base.in_basis(gauss_basis(base.n))
+        assert any(x.im.denominator > 1 or x.re.denominator > 1
+                   for e in g.nonzero for _, _, x in e) or g.is_abelian()
+        Q = gauss_basis(g.n)
+        conj = LinearRep(g, [Q @ a @ Q.inverse() for a in g.adjoint_rep()])
+        _assert_matches_the_gaussrat_loops(g, [conj, LinearRep.trivial(g, 2)])
+        assert h1_dim(conj) == h1_dim(LinearRep.adjoint(g))
