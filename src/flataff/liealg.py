@@ -284,7 +284,7 @@ class LieAlgebra(_Immutable):
         dims, cur = [self.n], self._bracket_space()
         while len(cur) < dims[-1]:
             dims.append(len(cur))
-            cur = step(cur) if cur else cur
+            cur = step(cur)
         return dims
 
     def is_solvable(self) -> bool:

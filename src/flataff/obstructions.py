@@ -103,18 +103,12 @@ def h1_dim(rep: LinearRep) -> int:
     A cochain f: g -> V is flattened into n*V_dim unknowns with f(e_j)_a
     at index a*n + j, which keeps the eliminations sparser. Cocycles satisfy
     f([e_i, e_j]) = rho(e_i) f(e_j) - rho(e_j) f(e_i). Both systems are
-    sparse rows of the Gaussian integers d c and d rho, ranked by
-    exact._echelon; for rho = ad (a tuple comparison, by identity for
-    LinearRep.adjoint) rho(e_i)[a, b] = c[i][b][a] is read off d c.
+    sparse rows of the Gaussian integers d c and d rho, cleared by one
+    common d and ranked by exact._echelon.
     """
     g = rep.g
     n, dim = g.n, rep.V_dim
-    adjoint = dim == n and all(m.entries == sum(zip(*plane), ())
-                               for m, plane in zip(rep.rho, g.c))
-    d, C, rho = g._int_constants(() if adjoint else rep.rho)
-    if adjoint:
-        rho = [[{b: row[a] for b, row in Ci.items() if a in row}
-                for a in range(n)] for Ci in C]
+    d, C, rho = g._int_constants(rep.rho)
     # rho[i][a]: {b: d rho(e_i)[a, b]}; one sparse row per (i < j, a), in
     # which only a constant's entry can meet a rho entry
     rows = []
