@@ -117,8 +117,11 @@ def torsion(conn: InvariantConnection):
 
 
 def _l_matrices(conn: InvariantConnection) -> list:
-    """L_i, the matrix of nabla_{e_i}: column j is gamma[i][j]."""
-    return [_plane_matrix(plane) for plane in conn.gamma]
+    """L_i, the matrix of nabla_{e_i}: column j is gamma[i][j]. Planes
+    that are one object (the shared zero plane) share one matrix."""
+    distinct = {id(p): p for p in conn.gamma}
+    mats = {k: _plane_matrix(p) for k, p in distinct.items()}
+    return [mats[id(p)] for p in conn.gamma]
 
 
 def _dense(n: int, entries):

@@ -15,12 +15,12 @@ and torsion-freeness of the connection.
 
 The NO side rests on the semisimplicity obstruction: a semisimple
 algebra admits no flat torsion-free invariant connection (surveyed in
-Burde, arXiv:math-ph/0509016). The verdict
-is theorem-backed; alongside it we attach the evidence the proof runs
-on: vanishing first cohomology of the adjoint representation
-(Whitehead), computed exactly, and the identically zero fundamental
-determinant polynomial of the adjoint representation, which holds for
-every Lie algebra (see ObstructionEvidence) and so is not computed.
+Burde, arXiv:math-ph/0509016). The one computation behind it is the
+exact Killing rank (Cartan's criterion). The evidence attached to it
+follows by theorem and is not computed (see ObstructionEvidence):
+vanishing first cohomology of the adjoint representation (Whitehead),
+and the identically zero fundamental determinant polynomial of the
+adjoint representation, which holds for every Lie algebra.
 """
 
 from __future__ import annotations
@@ -158,7 +158,14 @@ def fundamental_det_poly(rep: LinearRep):
 
 @dataclass(frozen=True, slots=True)
 class ObstructionEvidence:
-    """Evidence attached to a semisimple NO.
+    """Evidence attached to a semisimple NO; only killing_rank is computed.
+
+    h1_adjoint = 0 by Whitehead's first lemma: H^1(g, V) = 0 for
+    semisimple g and finite-dimensional V in characteristic 0 (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 6.3). The gate
+    found the Killing form nondegenerate over Q(i), so g is semisimple by
+    Cartan's criterion, and V = g qualifies; h1_dim computes the number
+    where a check is wanted.
 
     det_poly_is_zero is known without computing the polynomial: column
     i of the fundamental determinant matrix of the adjoint
@@ -262,7 +269,8 @@ def decide_existence(g: LieAlgebra,
 
     Pipeline: an algebra whose basis vectors but one span an abelian
     ideal gets the connection of _abelian_ideal_connection; semisimple
-    algebras are refused with the obstruction evidence; a sum of a
+    algebras are refused on one exact Killing rank, with the evidence
+    that follows from it by theorem (ObstructionEvidence); a sum of a
     3-dimensional [g, g] and the center gets the matrix product of
     _reductive_connection; everything else goes to the numeric search,
     whose certificates are exact or absent.
@@ -280,28 +288,17 @@ def decide_existence(g: LieAlgebra,
             "torsion-free"))
 
     if g.is_semisimple():
-        h1 = h1_dim(LinearRep.adjoint(g))
+        # the gate passed, so the Killing form has full rank; H1 and the
+        # determinant polynomial follow by theorem (ObstructionEvidence)
         evidence = ObstructionEvidence(
-            # the gate passed, so the Killing form has full rank
-            killing_rank=g.n,
-            h1_adjoint=h1,
-            det_poly_is_zero=True,
+            killing_rank=g.n, h1_adjoint=0, det_poly_is_zero=True,
             statement=(
                 "semisimple algebras admit no flat torsion-free invariant "
-                "connection; verdict by theorem, with computed evidence"
-            ),
-        )
-        return DecisionReport(
-            verdict="NO",
-            connection=None,
-            embedding=None,
-            obstruction=evidence,
-            notes=(
-                "Killing form is nondegenerate (semisimple obstruction)",
-                f"evidence: H1(adjoint) = {h1}, fundamental determinant "
-                "polynomial vanishes identically",
-            ),
-        )
+                "connection; verdict by theorem, with computed evidence"))
+        return DecisionReport("NO", None, None, evidence, (
+            "Killing form is nondegenerate (semisimple obstruction)",
+            "evidence: H1(adjoint) = 0, fundamental determinant "
+            "polynomial vanishes identically"))
 
     conn = _reductive_connection(g)
     if conn is not None:

@@ -309,11 +309,17 @@ def test_each_certificate_is_verified_once(monkeypatch):
     assert k >= 1
     assert (defect_calls, hom_calls) == (k + 1, 0)
 
-    # a semisimple NO: one Killing rank, no determinant polynomial
-    def refuse(rep):
-        raise AssertionError("fundamental_det_poly called")
+    # a semisimple NO: one Killing rank, no determinant polynomial and no
+    # cocycle elimination; both follow by theorem (Whitehead for H^1)
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(name + " called")
+        return refused
 
-    monkeypatch.setattr(obstructions, "fundamental_det_poly", refuse)
+    monkeypatch.setattr(obstructions, "fundamental_det_poly",
+                        refuse("fundamental_det_poly"))
+    monkeypatch.setattr(obstructions, "h1_dim", refuse("h1_dim"))
+    monkeypatch.setattr(LinearRep, "adjoint", refuse("LinearRep.adjoint"))
     ranks = []
     killing_rank = LieAlgebra.killing_rank
 
@@ -322,11 +328,12 @@ def test_each_certificate_is_verified_once(monkeypatch):
         return killing_rank(self)
 
     monkeypatch.setattr(LieAlgebra, "killing_rank", counted_rank)
-    for g in (builtin("sl2"), sl2_plus_sl2()):
+    for g in (builtin("sl2"), sl2_plus_sl2(), sl3(), _sl4()):
         ranks.clear()
         report = decide_existence(g)
         assert report.verdict == "NO"
         assert report.obstruction.det_poly_is_zero
+        assert report.obstruction.h1_adjoint == 0
         assert report.obstruction.killing_rank == g.n
         assert ranks == [g.n]
 
@@ -448,6 +455,42 @@ def test_complex_bases_of_semisimple_algebras_decide_quickly():
         report = decide_existence(g)
         assert time.perf_counter() - start < 5
         assert report.verdict == "NO" and report.obstruction.h1_adjoint == 0
+        # the decision states H^1 = 0 by theorem; the elimination itself
+        start = time.perf_counter()
+        assert h1_dim(LinearRep.adjoint(g)) == 0
+        assert time.perf_counter() - start < 5
+
+
+def _seeded_basis(n, seed):
+    """A GL(n, Z) basis drawn by random.Random(seed), entries in [-2, 2]."""
+    rng = random.Random(seed)
+    while True:
+        P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if not ExactMatrix.from_rows(P).det().is_zero():
+            return P
+
+
+def test_semisimple_algebras_decide_quickly_in_a_generic_basis():
+    """sl3 and sl4 in a seeded GL(n, Z) basis are dense (all constants
+    nonzero, with denominators), yet the NO takes one Killing rank: under
+    0.5 s, where eliminating the H^1 system takes about 1 s for sl3 and
+    does not end within minutes for sl4. The algebra is built untimed."""
+    for g in (sl3(), _sl4()):
+        h = g.in_basis(_seeded_basis(g.n, 3))
+        start = time.perf_counter()
+        report = decide_existence(h)
+        assert time.perf_counter() - start < 0.5
+        assert report.verdict == "NO"
+        assert report.obstruction.killing_rank == g.n
+        assert report.obstruction.h1_adjoint == 0
+
+
+def test_stated_h1_matches_the_elimination():
+    """The H^1(adjoint) a semisimple NO states by Whitehead's lemma is the
+    dimension h1_dim computes."""
+    for g in (builtin("sl2"), sl2_plus_sl2(), sl3(), _sl4()):
+        stated = decide_existence(g).obstruction.h1_adjoint
+        assert stated == h1_dim(LinearRep.adjoint(g)) == 0
 
 
 _RULE_NOTE = (
@@ -624,9 +667,14 @@ _SEMISIMPLE = {"sl2": builtin("sl2"), "sl2+sl2": sl2_plus_sl2(), "sl3": sl3()}
 @settings(max_examples=3, deadline=None)
 @given(data=st.data())
 def test_semisimple_algebras_stay_no_in_a_drawn_basis(name, data):
+    """The stated H^1(adjoint) = 0 is also what h1_dim eliminates to, where
+    that is quick: not for sl3, about 1 s a drawn basis."""
     g = _SEMISIMPLE[name]
-    report = decide_existence(g.in_basis(data.draw(gl_z(g.n), label="P")))
+    h = g.in_basis(data.draw(gl_z(g.n), label="P"))
+    report = decide_existence(h)
     assert report.verdict == "NO" and report.obstruction.h1_adjoint == 0
+    if name != "sl3":
+        assert h1_dim(LinearRep.adjoint(h)) == 0
 
 
 def test_reductive_rule_is_fast_and_runs_no_check(monkeypatch):
