@@ -691,11 +691,18 @@ def test_dimensions_zero_and_one_through_every_command(tmp_path, capsys, n):
             assert digest == _EDGE_SHA256[n, name, fmt]
 
 
-# sha256 of the analyze reports on the benchmark corpus and of the
-# classify-dim3 table. A change that moves a report's bytes fails here, so
-# it has to be deliberate and update the hash. Search reports are left
-# out, since their floats depend on the BLAS build.
+# sha256 of the analyze reports on the benchmark corpus, of the
+# classify-dim3 table, of the checks of the stored certificates, of a
+# one-start heis3 search and of an algebra with a non-real constant. A
+# change that moves a report's bytes fails here, so it has to be
+# deliberate and update the hash. Longer searches are left out: a start
+# that stalls near the tolerance converges or not with the BLAS build,
+# while the one heis3 start ends at a residual of exactly 0.0.
 _CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "algebras"
+_CERTIFICATES = _CORPUS.parent / "certificates"
+# [e1, e2] = (1/2 - 3i) e2
+_GAUSS2 = {"name": "gauss2", "dim": 2, "brackets": [
+    {"left": 0, "right": 1, "result": [["0", "0"], ["1/2", "-3"]]}]}
 _REPORT_SHA256 = {
     ("analyze", "abelian3", "json"):
         "a8e80f97a42a852712fd7f044fbd21f39844e86303fcd914618c99302f09bfd0",
@@ -741,14 +748,54 @@ _REPORT_SHA256 = {
         "bd8690eaf3079b33a444089e8be52c4f59164c29b92c283552cb69c4c66c4467",
     ("classify-dim3", None, "text"):
         "525a9d4140a9eb6bc9501ac91df1a9fb210ea4802e50616271a62fc82b1ab16a",
+    ("check-connection", "aff1", "json"):
+        "d8af49525b74a61ef62e9561caadbdf32f7ccc1750e7ac5046b9a23545e7fb1e",
+    ("check-connection", "aff1", "text"):
+        "fc8f7950eba7af194ca335c00945386963186ffccb8dd7868b01c8821ac5f24d",
+    ("check-connection", "gl2", "json"):
+        "8eda04b1bb1f72caca0ee24e7fbe8bf867c68f44fa86d44338370ec6a0938bab",
+    ("check-connection", "gl2", "text"):
+        "2dc04f4e03ac58e9d33a42502003560e16ed30d891fef26ec0d949e7dac06613",
+    ("check-embedding", "heis3", "json"):
+        "c224ca09736bf5102c19abdb0ae0c5b00ae6fe3c41606f04461c099075b5b448",
+    ("check-embedding", "heis3", "text"):
+        "8329a9eec15a37771f6e822624623c327fb8c366bdcfa8da9387b2155b2dc63a",
+    ("check-embedding", "sol3", "json"):
+        "7e63886b97205d03f65b2ae5b901c43e90d37cf891af55f2061900b5f5dcd5a4",
+    ("check-embedding", "sol3", "text"):
+        "7dc1c714874ec42a1097cfbf7c67a09d64ce3bf02babb54e52930aa911fc17be",
+    ("search", "heis3", "json"):
+        "9d6cdb4dff18efb74905e897c3ccbbc399e0766bd1cc728e5d482255f48e8d1f",
+    ("search", "heis3", "text"):
+        "e55d33f30a335f06750ffb30e95e2af901ab387db1cd2ebebc6d38cdd0ef18ec",
+    ("analyze", "gauss2", "json"):
+        "014001b493b3c2936ae93370e8811fe746ba8133dcdba85ed613f556b517626b",
+    ("analyze", "gauss2", "text"):
+        "968241ecddfb94078c8a8a90ed3e7adb534d365741103a289ed71c84dabf7148",
 }
 
 
+def _pinned_argv(command, name, tmp_path):
+    """The arguments of a pinned report before --format."""
+    if name is None:
+        return [command]
+    if name == "gauss2":
+        return [command, _write(tmp_path, "gauss2.json", _GAUSS2)]
+    if command == "search":
+        return [command, "--builtin", name, "--starts", "1"]
+    algebra = str(_CORPUS / f"{name}.json")
+    if command == "check-connection":
+        gamma = _CERTIFICATES / f"{name}_matmul_connection.json"
+        return [command, algebra, "--gamma", str(gamma)]
+    if command == "check-embedding":
+        return [command, algebra, "--map",
+                str(_CERTIFICATES / f"{name}_embedding.json")]
+    return [command, algebra]
+
+
 @pytest.mark.parametrize("command, name, fmt", list(_REPORT_SHA256))
-def test_report_bytes_are_pinned(command, name, fmt, capsys):
-    argv = [command, "--format", fmt]
-    if name is not None:
-        argv.insert(1, str(_CORPUS / f"{name}.json"))
+def test_report_bytes_are_pinned(command, name, fmt, capsys, tmp_path):
+    argv = _pinned_argv(command, name, tmp_path) + ["--format", fmt]
     assert main(argv) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == _REPORT_SHA256[command, name, fmt]
