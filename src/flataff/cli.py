@@ -112,6 +112,8 @@ def _load_object(path: str) -> dict:
         ) from None
     except ValueError as e:  # not UTF-8, or an integer too long for int()
         raise ParseError(path, str(e)) from None
+    except RecursionError:
+        raise ParseError(path, "JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError(path, "top level must be an object")
     return data
@@ -197,27 +199,11 @@ def parse_affmap(path: str, g: LieAlgebra) -> AffMap:
 # ---------------------------------------------------------------- reports
 
 
-class _Pair(list):
-    """A coefficient in a report: json writes it as the ["re", "im"]
-    list, the text renderer prints its `text`."""
-
-    def __init__(self, x: GaussRat):
-        super().__init__(x.to_pair())
-        self.text = str(x)
-
-
-def _pairs(x):
-    """The report form of a GaussRat, or of nested sequences of them."""
-    if isinstance(x, GaussRat):
-        return _Pair(x)
-    return [_pairs(e) for e in x]
-
-
 def _embedding_payload(m: AffMap) -> dict:
     return {
         "ambient": m.ambient,
         "images": [
-            {"A": _pairs(im.A.to_lists()), "v": _pairs(im.v)}
+            {"A": [im.A.row(i) for i in range(im.A.rows)], "v": im.v}
             for im in m.images
         ],
     }
@@ -237,7 +223,7 @@ def _decision_payload(report) -> dict:
     return {
         "verdict": report.verdict,
         "notes": list(report.notes),
-        "certificate_connection": conn and _pairs(conn.gamma),
+        "certificate_connection": conn and conn.gamma,
         "certificate_embedding": emb and _embedding_payload(emb),
         "obstruction": ev and asdict(ev),
     }
@@ -312,7 +298,7 @@ def search_report(g: LieAlgebra, cfg: SearchConfig,
             for c in outcome.candidates
         ],
         "certificate": (
-            outcome.certificate and _pairs(outcome.certificate.gamma)
+            outcome.certificate and outcome.certificate.gamma
         ),
         "certificate_start": outcome.certificate_start,
         "exactly_verified": outcome.found,
@@ -323,11 +309,11 @@ def search_report(g: LieAlgebra, cfg: SearchConfig,
 
 
 def _pair_depth(x):
-    """0 for a coefficient pair, d for a nonempty list whose items all
-    have depth d - 1 (vector 1, matrix 2, tensor 3), else None."""
-    if isinstance(x, _Pair):
+    """0 for a coefficient, d for a nonempty list or tuple whose items
+    all have depth d - 1 (vector 1, matrix 2, tensor 3), else None."""
+    if isinstance(x, GaussRat):
         return 0
-    if not isinstance(x, list) or not x:
+    if not isinstance(x, (list, tuple)) or not x:
         return None
     depths = {_pair_depth(e) for e in x}
     if len(depths) != 1 or None in depths:
@@ -340,9 +326,9 @@ def _render(obj, lines, indent):
     if isinstance(obj, dict):
         for key, val in obj.items():
             _render_entry(key, val, lines, indent)
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for val in obj:
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 _render(val, lines, indent + 1)
             else:
@@ -362,15 +348,15 @@ def _render_entry(key, val, lines, indent):
     elif isinstance(val, (int, float, str)):
         lines.append(f"{pad}{key}: {val}")
     elif depth == 0:
-        lines.append(f"{pad}{key}: {val.text}")
+        lines.append(f"{pad}{key}: {val}")
     elif depth == 3:
         lines.append(f"{pad}{key}:")
         nonzero = [
-            f"{inner}[{i}][{j}][{k}] = {e.text}"
+            f"{inner}[{i}][{j}][{k}] = {e}"
             for i, plane in enumerate(val)
             for j, row in enumerate(plane)
             for k, e in enumerate(row)
-            if e.text != "0"
+            if e
         ]
         lines.extend(nonzero)
         lines.append(
@@ -380,10 +366,10 @@ def _render_entry(key, val, lines, indent):
     elif depth == 2:
         lines.append(f"{pad}{key}:")
         for row in val:
-            lines.append(f"{inner}[" + ", ".join(e.text for e in row) + "]")
+            lines.append(f"{inner}[" + ", ".join(map(str, row)) + "]")
     elif depth == 1:
-        lines.append(f"{pad}{key}: [" + ", ".join(e.text for e in val) + "]")
-    elif isinstance(val, list) and all(
+        lines.append(f"{pad}{key}: [" + ", ".join(map(str, val)) + "]")
+    elif isinstance(val, (list, tuple)) and all(
         isinstance(v, (int, float, str, bool)) for v in val
     ):
         lines.append(f"{pad}{key}: [" + ", ".join(str(v) for v in val) + "]")
@@ -394,9 +380,11 @@ def _render_entry(key, val, lines, indent):
 
 def emit(payload: dict, fmt: str) -> str:
     """Serialize a report. The JSON form holds exactly the same fields
-    the text form prints."""
+    the text form prints; a GaussRat is its ["re", "im"] pair in JSON
+    and its string in text."""
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return (json.dumps(payload, indent=2, sort_keys=True,
+                           default=GaussRat.to_pair) + "\n")
     lines = []
     _render(payload, lines, 0)
     return "\n".join(lines) + "\n"
@@ -499,7 +487,7 @@ def _dispatch(args) -> dict:
         conn = parse_connection(args.gamma, g)
         payload = {
             "algebra": _algebra_payload(g, name),
-            "connection": _pairs(conn.gamma),
+            "connection": conn.gamma,
         }
         payload.update(_connection_analysis(conn))
         return payload
@@ -522,7 +510,7 @@ def _dispatch(args) -> dict:
             ),
             "injective": verdict.injective,
             "etale": etale,
-            "induced_connection": conn and _pairs(conn.gamma),
+            "induced_connection": conn and conn.gamma,
             "induced_flat": conn and is_flat(conn),
             "induced_torsion_free": conn and is_torsion_free(conn),
         }

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import flataff
 from flataff.exact import GaussRat, ZERO, ONE
 from flataff.liealg import builtin, JacobiViolation
 from flataff.connections import InvariantConnection, is_flat, is_torsion_free
@@ -138,6 +142,31 @@ def test_read_failures_name_the_file(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def _cli_subprocess(args, **kwargs):
+    """Run `python -c code args` on this package in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(flataff.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", *args], env=env, text=True,
+                          timeout=300, **kwargs)
+
+
+def test_deeply_nested_json_is_a_positioned_error(tmp_path):
+    """3,000 nested lists overflow the JSON reader's recursion; as the
+    algebra file, the connection file or the map file, that is an input
+    error at the file, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+    main_code = "import sys; from flataff.cli import main; sys.exit(main())"
+    for argv in (["analyze", str(deep)],
+                 ["check-connection", "--builtin", "heis3", "--gamma",
+                  str(deep)],
+                 ["check-embedding", "--builtin", "heis3", "--map",
+                  str(deep)]):
+        run = _cli_subprocess([main_code, *argv], capture_output=True)
+        assert run.returncode == 1
+        assert run.stderr == f"error: {deep}: JSON nested too deeply\n"
+        assert "Traceback" not in run.stderr
+
+
 def test_parse_algebra_rejects_jacobi_violation(tmp_path):
     path = _write(
         tmp_path,
@@ -248,43 +277,69 @@ def test_analyze_payload_sl2():
     assert sa["projectively_flat"] is True
 
 
+def _gamma_from_wire(cert):
+    """A Christoffel array read back from its JSON ["re", "im"] pairs."""
+    return [[[GaussRat.from_pair(e) for e in row] for row in plane]
+            for plane in cert]
+
+
+def _from_wire(wire, payload):
+    """The JSON form of a report read back: each ["re", "im"] pair where
+    the payload holds a GaussRat becomes a GaussRat again, and lists
+    become tuples where the payload holds tuples."""
+    if isinstance(payload, GaussRat):
+        return GaussRat.from_pair(wire)
+    if isinstance(payload, dict):
+        assert isinstance(wire, dict) and wire.keys() == payload.keys()
+        return {k: _from_wire(wire[k], payload[k]) for k in payload}
+    if isinstance(payload, (list, tuple)):
+        assert isinstance(wire, list) and len(wire) == len(payload)
+        return type(payload)(map(_from_wire, wire, payload))
+    return wire
+
+
 def test_analyze_payload_sol3():
     payload = analyze(builtin("sol3"), name="sol3")
     assert payload["decision"]["verdict"] == "YES"
     cert = payload["decision"]["certificate_connection"]
-    assert cert[0][1][1] == ["1", "0"]
-    assert cert[0][2][2] == ["-1", "0"]
+    assert cert[0][1][1] == ONE and cert[0][2][2] == -ONE
+    wire = json.loads(emit(payload, "json"))["decision"]
+    assert wire["certificate_connection"][0][1][1] == ["1", "0"]
+    assert wire["certificate_connection"][0][2][2] == ["-1", "0"]
+    conn = InvariantConnection(
+        builtin("sol3"), _gamma_from_wire(wire["certificate_connection"]))
+    assert is_flat(conn) and is_torsion_free(conn)
 
 
 def test_classify_dim3_table():
-    table = classify_dim3()
+    table = json.loads(emit(classify_dim3(), "json"))
     names = [row["algebra"] for row in table["rows"]]
     verdicts = [row["verdict"] for row in table["rows"]]
     assert names == ["abelian3", "heis3", "sol3", "sl2"]
     assert verdicts == ["YES", "YES", "YES", "NO"]
-    # every YES certificate re-verifies exactly after a parse round trip
+    # every YES certificate re-verifies exactly after a JSON round trip
     for row in table["rows"]:
         if row["verdict"] != "YES":
             continue
         g = builtin(row["algebra"])
         cert = row["decision"]["certificate_connection"]
-        gamma = [
-            [
-                [GaussRat(cert[i][j][k][0], cert[i][j][k][1])
-                 for k in range(3)]
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        conn = InvariantConnection(g, gamma)
+        assert len(cert) == 3 and all(
+            len(plane) == 3 and all(len(r) == 3 for r in plane)
+            for plane in cert)
+        conn = InvariantConnection(g, _gamma_from_wire(cert))
         assert is_flat(conn)
         assert is_torsion_free(conn)
 
 
-def test_emit_json_round_trips():
-    table = classify_dim3()
-    text = emit(table, "json")
-    assert json.loads(text) == table
+def test_emit_json_round_trips(tmp_path):
+    """JSON, read back through GaussRat.from_pair, gives the payload's
+    values, here with YES embeddings and a non-real constant."""
+    gauss2 = analyze(parse_algebra(_write(tmp_path, "g.json", _GAUSS2)))
+    assert gauss2["decision"]["certificate_connection"][0][1][1] == (
+        GaussRat("1/2", "-3"))
+    for payload in (classify_dim3(), gauss2):
+        wire = json.loads(emit(payload, "json"))
+        assert _from_wire(wire, payload) == payload
 
 
 def test_emit_text_carries_same_fields():
@@ -399,15 +454,40 @@ def test_search_report_certificate_is_exact():
     )
     assert report["exactly_verified"] is True
     assert report["certificate_start"] == 0
-    cert = report["certificate"]
-    g = builtin("heis3")
-    gamma = [
-        [[GaussRat(cert[i][j][k][0], cert[i][j][k][1]) for k in range(3)]
-         for j in range(3)]
-        for i in range(3)
-    ]
-    conn = InvariantConnection(g, gamma)
+    cert = json.loads(emit(report, "json"))["certificate"]
+    assert len(cert) == 3 and all(
+        len(plane) == 3 and all(len(r) == 3 for r in plane) for plane in cert)
+    conn = InvariantConnection(builtin("heis3"), _gamma_from_wire(cert))
     assert is_flat(conn) and is_torsion_free(conn)
+
+
+# The child reads its peak RSS as VmHWM, which belongs to its own address
+# space: ru_maxrss would also count the peak of the test process, which
+# the child inherits at its fork and keeps across exec.
+_MAXRSS_CHILD = """
+import sys
+from flataff.cli import main
+rc = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(rc, hwm, file=sys.stderr)
+"""
+
+
+def test_abelian40_text_report_peak_rss(tmp_path):
+    """A text report of the 40-dimensional abelian algebra (two dense
+    40^3 connections) stays under 50 MiB of peak RSS in a fresh
+    process: the report holds the connections' own coefficients and
+    writes each once, with no copy per coefficient."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads VmHWM from /proc/self/status (Linux)")
+    path = _write(tmp_path, "abelian40.json", {"dim": 40})
+    run = _cli_subprocess(
+        [_MAXRSS_CHILD, "analyze", path, "--format", "text"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    rc, maxrss_kib = map(int, run.stderr.split())
+    assert rc == 0
+    assert maxrss_kib < 50 * 1024
 
 
 def test_text_report_prints_numeric_basis_labels(tmp_path, capsys):
