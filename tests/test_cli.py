@@ -277,8 +277,12 @@ def test_analyze_payload_sl2():
     assert sa["projectively_flat"] is True
 
 
-def _gamma_from_wire(cert):
-    """A Christoffel array read back from its JSON ["re", "im"] pairs."""
+def _gamma_from_wire(cert, n):
+    """An n x n x n Christoffel array read back from its JSON
+    ["re", "im"] pairs."""
+    assert len(cert) == n and all(
+        len(plane) == n and all(len(row) == n for row in plane)
+        for plane in cert)
     return [[[GaussRat.from_pair(e) for e in row] for row in plane]
             for plane in cert]
 
@@ -307,7 +311,7 @@ def test_analyze_payload_sol3():
     assert wire["certificate_connection"][0][1][1] == ["1", "0"]
     assert wire["certificate_connection"][0][2][2] == ["-1", "0"]
     conn = InvariantConnection(
-        builtin("sol3"), _gamma_from_wire(wire["certificate_connection"]))
+        builtin("sol3"), _gamma_from_wire(wire["certificate_connection"], 3))
     assert is_flat(conn) and is_torsion_free(conn)
 
 
@@ -323,10 +327,7 @@ def test_classify_dim3_table():
             continue
         g = builtin(row["algebra"])
         cert = row["decision"]["certificate_connection"]
-        assert len(cert) == 3 and all(
-            len(plane) == 3 and all(len(r) == 3 for r in plane)
-            for plane in cert)
-        conn = InvariantConnection(g, _gamma_from_wire(cert))
+        conn = InvariantConnection(g, _gamma_from_wire(cert, 3))
         assert is_flat(conn)
         assert is_torsion_free(conn)
 
@@ -455,9 +456,7 @@ def test_search_report_certificate_is_exact():
     assert report["exactly_verified"] is True
     assert report["certificate_start"] == 0
     cert = json.loads(emit(report, "json"))["certificate"]
-    assert len(cert) == 3 and all(
-        len(plane) == 3 and all(len(r) == 3 for r in plane) for plane in cert)
-    conn = InvariantConnection(builtin("heis3"), _gamma_from_wire(cert))
+    conn = InvariantConnection(builtin("heis3"), _gamma_from_wire(cert, 3))
     assert is_flat(conn) and is_torsion_free(conn)
 
 
