@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import asdict
 
-from .exact import GaussRat, ExactMatrix, ZERO
+from .exact import GaussRat, ExactMatrix, ZERO, _gauss, _ratio
 from .liealg import (
     LieAlgebra,
     from_structure_constants,
@@ -53,7 +53,7 @@ __all__ = [
     "main",
 ]
 
-_COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
+_COEFF_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 class ParseError(ValueError):
@@ -75,14 +75,16 @@ def _coeff(value, position: str) -> GaussRat:
         raise ParseError(
             position, 'expected a ["re", "im"] pair of rational strings'
         )
+    parts = []
     for part in value:
-        if not _COEFF_RE.match(part):
+        if not (m := _COEFF_RE.match(part)):
             raise ParseError(
                 position,
                 f"coefficient {part!r} does not match -?digits(/digits)?",
             )
+        parts.append(m.groups())
     try:
-        return GaussRat(value[0], value[1])
+        return _gauss(*_ratio(*parts[0]), *_ratio(*parts[1]))
     except ZeroDivisionError:
         raise ParseError(position, f"zero denominator in {value}") from None
     except ValueError as e:  # more digits than int() accepts

@@ -2,14 +2,15 @@
 and small multivariate polynomials.
 
 Everything here is immutable after construction and every operation is
-exact; no floating point enters at any stage.
+exact; no floating point enters at any stage. A Gaussian rational is
+three ints, (u + v i) / d, so its arithmetic is integer arithmetic.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 __all__ = [
     "GaussRat",
@@ -23,19 +24,29 @@ __all__ = [
     "HALF",
 ]
 
-_RATIONAL_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = _re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
-def _coerce_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(num: str, den) -> tuple:
+    """(n, d) ints of the literal num/den, from its digit strings (den
+    None for 1); ZeroDivisionError for d = 0."""
+    n, d = int(num), 1 if den is None else int(den)
+    if not d:
+        raise ZeroDivisionError(f"zero denominator in {num}/{den}")
+    return n, d
+
+
+def _coerce_rational(x) -> tuple:
+    """(numerator, denominator) ints of an int, a Fraction or a literal
+    [+-]digits[/digits], in which − is a sign and surrounding spaces are
+    ignored."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     if isinstance(x, str):
-        s = x.replace("−", "-").strip()
-        if not _RATIONAL_RE.match(s):
+        m = _RATIONAL_RE.fullmatch(x.replace("−", "-").strip())
+        if m is None:
             raise ValueError(f"not a rational literal: {x!r}")
-        return Fraction(s)
+        return _ratio(*m.groups())
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
@@ -50,33 +61,37 @@ class _Immutable:
 
 
 class GaussRat(_Immutable):
-    """A Gaussian rational re + im*i with Fraction components.
+    """A Gaussian rational (u + v i) / d, held as three ints with d >= 1
+    and gcd(u, v, d) = 1.
 
-    Fraction keeps each part canonical (positive denominator, reduced),
-    so equality and hashing are structural; zero parts share one object.
-    Operators build results with _exact and skip the imaginary parts of
-    two real operands.
+    The form is canonical, so equality is structural, and a real value
+    hashes as the int or Fraction it equals. Every operator is integer
+    arithmetic plus the one gcd of _from_ints. re and im read the parts
+    as Fractions.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("u", "v", "d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _coerce_rational(re) or _F0)
-        object.__setattr__(self, "im", _coerce_rational(im) or _F0)
+    def __new__(cls, re=0, im=0):
+        return _gauss(*_coerce_rational(re), *_coerce_rational(im))
+
+    re = property(lambda self: Fraction(self.u, self.d), doc="Real part.")
+    im = property(lambda self: Fraction(self.v, self.d), doc="Imaginary part.")
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, GaussRat):
             return other
         if isinstance(other, (int, Fraction)):
-            return GaussRat(other)
+            return _from_ints(other.numerator, 0, other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _exact(self.re + o.re, self.im + o.im if self.im or o.im else _F0)
+        a, b = self.d, o.d
+        return _from_ints(self.u * b + o.u * a, self.v * b + o.v * a, a * b)
 
     __radd__ = __add__
 
@@ -84,7 +99,8 @@ class GaussRat(_Immutable):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _exact(self.re - o.re, self.im - o.im if self.im or o.im else _F0)
+        a, b = self.d, o.d
+        return _from_ints(self.u * b - o.u * a, self.v * b - o.v * a, a * b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -96,10 +112,8 @@ class GaussRat(_Immutable):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.im or o.im:
-            return _exact(self.re * o.re - self.im * o.im,
-                          self.re * o.im + self.im * o.re)
-        return _exact(self.re * o.re, _F0)
+        a, b, x, y = self.u, self.v, o.u, o.v
+        return _from_ints(a * x - b * y, a * y + b * x, self.d * o.d)
 
     __rmul__ = __mul__
 
@@ -107,15 +121,11 @@ class GaussRat(_Immutable):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.re and not (self.im or o.im):
-            return _exact(self.re / o.re, _F0)
-        n = o.re * o.re + o.im * o.im
+        a, b, x, y = self.u, self.v, o.u, o.v
+        n = x * x + y * y
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return _exact(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        return _from_ints((a * x + b * y) * o.d, (b * x - a * y) * o.d, self.d * n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -124,39 +134,42 @@ class GaussRat(_Immutable):
         return o / self
 
     def __neg__(self):
-        return _exact(-self.re, -self.im)
+        return _from_ints(-self.u, -self.v, self.d)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "GaussRat":
-        return _exact(self.re, -self.im)
+        return _from_ints(self.u, -self.v, self.d)
 
     def norm(self) -> Fraction:
         """Squared modulus re^2 + im^2 (a rational)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.u * self.u + self.v * self.v, self.d * self.d)
 
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        return not (self.u or self.v)
 
     def __bool__(self):
-        return bool(self.re or self.im)
+        return bool(self.u or self.v)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.u == o.u and self.v == o.v and self.d == o.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.u, self.v, self.d) if self.v else Fraction(self.u, self.d))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.u / self.d, self.v / self.d)
 
     def to_pair(self) -> list:
         """Serialized form: ["re", "im"] rational strings."""
-        return [str(self.re), str(self.im)]
+        if self.d == 1:
+            return [str(self.u), str(self.v)]
+        return [_part(self.u, self.d), _part(self.v, self.d)]
 
     @classmethod
     def from_pair(cls, pair) -> "GaussRat":
@@ -165,34 +178,49 @@ class GaussRat(_Immutable):
         return cls(pair[0], pair[1])
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
-            ims = "i"
-        elif self.im == -1:
-            ims = "-i"
-        else:
-            ims = f"{self.im}i"
-        if self.re == 0:
+        u, v, d = self.u, self.v, self.d
+        if not v:
+            return _part(u, d)
+        ims = "i" if v == d else "-i" if v == -d else f"{_part(v, d)}i"
+        if not u:
             return ims
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{ims}"
+        return f"{_part(u, d)}{'+' if v > 0 else ''}{ims}"
 
     def __repr__(self):
-        return f"GaussRat({self.re!r}, {self.im!r})"
+        g, h = gcd(self.u, self.d), gcd(self.v, self.d)
+        return (f"GaussRat(Fraction({self.u // g}, {self.d // g}), "
+                f"Fraction({self.v // h}, {self.d // h}))")
 
 
-_F0 = Fraction(0)
-_set_re = GaussRat.re.__set__
-_set_im = GaussRat.im.__set__
+_new = object.__new__
+_set_u, _set_v, _set_d = GaussRat.u.__set__, GaussRat.v.__set__, GaussRat.d.__set__
+
+
+def _from_ints(u: int, v: int, d: int) -> GaussRat:
+    """(u + v i) / d for ints u, v and a nonzero int d, in the canonical
+    form: the one place a GaussRat is reduced."""
+    g = -gcd(u, v, d) if d < 0 else gcd(u, v, d)
+    z = _new(GaussRat)
+    _set_u(z, u // g)
+    _set_v(z, v // g)
+    _set_d(z, d // g)
+    return z
+
+
+def _gauss(a: int, b: int, c: int, e: int) -> GaussRat:
+    """a / b + (c / e) i for ints, b and e nonzero."""
+    return _from_ints(a * e, c * b, b * e)
 
 
 def _exact(re: Fraction, im: Fraction) -> GaussRat:
-    """GaussRat from two Fractions, without the checks of __init__."""
-    z = object.__new__(GaussRat)
-    _set_re(z, re)
-    _set_im(z, im)
-    return z
+    """re + im i for two Fractions."""
+    return _gauss(re.numerator, re.denominator, im.numerator, im.denominator)
+
+
+def _part(a: int, d: int) -> str:
+    """a / d as str(Fraction(a, d)) prints it, for d > 0."""
+    g = gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
 
 
 ZERO = GaussRat(0)
@@ -208,21 +236,13 @@ def as_gauss(x) -> GaussRat:
 
 def _den(values) -> int:
     """The lcm of the denominators of the GaussRat values (1 if none)."""
-    return lcm(*(d for x in values
-                 for d in (x.re.denominator, x.im.denominator)))
+    return lcm(*(x.d for x in values))
 
 
 def _ints(row: dict, den: int) -> dict:
-    """den x as an (re, im) int pair for each nonzero x of the dict row,
-    for a den that every denominator of row divides."""
-    return {j: (x.re.numerator * (den // x.re.denominator),
-                x.im.numerator * (den // x.im.denominator))
-            for j, x in row.items() if x}
-
-
-def _from_ints(u: int, v: int, den: int) -> GaussRat:
-    """(u + v i) / den for ints u, v and a nonzero int den."""
-    return _exact(Fraction(u, den) or _F0, Fraction(v, den) or _F0)
+    """den x as a (u, v) int pair for each nonzero x of the dict row, for
+    a den that every denominator of row divides."""
+    return {j: (x.u * (f := den // x.d), x.v * f) for j, x in row.items() if x}
 
 
 def _step(p: dict, r: dict, f: tuple, d: tuple, e: tuple) -> dict:

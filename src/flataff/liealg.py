@@ -12,7 +12,9 @@ represent g. Sums run on the cleared constants of `_int_constants`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, groupby
+from math import lcm
 
 from .exact import (ExactMatrix, _Immutable, _den, _echelon, _from_ints,
                     _int_rows, _ints, as_gauss, ZERO, ONE)
@@ -124,7 +126,7 @@ class LieAlgebra(_Immutable):
         sum_m c[i][j][m] c[m][k][l] + (cyclic in i, j, k) is not zero.
         A nonzero c[a][b][m] c[m][x][l], a < b, x not in {a, b}, is a term
         for the triple {a, b, x}, negated if a < x < b (c[k][i] = -c[i][k])."""
-        sums, C = {}, self._int_constants()[1]
+        sums, C = {}, self._clear()[1]
         for a, Ca in enumerate(C):
             for b, row in Ca.items():
                 if b <= a:
@@ -142,16 +144,27 @@ class LieAlgebra(_Immutable):
             if sums[key] != (0, 0):
                 raise JacobiViolation(key)
 
+    def _clear(self) -> tuple:
+        """The (d, C) of _int_constants, for the constants alone."""
+        d = _den(v for entries in self.nonzero for _, _, v in entries)
+        return d, [{j: _ints({k: v for _, k, v in group}, d)
+                    for j, group in groupby(entries, lambda e: e[0])}
+                   for entries in self.nonzero]
+
+    _cleared = cached_property(_clear)
+
     def _int_constants(self, mats=()) -> tuple:
         """(d, C, N), d the lcm of all denominators of the constants and
         the ExactMatrix mats, C[i] = {j: {k: d c[i][j][k]}} (j, k increasing)
-        and N[t][r] = {s: d mats[t][r, s]}, nonzero (re, im) int pairs."""
+        and N[t][r] = {s: d mats[t][r, s]}, nonzero (re, im) int pairs. The
+        constants are cleared at the first call and kept (_cleared); the Jacobi
+        check does not keep its clear, so an algebra only built holds none."""
+        d, C = self._cleared
         rows = [m._nonzero_rows() for m in mats]
-        d = _den(chain((v for entries in self.nonzero for _, _, v in entries),
-                       (x for p in rows for row in p for x in row.values())))
-        C = [{j: _ints({k: v for _, k, v in group}, d)
-              for j, group in groupby(entries, lambda e: e[0])}
-             for entries in self.nonzero]
+        f = lcm(d, _den(x for p in rows for row in p for x in row.values())) // d
+        if f > 1:
+            d, C = d * f, [{j: {k: (a * f, b * f) for k, (a, b) in row.items()}
+                            for j, row in Ci.items()} for Ci in C]
         return d, C, [[_ints(row, d) for row in p] for p in rows]
 
     def bracket(self, x, y) -> list:

@@ -479,8 +479,8 @@ def run_search(g: LieAlgebra, cfg: SearchConfig = SearchConfig()) -> SearchOutco
     candidate (by start index) that passes exact verification back to the
     basis e_i: the certificate lam Gamma' for g. Candidates are reported
     in the unknowns of the unit-scaled algebra."""
-    lam = max((abs(part) for entries in g.nonzero for _, _, v in entries
-               for part in (v.re, v.im)), default=Fraction(1))
+    lam = max((Fraction(max(abs(v.u), abs(v.v)), v.d) for entries in g.nonzero
+               for _, _, v in entries), default=Fraction(1))
     eye = ExactMatrix.identity(g.n)
     sys = assemble(g.in_basis(eye.scale(1 / lam)))
     candidates = tuple(newton_multistart(sys, cfg))

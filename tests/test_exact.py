@@ -2,9 +2,12 @@
 
 import operator
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flataff.exact import (
     GaussRat,
@@ -14,6 +17,7 @@ from flataff.exact import (
     ZERO,
     ONE,
     I,
+    HALF,
 )
 
 
@@ -135,6 +139,121 @@ def test_gaussrat_zero_division_message_on_every_path():
         with pytest.raises(ZeroDivisionError) as exc:
             num / ZERO
         assert str(exc.value) == "division by zero Gaussian rational"
+
+
+def _pair_str(re, im):
+    """str of a GaussRat with Fraction parts re and im, as the
+    Fraction-pair GaussRat printed it."""
+    if im == 0:
+        return str(re)
+    ims = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if re == 0:
+        return ims
+    return f"{re}{'+' if im > 0 else ''}{ims}"
+
+
+def _assert_is_pair(z, re, im):
+    """z is the canonical GaussRat of the Fractions re + im i, and prints,
+    serializes and converts as the Fraction-pair GaussRat did, bit for
+    bit."""
+    assert type(z) is GaussRat
+    assert all(type(t) is int for t in (z.u, z.v, z.d))
+    assert z.d >= 1 and gcd(z.u, z.v, z.d) == 1
+    assert (z.re, z.im) == (re, im)
+    assert str(z) == _pair_str(re, im)
+    assert z.to_pair() == [str(re), str(im)]
+    assert repr(z) == f"GaussRat({re!r}, {im!r})"
+    c, ref = complex(z), complex(float(re), float(im))
+    assert (c.real.hex(), c.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+    if im == 0:
+        assert hash(z) == hash(re)
+
+
+# parts with zero, small, negative and 60-digit numerators, and small and
+# 30-digit denominators
+_NUMERATOR = st.one_of(st.just(0), st.integers(-9, 9),
+                       st.integers(-10**60, 10**60))
+_PART = st.builds(Fraction, _NUMERATOR,
+                  st.one_of(st.integers(1, 9), st.integers(1, 10**30)))
+_PAIR = st.one_of(st.tuples(_PART, _PART), st.tuples(_PART, st.just(Fraction(0))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_PAIR, y=_PAIR, kind=st.sampled_from(["gauss", "int", "fraction"]),
+       swap=st.booleans())
+def test_gaussrat_matches_the_fraction_pair_arithmetic(x, y, kind, swap):
+    """The operators, conjugate, norm, ==, bool and the printed forms
+    against the Fraction-pair arithmetic (_pair_op) GaussRat ran before
+    it held (u, v, d), with an int or a Fraction as the second operand
+    on either side."""
+    gx = GaussRat(*x)
+    _assert_is_pair(gx, *x)
+    if kind == "gauss":
+        gy = GaussRat(*y)
+    else:
+        gy = y[0].numerator if kind == "int" else y[0]
+        y = (Fraction(gy), Fraction(0))
+    a, ap, b, bp = (gy, y, gx, x) if swap else (gx, x, gy, y)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+    for op, fn in ops.items():
+        if op == "/" and bp == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                fn(a, b)
+        else:
+            _assert_is_pair(fn(a, b), *_pair_op(op, ap, bp))
+    _assert_is_pair(-gx, -x[0], -x[1])
+    _assert_is_pair(gx.conjugate(), x[0], -x[1])
+    assert gx.norm() == x[0] * x[0] + x[1] * x[1]
+    assert type(gx.norm()) is Fraction
+    assert (gx == gy) is (gy == gx) is (x == y)
+    assert bool(gx) is (x != (0, 0)) is (not gx.is_zero())
+
+
+def test_gaussrat_hashes_as_the_number_it_equals():
+    """A real GaussRat equals and hashes as its int or Fraction, so sets
+    and dicts find it by either; a non-real one equals no real key."""
+    assert hash(GaussRat(1)) == hash(1)
+    assert hash(HALF) == hash(Fraction(1, 2))
+    assert hash(GaussRat(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+    assert 1 in {GaussRat(1)} and GaussRat(1) in {1}
+    assert Fraction(1, 2) in {HALF} and HALF in {Fraction(1, 2)}
+    assert {1: "one", Fraction(-7, 3): "q"}[GaussRat(1)] == "one"
+    table = {GaussRat(0): "zero", HALF: "half", I: "i"}
+    assert table[0] == "zero" and table[Fraction(2, 4)] == "half"
+    assert table[GaussRat("0", "1")] == "i"
+    assert len({0, ZERO, Fraction(0), GaussRat("−0/5")}) == 1
+    assert GaussRat(1, 1) not in {1, Fraction(1), 2}
+
+
+def test_gaussrat_representation_and_parse_edge_cases():
+    assert (ZERO.u, ZERO.v, ZERO.d) == (0, 0, 1)
+    z = GaussRat(Fraction(-6, 4), Fraction(2, 3))
+    assert (z.u, z.v, z.d) == (-9, 4, 6)
+    for name in ("u", "v", "d"):
+        with pytest.raises(AttributeError):
+            setattr(ONE, name, 2)
+    _assert_is_pair(GaussRat("−3"), Fraction(-3), Fraction(0))
+    _assert_is_pair(GaussRat("+2/4", " −1/2 "), HALF.re, Fraction(-1, 2))
+    _assert_is_pair(GaussRat(" 5 "), Fraction(5), Fraction(0))
+    _assert_is_pair(GaussRat(True, False), Fraction(1), Fraction(0))
+    _assert_is_pair(GaussRat(0, True), Fraction(0), Fraction(1))
+    with pytest.raises(ZeroDivisionError):
+        GaussRat("1/0")
+    with pytest.raises(ZeroDivisionError):
+        GaussRat(0, "0/0")
+    digits = "7" * 5000
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        for re, im in ((digits, 0), (0, "1/" + digits)):
+            with pytest.raises(ValueError):
+                GaussRat(re, im)
+    else:
+        assert GaussRat(digits).u == int(digits)
+    with pytest.raises(TypeError):
+        GaussRat(1.5)
+    for bad in ("1.5", "2/-3", "1/2/3", "", "+", "- 1"):
+        with pytest.raises(ValueError):
+            GaussRat(bad)
 
 
 def test_matrix_product_and_identity():

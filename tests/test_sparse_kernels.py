@@ -8,6 +8,7 @@ references."""
 import random
 import time
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -870,3 +871,64 @@ def test_lie_layer_matches_the_gaussrat_loops_on_complex_fractions():
         conj = LinearRep(g, [Q @ a @ Q.inverse() for a in g.adjoint_rep()])
         _assert_matches_the_gaussrat_loops(g, [conj, LinearRep.trivial(g, 2)])
         assert h1_dim(conj) == h1_dim(LinearRep.adjoint(g))
+
+
+def _fresh_clear(g, mats=()):
+    """(d, C, N) as LieAlgebra._int_constants documents it, cleared in
+    one pass from the Fraction parts of the constants and the mats."""
+    rows = [m._nonzero_rows() for m in mats]
+    values = [x for e in g.nonzero for _, _, x in e] + [
+        x for p in rows for row in p for x in row.values()]
+    d = lcm(*(part.denominator for x in values for part in (x.re, x.im)))
+
+    def ints(x):
+        return int(x.re * d), int(x.im * d)
+
+    C = [{} for _ in range(g.n)]
+    for Ci, e in zip(C, g.nonzero):
+        for j, k, x in e:
+            Ci.setdefault(j, {})[k] = ints(x)
+    return d, C, [[{s: ints(x) for s, x in row.items()} for row in p]
+                  for p in rows]
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_cleared_constants_are_kept_from_the_first_use(name, data):
+    """In a drawn GL(n, Z) basis scaled by a rational or non-real factor,
+    a built algebra keeps no cleared constants; _int_constants() then
+    returns a fresh clear and keeps it, returning the same C on every later
+    call. With matrices of other denominators (the adjoint representation
+    conjugated by a matrix over 1/11 and i/13, and random ones over 1/17
+    and i/19) it equals a fresh clear of both at their common d, _defects
+    gives the GaussRat loop's D, and the kept pair does not change."""
+    base = _CORPUS[name]
+    n = base.n
+    lam = data.draw(st.sampled_from(
+        [GaussRat(Fraction(-1, 3)), GaussRat(2, 1),
+         GaussRat(Fraction(2, 5), Fraction(-1, 7))]), label="lam")
+    g = base.in_basis(ExactMatrix.from_rows(
+        data.draw(gl_z(n), label="P")).scale(lam))
+    assert "_cleared" not in vars(g)
+    kept = _fresh_clear(g)
+    assert g._int_constants() == kept
+    assert g._int_constants()[1] is g._int_constants()[1]
+    ks = data.draw(st.lists(st.integers(-3, 3), min_size=n * n,
+                            max_size=n * n), label="Q")
+    # unitriangular, so invertible
+    Q = ExactMatrix.identity(n) + ExactMatrix(n, n, [
+        GaussRat(Fraction(k, 11), Fraction(k, 13)) if t % n > t // n else ZERO
+        for t, k in enumerate(ks)])
+    conj = [Q @ a @ Q.inverse() for a in g.adjoint_rep()]
+    m = data.draw(st.integers(1, 3), label="m")
+    entries = st.lists(st.integers(-4, 4), min_size=2 * m * m,
+                       max_size=2 * m * m)
+    random_mats = [ExactMatrix(m, m, [GaussRat(Fraction(a, 17), Fraction(b, 19))
+                                      for a, b in zip(e[::2], e[1::2])])
+                   for e in (data.draw(entries, label="M") for _ in range(n))]
+    for mats in (conj, random_mats):
+        assert g._int_constants(mats) == _fresh_clear(g, mats)
+        assert list(g._defects(mats)) == _reference_defects(g, mats)
+    assert g._first_defect(conj) is None
+    assert g._int_constants() == kept
