@@ -53,7 +53,7 @@ __all__ = [
     "main",
 ]
 
-_COEFF_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class ParseError(ValueError):
@@ -77,7 +77,7 @@ def _coeff(value, position: str) -> GaussRat:
         )
     parts = []
     for part in value:
-        if not (m := _COEFF_RE.match(part)):
+        if not (m := _COEFF_RE.fullmatch(part)):
             raise ParseError(
                 position,
                 f"coefficient {part!r} does not match -?digits(/digits)?",

@@ -59,6 +59,12 @@ class _Immutable:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __setstate__(self, state):
+        # copy and pickle pass __dict__ or (__dict__ or None, slots)
+        for fields in state if isinstance(state, tuple) else (state,):
+            for name, value in (fields or {}).items():
+                object.__setattr__(self, name, value)
+
 
 class GaussRat(_Immutable):
     """A Gaussian rational (u + v i) / d, held as three ints with d >= 1
@@ -210,11 +216,6 @@ def _from_ints(u: int, v: int, d: int) -> GaussRat:
 def _gauss(a: int, b: int, c: int, e: int) -> GaussRat:
     """a / b + (c / e) i for ints, b and e nonzero."""
     return _from_ints(a * e, c * b, b * e)
-
-
-def _exact(re: Fraction, im: Fraction) -> GaussRat:
-    """re + im i for two Fractions."""
-    return _gauss(re.numerator, re.denominator, im.numerator, im.denominator)
 
 
 def _part(a: int, d: int) -> str:

@@ -23,12 +23,13 @@ in [-1, 1].
 
 Numeric candidates are then snapped to Gaussian rationals, one rung of
 _DENOMINATOR_LADDER at a time: each part goes to its best rational
-approximation under the rung, found on plain integers, and becomes a
-Fraction only if it lies within _RATIONALIZE_TOL. A float gate with
-a proven rounding-error bound drops snaps that cannot be flat; every
-other snap is checked exactly, so nothing floating-point ever leaves
-this module inside a certificate. Every numpy user here runs on a
-FlatnessSystem, so the first one imports numpy, and exact verdicts never do.
+approximation p/q under the rung, found on plain integers, and the
+snap is the GaussRat of those ints if every p/q lies within
+_RATIONALIZE_TOL. A float gate with a proven rounding-error bound drops
+snaps that cannot be flat; every other snap is checked exactly, so
+nothing floating-point ever leaves this module inside a certificate.
+Every numpy user here runs on a FlatnessSystem, so the first one imports
+numpy, and exact verdicts never do.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import os
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 
-from .exact import ExactMatrix, HALF, _exact
+from .exact import ExactMatrix, HALF, _gauss
 from .liealg import LieAlgebra
 from .connections import InvariantConnection, is_flat, is_torsion_free
 
@@ -369,51 +370,35 @@ def newton_multistart(sys: FlatnessSystem, cfg: SearchConfig) -> list:
     return sorted(out, key=lambda c: c.start_index)
 
 
-def _best_rationals(x: float, dens) -> list:
-    """For each bound den of the ascending dens, the best p/q of x with
-    q <= den, as Fraction gives it: the last convergent p1/q1 of x with
-    q1 <= den, or the semiconvergent with the largest q <= den if strictly
-    closer to x. One walk of the continued fraction serves every bound."""
-    num, top = x.as_integer_ratio()
-    n, d, p0, q0, p1, q1, out = num, top, 0, 1, 1, 0, []
-    for den in dens:
-        if top <= den:
-            out.append((num, top))
-            continue
-        while (q2 := q0 + (a := n // d) * q1) <= den:
-            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-            n, d = d, n - a * d
-        k = (den - q0) // q1
-        # x lies between p1/q1 and the semiconvergent, 1/(q1 (q0 + k q1))
-        # apart, and d/(q1 top) from p1/q1
-        out.append((p1, q1) if 2 * d * (q0 + k * q1) <= top
-                   else (p0 + k * p1, q0 + k * q1))
-    return out
+def _best_rational(x: float, den: int) -> tuple:
+    """The best p/q of x with q <= den, as Fraction(x).limit_denominator
+    gives it: the last convergent p1/q1 of x with q1 <= den, or the
+    semiconvergent with the largest q <= den if strictly closer to x."""
+    n, d = x.as_integer_ratio()
+    if d <= den:
+        return n, d
+    top, p0, q0, p1, q1 = d, 0, 1, 1, 0
+    while (q2 := q0 + (a := n // d) * q1) <= den:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (den - q0) // q1
+    # x lies between p1/q1 and the semiconvergent, 1/(q1 (q0 + k q1))
+    # apart, and d/(q1 top) from p1/q1
+    if 2 * d * (q0 + k * q1) <= top:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
-def _snap_fraction(x: float, rung: int, walks: dict):
-    """(Fraction(p, q), p / q) if the best p/q of x under the rung's bound
-    is within _RATIONALIZE_TOL of x, else None. walks keeps the
-    _best_rationals of x from the first rung asked on, so that x is
-    expanded once; int / int rounds as float(Fraction(p, q)) does."""
-    first, best = walks.get(x) or walks.setdefault(
-        x, (rung, _best_rationals(x, _DENOMINATOR_LADDER[rung:])))
-    p, q = best[rung - first]
-    f = p / q
-    if abs(f - x) <= _RATIONALIZE_TOL:
-        return Fraction(p, q), f
-    return None
-
-
-class _Snap(list):
-    """The GaussRat unknowns of one snap, with `approx`, their complex
-    floats as _snap_fraction computed them."""
+def _snap_part(x: float, den: int):
+    """The (p, q) of _best_rational(x, den) if p/q is within
+    _RATIONALIZE_TOL of x, else None."""
+    p, q = _best_rational(x, den)
+    return (p, q) if abs(p / q - x) <= _RATIONALIZE_TOL else None
 
 
 def _snap_may_be_flat(sys: FlatnessSystem, s_exact) -> bool:
-    """Float gate: False only if the snap s_exact (GaussRat unknowns, or
-    a _Snap with their floats) is certainly not flat, so that its exact
-    check can be skipped.
+    """Float gate: False only if the snap s_exact (GaussRat unknowns) is
+    certainly not flat, so that its exact check can be skipped.
 
     It tests max|r| <= tau K^2, with r = sys.residual at the floats of
     s_exact and K = 1 + max|s| + max|c|. If the snap is exactly flat, r
@@ -428,7 +413,7 @@ def _snap_may_be_flat(sys: FlatnessSystem, s_exact) -> bool:
     below tau K^2, and below tau K^2 for all n < 800. A NaN residual
     keeps the exact check. Every snap the gate keeps is checked exactly.
     """
-    s = np.array(getattr(s_exact, "approx", s_exact), dtype=complex)
+    s = np.array(s_exact, dtype=complex)
     r = np.abs(sys.residual(s)).max(initial=0.0)
     k = 1.0 + np.abs(s).max(initial=0.0) + sys.c_max
     return not r > _GATE_TOL * k * k
@@ -441,17 +426,14 @@ def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem):
     are caught at the simplest description. A float gate skips the
     exact check of snaps that are certainly not flat. Returns None when
     no snap passes the exact test."""
-    walks = {}  # the continued-fraction walk of each part value
-    for rung in range(len(_DENOMINATOR_LADDER)):
-        s_exact = _Snap()
-        s_exact.approx = []
+    for den in _DENOMINATOR_LADDER:
+        s_exact = []
         for z in candidate.s:
-            re = _snap_fraction(z.real, rung, walks)
-            im = None if re is None else _snap_fraction(z.imag, rung, walks)
+            re = _snap_part(z.real, den)
+            im = None if re is None else _snap_part(z.imag, den)
             if im is None:
                 break
-            s_exact.append(_exact(re[0], im[0]))
-            s_exact.approx.append(complex(re[1], im[1]))
+            s_exact.append(_gauss(*re, *im))
         if (len(s_exact) < len(candidate.s)
                 or not _snap_may_be_flat(sys, s_exact)):
             continue

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from flataff.connections import InvariantConnection, is_flat, is_torsion_free
 from flataff.cli import (
     ParseError,
     parse_algebra,
+    parse_algebra_data,
     parse_connection,
     parse_affmap,
     analyze,
@@ -217,6 +219,31 @@ def test_parse_errors_are_positioned(tmp_path):
         parse_algebra(path)
     assert "result[0]" in str(exc.value)
     assert "0.5" in str(exc.value)
+
+
+def _one_coefficient(lit):
+    """aff1-shaped data whose bracket [e1, e2] has real part lit at e1."""
+    return {"dim": 2, "brackets": [
+        {"left": 0, "right": 1, "result": [[lit, "0"], _zero_pair()]}]}
+
+
+@pytest.mark.parametrize("lit", ["1\n", "1/2\n", "\u0663", "\uff11",
+                                 "1/\u0663", " 1", "1 ", "+1", "1/-2"])
+def test_parse_rejects_coefficients_outside_the_grammar(lit):
+    """Only -?[0-9]+(/[0-9]+)? in full: no final newline, no other
+    Unicode digit, no sign or space elsewhere."""
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_data(_one_coefficient(lit))
+    assert exc.value.position == "<input>.brackets[0].result[0]"
+    assert repr(lit) in str(exc.value)
+
+
+@pytest.mark.parametrize("lit", ["0", "-0", "7", "-7", "007", "1/2", "-3/4",
+                                 "10/5", "0/3", "-0/1", "-06/04",
+                                 "123456789012345678901234567890/3"])
+def test_parse_accepts_every_grammar_literal(lit):
+    g = parse_algebra_data(_one_coefficient(lit))
+    assert g.c[0][1][0] == Fraction(lit)
 
 
 def test_parse_error_on_invalid_json(tmp_path):

@@ -1,6 +1,8 @@
 """Tests for the exact arithmetic layer."""
 
+import copy
 import operator
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -18,6 +20,7 @@ from flataff.exact import (
     ONE,
     I,
     HALF,
+    _gauss,
 )
 
 
@@ -208,6 +211,19 @@ def test_gaussrat_matches_the_fraction_pair_arithmetic(x, y, kind, swap):
     assert type(gx.norm()) is Fraction
     assert (gx == gy) is (gy == gx) is (x == y)
     assert bool(gx) is (x != (0, 0)) is (not gx.is_zero())
+
+
+_DENOMINATOR = st.one_of(st.integers(1, 9), st.integers(1, 10**60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=_NUMERATOR, q=_DENOMINATOR, r=_NUMERATOR, s=_DENOMINATOR)
+def test_gauss_floats_are_the_int_quotients(p, q, r, s):
+    """complex(_gauss(p, q, r, s)) is complex(p / q, r / s) bit for bit
+    for q, s >= 1, as the search's snaps have them: its float gate reads
+    the snapped unknowns this way."""
+    c, ref = complex(_gauss(p, q, r, s)), complex(p / q, r / s)
+    assert (c.real.hex(), c.imag.hex()) == (ref.real.hex(), ref.imag.hex())
 
 
 def test_gaussrat_hashes_as_the_number_it_equals():
@@ -463,6 +479,31 @@ def _value_objects():
         "LieAlgebra": (g, "c"),
         "InvariantConnection": (zero_connection(g), "gamma"),
     }
+
+
+@pytest.mark.parametrize("name", list(_value_objects()) + ["DecisionReport"])
+def test_value_classes_copy_and_pickle(name):
+    """copy.copy, copy.deepcopy and a pickle round trip give an equal
+    value that still refuses assignment."""
+    if name == "DecisionReport":
+        from flataff.liealg import builtin
+        from flataff.obstructions import decide_existence
+
+        obj, field = decide_existence(builtin("heis3")), "verdict"
+        assert obj.verdict == "YES"
+    else:
+        obj, field = _value_objects()[name]
+    data = pickle.dumps(obj)
+    for back in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(data)):
+        assert type(back) is type(obj)
+        assert pickle.dumps(back) == data
+        if name in ("GaussRat", "ExactMatrix", "MultiPoly", "AffElement",
+                    "InvariantConnection"):  # the classes with value ==
+            assert back == obj
+        if name in ("GaussRat", "ExactMatrix", "MultiPoly", "AffElement"):
+            assert hash(back) == hash(obj)
+        with pytest.raises(AttributeError):
+            setattr(back, field, None)
 
 
 @pytest.mark.parametrize("name", list(_value_objects()))

@@ -673,24 +673,14 @@ def _reference_snap_fraction(x: float, den: int):
     return None
 
 
-def _snap(x: float, den: int):
-    return search._snap_fraction(x, search._DENOMINATOR_LADDER.index(den), {})
-
-
 def _assert_snaps_like_reference(x):
-    ladder = search._DENOMINATOR_LADDER
-    ref = [Fraction(x).limit_denominator(den) for den in ladder]
-    for first in range(len(ladder)):
-        # a walk begun at any rung goes on into the later ones and still
-        # lands where limit_denominator's own walk from the start does
-        assert search._best_rationals(x, ladder[first:]) == [
-            (f.numerator, f.denominator) for f in ref[first:]]
-        walks = {}
-        for rung in range(first, len(ladder)):
-            snapped = _reference_snap_fraction(x, ladder[rung])
-            assert search._snap_fraction(x, rung, walks) == (
-                None if snapped is None else (snapped, float(snapped))), (
-                x, ladder[rung])
+    for den in search._DENOMINATOR_LADDER:
+        f = Fraction(x).limit_denominator(den)
+        assert search._best_rational(x, den) == (f.numerator, f.denominator)
+        snapped = _reference_snap_fraction(x, den)
+        assert search._snap_part(x, den) == (
+            None if snapped is None
+            else (snapped.numerator, snapped.denominator)), (x, den)
 
 
 # near-rationals put the tolerance decision and the tie between the
@@ -709,9 +699,9 @@ def test_snap_fraction_matches_limit_denominator(x):
 
 def test_snap_fraction_fixed_cases():
     # ties at den 1 go to the convergent, as limit_denominator does
-    assert search._best_rationals(0.5, [1]) == [(0, 1)]
-    assert search._best_rationals(1.5, [1]) == [(1, 1)]
-    assert search._best_rationals(-2.5, [1]) == [(-3, 1)]
+    assert search._best_rational(0.5, 1) == (0, 1)
+    assert search._best_rational(1.5, 1) == (1, 1)
+    assert search._best_rational(-2.5, 1) == (-3, 1)
     third = 1 / 3
     cases = [0.5, 1.5, -2.5, 0.0, -0.0, 5e-324, 1e-300, 1e15,
              third + 1e-6, third - 1e-6, 0.3334, 1e-6, -1e-6]
@@ -719,11 +709,11 @@ def test_snap_fraction_fixed_cases():
               for sign in (1, -1) for toward in (0, 1)]
     for x in cases:
         _assert_snaps_like_reference(float(x))
-    assert _snap(0.3334, 3) is None
-    assert _snap(third + 1e-7, 3) == (Fraction(1, 3), third)
-    assert _snap(-0.0, 1) == (0, 0.0)
+    assert search._snap_part(0.3334, 3) is None
+    assert search._snap_part(third + 1e-7, 3) == (1, 3)
+    assert search._snap_part(-0.0, 1) == (0, 1)
     # 0 lies exactly _RATIONALIZE_TOL from 1e-6, which still snaps
-    assert _snap(-1e-6, 1) == (0, 0.0)
+    assert search._snap_part(-1e-6, 1) == (0, 1)
 
 
 def _reference_rationalize(candidate, sys):
