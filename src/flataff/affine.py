@@ -17,10 +17,12 @@ connection on g, with Christoffels read off via V^{-1} (A_i v_j).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .exact import ExactMatrix, _Immutable, as_gauss, ZERO, ONE
-from .liealg import LieAlgebra, builtin
-from .connections import InvariantConnection, _l_matrices
+from .exact import (ExactMatrix, _Immutable, _echelon, _gauss_tuple, _int_rows,
+                    as_gauss, ZERO, ONE)
+from .liealg import LieAlgebra, _plane_matrix, builtin
+from .connections import InvariantConnection, _l_rows
 
 __all__ = [
     "AffElement",
@@ -56,18 +58,18 @@ class NotFlatTorsionFree(ValueError):
 
 
 class AffElement(_Immutable):
-    """Element (A, v) of gl(n,C) ⋉ C^n."""
+    """Element (A, v) of gl(n,C) ⋉ C^n; a tuple of GaussRat v is kept."""
 
     __slots__ = ("A", "v")
 
     def __init__(self, A: ExactMatrix, v):
         if A.rows != A.cols:
             raise ValueError("linear part must be square")
-        v = [as_gauss(x) for x in v]
+        v = _gauss_tuple(v)
         if len(v) != A.rows:
             raise ValueError("translation length does not match linear part")
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "v", tuple(v))
+        object.__setattr__(self, "v", v)
 
     @property
     def ambient(self) -> int:
@@ -164,6 +166,14 @@ class AffMap(_Immutable):
             m, n, [self.images[j].v[i] for i in range(m) for j in range(n)]
         )
 
+    def __eq__(self, other):
+        if not isinstance(other, AffMap):
+            return NotImplemented
+        return self.g == other.g and self.images == other.images
+
+    def __hash__(self):
+        return hash((self.g, self.images))
+
     def __repr__(self):
         return f"AffMap(g dim {self.g.n} -> aff({self.ambient}))"
 
@@ -175,21 +185,24 @@ class HomVerdict:
     injective: bool
 
 
-def _augmented(x: AffElement) -> ExactMatrix:
-    """(A, v) as [[A, v], [0, 0]] in gl(m + 1). The commutator of two such
-    matrices is [[AB - BA, Aw - Bv], [0, 0]], which is aff_bracket."""
-    m = x.ambient
-    return ExactMatrix(m + 1, m + 1, [
-        e for r in range(m) for e in (*x.A.row(r), x.v[r])] + [ZERO] * (m + 1))
+def _augmented_rows(A_rows, v) -> list:
+    """(A, v) as the rows of [[A, v], [0, 0]] in gl(m + 1), as the defect
+    kernel reads them, from the nonzero rows of A. The commutator of two
+    such matrices is [[AB - BA, Aw - Bv], [0, 0]], which is aff_bracket."""
+    m = len(v)
+    return [{**row, m: t} if t else row for row, t in zip(A_rows, v)] + [{}]
 
 
 def check_homomorphism(m: AffMap) -> HomVerdict:
     """Check [m(e_i), m(e_j)] = m([e_i, e_j]) for all i < j, and whether
     the images are linearly independent. Both read the images as
     matrices [[A, v], [0, 0]], which hold the entries of A and v."""
-    aug = [_augmented(im) for im in m.images]
+    aug = [_augmented_rows(im.A._nonzero_rows(), im.v) for im in m.images]
     counter = m.g._first_defect(aug)
-    injective = ExactMatrix.from_rows([M.entries for M in aug]).rank() == m.g.n
+    # the rank of the images, each a row of its entries keyed by (r, s)
+    injective = len(_echelon(_int_rows(
+        {(r, s): x for r, row in enumerate(p) for s, x in row.items()}
+        for p in aug))) == m.g.n
     return HomVerdict(ok=counter is None, counterexample=counter, injective=injective)
 
 
@@ -229,11 +242,7 @@ def canonical_embedding(kind: str) -> AffMap:
         )
     else:
         raise ValueError(f"unknown embedding kind {kind!r}; use heis or sol")
-    f = [
-        [ONE, ZERO, ZERO],
-        [ZERO, ONE, ZERO],
-        [ZERO, ZERO, ONE],
-    ]
+    f = _unit_vectors(3)
     images = [
         AffElement(A, f[0]),
         AffElement.translation(f[1]),
@@ -273,13 +282,21 @@ def etale_from_lsa(conn: InvariantConnection) -> AffMap:
     defect on (e_i, e_j) is (R(e_i, e_j), T(e_i, e_j)), so one pass of
     the defect kernel checks flatness and torsion together, and raises
     NotFlatTorsionFree unless conn is flat and torsion-free, which is
-    exactly the condition for the map to be an étale homomorphism."""
-    n = conn.g.n
-    m = AffMap(conn.g, [AffElement(L, [ONE if t == i else ZERO
-                                       for t in range(n)])
-                        for i, L in enumerate(_l_matrices(conn))])
-    if conn.g._first_defect([_augmented(im) for im in m.images]) is not None:
-        raise NotFlatTorsionFree(
-            "connection must be flat and torsion-free"
-        )
-    return m
+    exactly the condition for the map to be an étale homomorphism. The
+    check reads L_i's rows from Γ; a map that passes gets one L_i per
+    distinct plane and the unit translations every map shares."""
+    units = _unit_vectors(conn.g.n)
+    if conn.g._first_defect([_augmented_rows(L, e) for L, e
+                             in zip(_l_rows(conn), units)]) is not None:
+        raise NotFlatTorsionFree("connection must be flat and torsion-free")
+    distinct = {id(p): p for p in conn.gamma}
+    mats = {k: _plane_matrix(p) for k, p in distinct.items()}
+    return AffMap(conn.g, [AffElement(mats[id(p)], e)
+                           for p, e in zip(conn.gamma, units)])
+
+
+@cache
+def _unit_vectors(n: int) -> tuple:
+    """The standard basis of C^n, as tuples of GaussRat."""
+    return tuple(tuple(ONE if t == i else ZERO for t in range(n))
+                 for i in range(n))

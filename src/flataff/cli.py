@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from .exact import GaussRat, ExactMatrix, ZERO, _gauss, _ratio
 from .liealg import (
@@ -429,7 +430,9 @@ def _add_common(sub):
     )
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process, at main's first call."""
     parser = argparse.ArgumentParser(
         prog="flataff",
         description=(
@@ -469,8 +472,11 @@ def main(argv=None) -> int:
         "classify-dim3", help="the dimension-3 existence table"
     )
     _add_common(p)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         payload = _dispatch(args)
     except (OSError, ValueError) as e:

@@ -15,10 +15,10 @@ For constant Christoffels the curvature expands to
 With L_i the matrix of nabla_{e_i} (column j is gamma[i][j]), this is
 entry (l, k) of [L_i, L_j] - sum_m c[i][j][m] L_m, the bracket defect of
 e_i -> L_i, so curvature(), is_flat() and the Weyl check read it for
-i < j off LieAlgebra._defects. Swapping i and j negates every term
-(c[j][i][m] = -c[i][j][m]), so curvature() writes -R at (j, i); is_flat()
-stops at the first curved pair and builds no tensor, and neither does
-is_projectively_flat().
+i < j off LieAlgebra._defects, on rows of L_i read straight from gamma.
+Swapping i and j negates every term (c[j][i][m] = -c[i][j][m]), so
+curvature() writes -R at (j, i); is_flat() stops at the first curved pair
+and builds no tensor, and neither does is_projectively_flat().
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import is_
 
-from .exact import GaussRat, ExactMatrix, _Immutable, as_gauss, ZERO, HALF
-from .liealg import LieAlgebra, _bilinear, _nonzero_index, _plane_matrix
+from .exact import (GaussRat, ExactMatrix, _Immutable, _gauss_tuple, as_gauss,
+                    ZERO, HALF)
+from .liealg import LieAlgebra, _bilinear, _nonzero_index
 
 __all__ = [
     "InvariantConnection",
@@ -74,7 +75,8 @@ class InvariantConnection(_Immutable):
 
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "gamma", kept(gamma, lambda plane: kept(
-            plane, lambda row: kept(row, as_gauss))))
+            plane, lambda row: r if len(r := _gauss_tuple(row)) == n
+            else kept(row, as_gauss))))
 
     def __eq__(self, other):
         if not isinstance(other, InvariantConnection):
@@ -104,8 +106,8 @@ def zero_connection(g: LieAlgebra) -> InvariantConnection:
 def standard_connection(g: LieAlgebra) -> InvariantConnection:
     """nabla_x y = (1/2)[x, y], i.e. gamma = c/2, with the zero rows of c."""
     return InvariantConnection(g, [
-        [[x if x is ZERO else HALF * x for x in row] if row.count(ZERO) < g.n
-         else row for row in plane] for plane in g.c])
+        [tuple(x if x is ZERO else HALF * x for x in row)
+         if row.count(ZERO) < g.n else row for row in plane] for plane in g.c])
 
 
 def torsion(conn: InvariantConnection):
@@ -116,12 +118,20 @@ def torsion(conn: InvariantConnection):
                        for j in range(n)) for i in range(n))
 
 
-def _l_matrices(conn: InvariantConnection) -> list:
-    """L_i, the matrix of nabla_{e_i}: column j is gamma[i][j]. Planes
-    that are one object (the shared zero plane) share one matrix."""
-    distinct = {id(p): p for p in conn.gamma}
-    mats = {k: _plane_matrix(p) for k, p in distinct.items()}
-    return [mats[id(p)] for p in conn.gamma]
+def _l_rows(conn: InvariantConnection) -> list:
+    """L_i, the matrix of nabla_{e_i}, as the kernel reads it: row k is
+    {j: gamma[i][j][k]}, nonzero entries only. Planes that are one object
+    (the shared zero plane) share their rows."""
+    n, rows, zero = conn.g.n, {}, (ZERO,) * conn.g.n
+    for p in conn.gamma:
+        if id(p) not in rows:
+            L = rows[id(p)] = [{} for _ in range(n)]
+            for j, row in enumerate(p):
+                if row != zero:
+                    for k, x in enumerate(row):
+                        if x is not ZERO and x:
+                            L[k][j] = x
+    return [rows[id(p)] for p in conn.gamma]
 
 
 def _dense(n: int, entries):
@@ -140,7 +150,7 @@ def _dense(n: int, entries):
 def curvature(conn: InvariantConnection):
     """R[l][k][i][j], the coefficient of e_l in R(e_i, e_j) e_k."""
     return _dense(conn.g.n, ((l, k, i, j, x)
-                             for i, j, D in conn.g._defects(_l_matrices(conn))
+                             for i, j, D in conn.g._defects(_l_rows(conn))
                              for (l, k), x in D.items()))
 
 
@@ -152,7 +162,7 @@ def ricci(curv) -> ExactMatrix:
 
 
 def is_flat(conn: InvariantConnection) -> bool:
-    return conn.g._first_defect(_l_matrices(conn)) is None
+    return conn.g._first_defect(_l_rows(conn)) is None
 
 
 def is_torsion_free(conn: InvariantConnection) -> bool:
@@ -161,7 +171,7 @@ def is_torsion_free(conn: InvariantConnection) -> bool:
     return not any(x - y != z
                    for i in range(n) for j in range(i + 1, n)
                    for x, y, z in zip(gm[i][j], gm[j][i], c[i][j])
-                   if x or y or z)
+                   if x is not ZERO or y is not ZERO or z is not ZERO)
 
 
 def projective_change(conn: InvariantConnection, phi) -> InvariantConnection:
@@ -216,7 +226,7 @@ def _weyl_entries(conn: InvariantConnection):
     Ric[i][k] if l = j. W is evaluated only where R or a gamma term is
     nonzero."""
     n = conn.g.n
-    R = {(i, j): D for i, j, D in conn.g._defects(_l_matrices(conn)) if D}
+    R = {(i, j): D for i, j, D in conn.g._defects(_l_rows(conn)) if D}
     ric = {}
     for (i, j), D in R.items():
         for (l, k), x in D.items():

@@ -235,6 +235,14 @@ def as_gauss(x) -> GaussRat:
     return x if isinstance(x, GaussRat) else GaussRat(x)
 
 
+def _gauss_tuple(values) -> tuple:
+    """values as a tuple of GaussRat; a tuple of GaussRat is itself."""
+    values = tuple(values)
+    if set(map(type, values)) <= {GaussRat}:
+        return values
+    return tuple(map(as_gauss, values))
+
+
 def _den(values) -> int:
     """The lcm of the denominators of the GaussRat values (1 if none)."""
     return lcm(*(x.d for x in values))
@@ -317,12 +325,13 @@ def _nullspace(piv: dict, cols: int) -> list:
 
 
 class ExactMatrix(_Immutable):
-    """Dense matrix over GaussRat, row-major storage."""
+    """Dense matrix over GaussRat, row-major storage. Entries that all
+    are GaussRat are kept, not re-wrapped."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(as_gauss(e) for e in entries)
+        entries = _gauss_tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries, got {len(entries)}"

@@ -84,21 +84,26 @@ class LieAlgebra(_Immutable):
     """Finite-dimensional complex Lie algebra over the Gaussian rationals.
 
     Immutable; construct via from_structure_constants or builtin, or pass
-    the full constant array directly. Zero constants are stored as ZERO.
+    the full constant array directly, or a dict {(i, j): row c[i][j]}
+    that omits zero rows. Zero constants are stored as ZERO, zero rows as
+    one shared tuple and equal constants as one object.
     """
 
     def __init__(self, n: int, c, names=None):
         if n < 0:
             raise ValueError("dimension must be nonnegative")
-        zero_row = (ZERO,) * n  # shared by every zero row of c
-        c = tuple(
-            tuple(
-                row if any(row := tuple(as_gauss(c[i][j][k]) or ZERO
-                                        for k in range(n))) else zero_row
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+        if not isinstance(c, dict):
+            c = {(i, j): c[i][j] for i in range(n) for j in range(n)}
+        zero_row, consts = (ZERO,) * n, {}
+        rows = [[zero_row] * n for _ in range(n)]
+        for (i, j), v in c.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise IndexError(f"bracket pair ({i}, {j}) out of range")
+            row = tuple(consts.setdefault((x.u, x.v, x.d), x)
+                        if (x := as_gauss(v[k])) else ZERO for k in range(n))
+            if row != zero_row:
+                rows[i][j] = row
+        c = tuple(map(tuple, rows))
         if names is None:
             names = [f"e{i + 1}" for i in range(n)]
         if len(names) != n:
@@ -107,7 +112,9 @@ class LieAlgebra(_Immutable):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "names", tuple(str(s) for s in names))
         # entry a lists (b, k, c[a][b][k]) for each nonzero c[a][b][k]
-        object.__setattr__(self, "nonzero", _nonzero_index(c))
+        object.__setattr__(self, "nonzero", tuple(
+            tuple((b, k, x) for b, row in enumerate(plane) if row is not zero_row
+                  for k, x in enumerate(row) if x is not ZERO) for plane in c))
         self._check_antisymmetry()
         self._check_jacobi()
 
@@ -155,17 +162,17 @@ class LieAlgebra(_Immutable):
 
     def _int_constants(self, mats=()) -> tuple:
         """(d, C, N), d the lcm of all denominators of the constants and
-        the ExactMatrix mats, C[i] = {j: {k: d c[i][j][k]}} (j, k increasing)
-        and N[t][r] = {s: d mats[t][r, s]}, nonzero (re, im) int pairs. The
-        constants are cleared at the first call and kept (_cleared); the Jacobi
-        check does not keep its clear, so an algebra only built holds none."""
+        the matrices mats, each its rows as {col: GaussRat} dicts (as from
+        ExactMatrix._nonzero_rows), C[i] = {j: {k: d c[i][j][k]}} (j, k
+        increasing) and N[t][r] = {s: d mats[t][r][s]}, nonzero (re, im)
+        int pairs. The constants are cleared at the first call and kept
+        (_cleared); the Jacobi check does not keep its clear."""
         d, C = self._cleared
-        rows = [m._nonzero_rows() for m in mats]
-        f = lcm(d, _den(x for p in rows for row in p for x in row.values())) // d
+        f = lcm(d, _den(x for p in mats for row in p for x in row.values())) // d
         if f > 1:
             d, C = d * f, [{j: {k: (a * f, b * f) for k, (a, b) in row.items()}
                             for j, row in Ci.items()} for Ci in C]
-        return d, C, [[_ints(row, d) for row in p] for p in rows]
+        return d, C, [[_ints(row, d) for row in p] for p in mats]
 
     def bracket(self, x, y) -> list:
         """Bracket of two coordinate vectors."""
@@ -202,13 +209,14 @@ class LieAlgebra(_Immutable):
                                   for u, v in K])
 
     def _defects(self, mats):
-        """For square ExactMatrix M_0 ... M_{n-1} of one size m, yield
+        """For square matrices M_0 ... M_{n-1} of one size m, each given
+        by its m rows as {col: GaussRat} dicts of its nonzero entries, yield
         (i, j, D) for each i < j in lexicographic order, where D maps
         (r, s) to each nonzero entry of [M_i, M_j] - sum_k c[i][j][k] M_k.
         The M are a representation of g exactly when every D is empty.
-        Only the nonzero rows of the M and the nonzero constants are read,
-        and a caller that stops at the first nonempty D computes no later
-        pair.
+        Only the nonzero entries of the M and the nonzero constants are
+        read, and a caller that stops at the first nonempty D computes no
+        later pair.
 
         The sums run on ints. With d the lcm of every denominator of the
         M and the constants, N = d M and C = d c (_int_constants) are
@@ -354,6 +362,14 @@ class LieAlgebra(_Immutable):
         """Equality of structure constant arrays (basis-dependent)."""
         return self.n == other.n and self.c == other.c
 
+    def __eq__(self, other):
+        if not isinstance(other, LieAlgebra):
+            return NotImplemented
+        return self.names == other.names and self.same_constants(other)
+
+    def __hash__(self):
+        return hash((self.n, self.names, self.nonzero))
+
     def __repr__(self):
         nz = sum(b > a for a, e in enumerate(self.nonzero) for b, _, _ in e)
         return f"LieAlgebra(n={self.n}, nonzero brackets={nz})"
@@ -380,14 +396,12 @@ def from_structure_constants(n: int, names=None, brackets=None) -> LieAlgebra:
     are consistent; LieAlgebra raises InconsistentEntry otherwise.
     """
     brackets = brackets or {}
-    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    rows = {}  # only the listed pairs and their mirrors
     for (i, j), v in brackets.items():
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"bracket pair ({i}, {j}) out of range")
-        c[i][j] = _coerce_vector(v, n)
+        rows[i, j] = v = _coerce_vector(v, n)
         if (j, i) not in brackets:
-            c[j][i] = [-x for x in c[i][j]]
-    return LieAlgebra(n, c, names=names)
+            rows[j, i] = [x if x is ZERO else -x for x in v]
+    return LieAlgebra(n, rows, names=names)
 
 
 def _abelian(n: int) -> LieAlgebra:

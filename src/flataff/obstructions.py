@@ -67,7 +67,7 @@ class LinearRep(_Immutable):
                     raise InvalidRep("matrices must be square, equal size")
         else:
             d = 0
-        pair = g._first_defect(rho)
+        pair = g._first_defect([m._nonzero_rows() for m in rho])
         if pair is not None:
             raise InvalidRep(
                 "representation property fails at pair (%d, %d)" % pair)
@@ -108,7 +108,7 @@ def h1_dim(rep: LinearRep) -> int:
     """
     g = rep.g
     n, dim = g.n, rep.V_dim
-    d, C, rho = g._int_constants(rep.rho)
+    d, C, rho = g._int_constants([m._nonzero_rows() for m in rep.rho])
     # rho[i][a]: {b: d rho(e_i)[a, b]}; one sparse row per (i < j, a), in
     # which only a constant's entry can meet a rho entry
     rows = []
@@ -218,7 +218,7 @@ def _abelian_ideal_connection(g: LieAlgebra):
     return None
 
 
-def _reductive_connection(g: LieAlgebra):
+def _reductive_connection(g: LieAlgebra, killing: ExactMatrix):
     """The product of Mat2 when g = s ⊕ z, s = [g, g] of dimension 3 and
     z the center, of dimension n - 3 >= 1. Then s = [s, s] is perfect of
     dimension 3, hence of type sl2. With z1 the first center basis vector,
@@ -229,8 +229,8 @@ def _reductive_connection(g: LieAlgebra):
     this is Mat2 with identity z1, plus a zero product on the rest of the
     center: associative, hence left-symmetric (Burde,
     arXiv:math-ph/0509016). Written without an isomorphism to gl2, it
-    stays rational for non-split forms such as so(3) ⊕ C. None unless g
-    has this shape."""
+    stays rational for non-split forms such as so(3) ⊕ C. killing is
+    g's Killing form. None unless g has this shape."""
     n = g.n
     if n < 4 or len(s := g._bracket_space()) != 3:
         return None
@@ -249,7 +249,7 @@ def _reductive_connection(g: LieAlgebra):
     z1 = {k: x for k, x in enumerate(z[0]) if x}
     # z is central, so [σ_i, σ_j] = [e_i, e_j] and κ(σ_i, σ_j) = κ(e_i, e_j).
     # Only nonzero terms are summed; zeros are stored as ZERO, as in LieAlgebra
-    kappa = g.killing_form().scale(Fraction(1, 8))  # ⅛κ
+    kappa = killing.scale(Fraction(1, 8))  # ⅛κ
     gamma = [[[x and HALF * x for x in row] for row in plane] for plane in g.c]
     for i in range(n):
         for j in range(n):
@@ -287,7 +287,10 @@ def decide_existence(g: LieAlgebra,
             "connection ad on that vector and 0 on the ideal is flat and "
             "torsion-free"))
 
-    if g.is_semisimple():
+    # one Killing form for the gate and the reductive rule; n >= 2 here,
+    # as the abelian rule decides n <= 1
+    killing = g.killing_form()
+    if killing.rank() == g.n:
         # the gate passed, so the Killing form has full rank; H1 and the
         # determinant polynomial follow by theorem (ObstructionEvidence)
         evidence = ObstructionEvidence(
@@ -300,7 +303,7 @@ def decide_existence(g: LieAlgebra,
             "evidence: H1(adjoint) = 0, fundamental determinant "
             "polynomial vanishes identically"))
 
-    conn = _reductive_connection(g)
+    conn = _reductive_connection(g, killing)
     if conn is not None:
         return _yes(conn, (
             "g is [g, g] of dimension 3 plus the center: the product of "

@@ -905,3 +905,33 @@ def test_report_bytes_are_pinned(command, name, fmt, capsys, tmp_path):
     assert main(argv) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == _REPORT_SHA256[command, name, fmt]
+
+
+def test_pinned_reports_repeat_in_one_process(capsys, tmp_path):
+    """main parses with one parser per process: every pinned report, run
+    twice in one process with a failing call (exit 1) and a --help exit
+    in between, is its pinned bytes both times."""
+    for repeat in range(2):
+        for (command, name, fmt), want in _REPORT_SHA256.items():
+            argv = _pinned_argv(command, name, tmp_path) + ["--format", fmt]
+            assert main(argv) == 0
+            out = capsys.readouterr().out.encode("utf-8")
+            assert hashlib.sha256(out).hexdigest() == want, (repeat, argv)
+        if repeat == 0:
+            assert main(["analyze", str(tmp_path / "missing.json")]) == 1
+            with pytest.raises(SystemExit) as exc:
+                main(["search", "--help"])
+            assert exc.value.code == 0
+            assert "--starts" in capsys.readouterr().out
+
+
+def test_search_options_do_not_leak_between_calls(capsys):
+    """A search with --starts and --seed leaves the next call's options
+    at their defaults."""
+    argv = ["search", "--builtin", "sol3", "--format", "json"]
+    assert main(argv + ["--starts", "3", "--seed", "5"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["starts"], config["seed"]) == (3, 5)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == emit(
+        search_report(builtin("sol3"), SearchConfig(), name="sol3"), "json")

@@ -498,9 +498,11 @@ def test_value_classes_copy_and_pickle(name):
         assert type(back) is type(obj)
         assert pickle.dumps(back) == data
         if name in ("GaussRat", "ExactMatrix", "MultiPoly", "AffElement",
-                    "InvariantConnection"):  # the classes with value ==
+                    "AffMap", "LieAlgebra", "InvariantConnection",
+                    "DecisionReport"):  # the classes with value ==
             assert back == obj
-        if name in ("GaussRat", "ExactMatrix", "MultiPoly", "AffElement"):
+        if name in ("GaussRat", "ExactMatrix", "MultiPoly", "AffElement",
+                    "AffMap", "LieAlgebra"):
             assert hash(back) == hash(obj)
         with pytest.raises(AttributeError):
             setattr(back, field, None)

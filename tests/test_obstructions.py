@@ -1,6 +1,7 @@
 """Tests for cohomology, the determinant obstruction, and the decision
 pipeline."""
 
+import copy
 import itertools
 import random
 import time
@@ -309,8 +310,9 @@ def test_each_certificate_is_verified_once(monkeypatch):
     assert k >= 1
     assert (defect_calls, hom_calls) == (k + 1, 0)
 
-    # a semisimple NO: one Killing rank, no determinant polynomial and no
-    # cocycle elimination; both follow by theorem (Whitehead for H^1)
+    # a semisimple NO: one Killing form, ranked by the gate, no determinant
+    # polynomial and no cocycle elimination; both follow by theorem
+    # (Whitehead for H^1)
     def refuse(name):
         def refused(*args):
             raise AssertionError(name + " called")
@@ -320,22 +322,26 @@ def test_each_certificate_is_verified_once(monkeypatch):
                         refuse("fundamental_det_poly"))
     monkeypatch.setattr(obstructions, "h1_dim", refuse("h1_dim"))
     monkeypatch.setattr(LinearRep, "adjoint", refuse("LinearRep.adjoint"))
-    ranks = []
-    killing_rank = LieAlgebra.killing_rank
+    forms = []
+    killing_form = LieAlgebra.killing_form
 
-    def counted_rank(self):
-        ranks.append(self.n)
-        return killing_rank(self)
+    def counted_form(self):
+        forms.append(self.n)
+        return killing_form(self)
 
-    monkeypatch.setattr(LieAlgebra, "killing_rank", counted_rank)
+    monkeypatch.setattr(LieAlgebra, "killing_form", counted_form)
     for g in (builtin("sl2"), sl2_plus_sl2(), sl3(), _sl4()):
-        ranks.clear()
+        forms.clear()
         report = decide_existence(g)
         assert report.verdict == "NO"
         assert report.obstruction.det_poly_is_zero
         assert report.obstruction.h1_adjoint == 0
         assert report.obstruction.killing_rank == g.n
-        assert ranks == [g.n]
+        assert forms == [g.n]
+    # the reductive rule reuses the gate's Killing form
+    forms.clear()
+    assert decide_existence(gl2()).verdict == "YES"
+    assert forms == [4]
 
 
 def test_adjoint_matches_the_validated_representation():
@@ -572,7 +578,8 @@ def test_a_broken_certificate_raises(monkeypatch):
     assert is_torsion_free(curved) and not is_flat(curved)
     for bad in (with_torsion, curved):
         with monkeypatch.context() as m:
-            m.setattr(obstructions, "_reductive_connection", lambda g: bad)
+            m.setattr(obstructions, "_reductive_connection",
+                      lambda g, killing: bad)
             with pytest.raises(NotFlatTorsionFree):
                 decide_existence(g)
 
@@ -692,7 +699,7 @@ def test_reductive_rule_is_fast_and_runs_no_check(monkeypatch):
     monkeypatch.setattr(obstructions, "run_search", refuse)
     monkeypatch.setattr(LieAlgebra, "_defects", refuse)
     for g in _REDUCTIVE.values():
-        assert obstructions._reductive_connection(g) is not None
+        assert obstructions._reductive_connection(g, g.killing_form()) is not None
 
 
 def _free_two_step(k):
@@ -715,4 +722,21 @@ def test_reductive_rule_declines_other_shapes():
     assert free.n == 6 and free.derived_series_dims() == [6, 3, 0]
     for g in (builtin("sl2"), sl2_plus_sl2(), sl3(), aff1_squared,
               _search_only_algebra(), free):
-        assert obstructions._reductive_connection(g) is None
+        assert obstructions._reductive_connection(g, g.killing_form()) is None
+
+
+def test_equal_decisions_compare_equal():
+    """Two decisions of one algebra compare equal, and so does a deep copy
+    of one with its original: an algebra compares by its names and
+    constants and an affine map by its algebra and images. Other
+    constants or names compare unequal."""
+    first, second = (decide_existence(builtin("heis3")) for _ in range(2))
+    assert first == second and first == copy.deepcopy(first)
+    assert hash(first.embedding) == hash(second.embedding)
+    g = builtin("sol3")
+    assert g == LieAlgebra(3, g.c) and hash(g) == hash(LieAlgebra(3, g.c))
+    assert g != LieAlgebra(3, g.c, names=["x", "y", "z"])
+    doubled = g.in_basis(ExactMatrix.identity(3).scale(2))
+    assert doubled != g and g != builtin("heis3")
+    mine, other = decide_existence(g), decide_existence(doubled)
+    assert mine.embedding != other.embedding and mine != other

@@ -23,8 +23,10 @@ from flataff.liealg import (
     builtin,
     from_structure_constants,
 )
+from flataff import affine, connections, liealg
 from flataff.connections import (
     InvariantConnection,
+    _l_rows,
     curvature,
     is_flat,
     is_projectively_flat,
@@ -38,7 +40,7 @@ from flataff.affine import (
     AffElement,
     AffMap,
     NotFlatTorsionFree,
-    _augmented,
+    _augmented_rows,
     aff_bracket,
     check_homomorphism,
     etale_from_lsa,
@@ -578,6 +580,19 @@ def test_det_of_a_24_by_24_complex_matrix():
     assert d == _dense_det(m) != ZERO
 
 
+def _rows(mats):
+    """Each ExactMatrix as the rows LieAlgebra._defects reads."""
+    return [m._nonzero_rows() for m in mats]
+
+
+def _augmented(x):
+    """(A, v) as the dense matrix [[A, v], [0, 0]] in gl(m + 1), which the
+    homomorphism and etale checks built before they read rows."""
+    m = x.ambient
+    return ExactMatrix(m + 1, m + 1, [
+        e for r in range(m) for e in (*x.A.row(r), x.v[r])] + [ZERO] * (m + 1))
+
+
 def _reference_defects(g, mats):
     """The GaussRat loop that LieAlgebra._defects ran before it summed
     on integers: [(i, j, D)] for i < j, D the nonzero entries of
@@ -654,7 +669,7 @@ def _defect_cases(draw):
 @given(_defect_cases())
 def test_defects_match_the_gaussrat_loop(case):
     g, mats = case
-    assert list(g._defects(mats)) == _reference_defects(g, mats)
+    assert list(g._defects(_rows(mats))) == _reference_defects(g, mats)
 
 
 def test_defects_of_a_scaled_representation_are_empty():
@@ -664,11 +679,109 @@ def test_defects_of_a_scaled_representation_are_empty():
     for base in _algebras():
         for lam in _SCALES:
             g = base.in_basis(ExactMatrix.identity(base.n).scale(lam))
-            assert g._first_defect(g.adjoint_rep()) is None
+            assert g._first_defect(_rows(g.adjoint_rep())) is None
     for g, conn in (_matmul_algebra([(0, 0), (0, 1), (1, 0), (1, 1)]),
                     _aff1()):
         emb = etale_from_lsa(conn)
-        assert g._first_defect([_augmented(x) for x in emb.images]) is None
+        assert g._first_defect([_augmented_rows(x.A._nonzero_rows(), x.v)
+                                for x in emb.images]) is None
+
+
+@st.composite
+def _connections_and_maps(draw):
+    """(g, kind, data): g an algebra of _algebras() or aff1, its constants
+    scaled as in _defect_cases; for kind "connection" an
+    InvariantConnection with random planes, some of them one shared zero
+    plane, one shared random plane or a plane of c; for kind "map" the
+    images (A, v) of a random map into aff(m), m from 0 to 3."""
+    base = draw(st.sampled_from(_algebras() + [_aff1()[0]]))
+    g = base.in_basis(
+        ExactMatrix.identity(base.n).scale(draw(st.sampled_from(_SCALES))))
+    n = g.n
+
+    def entries(size):
+        return draw(st.lists(_ENTRY, min_size=size, max_size=size))
+
+    if draw(st.booleans()):
+        zero = ((ZERO,) * n,) * n
+        shared = tuple(tuple(entries(n)) for _ in range(n))
+        planes = [zero, shared, g.c[draw(st.integers(0, n - 1))], None]
+        gamma = []
+        for _ in range(n):
+            p = draw(st.sampled_from(planes))
+            gamma.append(p if p is not None
+                         else [entries(n) for _ in range(n)])
+        return g, "connection", InvariantConnection(g, gamma)
+    m = draw(st.integers(0, 3))
+    return g, "map", [AffElement(ExactMatrix(m, m, entries(m * m)), entries(m))
+                      for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_connections_and_maps())
+def test_sparse_rows_match_the_dense_defects(case):
+    """The rows the checks hand the defect kernel (_l_rows of a connection,
+    and _augmented_rows of its étale map or of a map's images) give the
+    defects of the dense matrices L_i and [[A, v], [0, 0]]; the injectivity
+    rank read from the rows is the rank of the flattened dense images."""
+    g, kind, data = case
+    n = g.n
+    if kind == "connection":
+        rows = _l_rows(data)
+        dense = [ExactMatrix.from_rows([[data.gamma[i][j][k] for j in range(n)]
+                                        for k in range(n)]) for i in range(n)]
+        assert list(g._defects(rows)) == _reference_defects(g, dense)
+        units = [[ONE if t == i else ZERO for t in range(n)] for i in range(n)]
+        images = [AffElement(L, e) for L, e in zip(dense, units)]
+        aug = [_augmented_rows(L, e) for L, e in zip(rows, units)]
+    else:
+        images = data
+        aug = [_augmented_rows(x.A._nonzero_rows(), x.v) for x in images]
+    dense = [_augmented(x) for x in images]
+    assert list(g._defects(aug)) == _reference_defects(g, dense)
+    rank = ExactMatrix.from_rows([M.entries for M in dense]).rank()
+    assert check_homomorphism(AffMap(g, images)).injective == (rank == n)
+
+
+def test_flatness_and_etale_checks_build_no_dense_matrix(monkeypatch):
+    """is_flat builds no matrix at all, and etale_from_lsa's check builds
+    neither L_i nor an augmented matrix: a curved connection raises with
+    no matrix built, and a certificate's map builds one n x n L_i per
+    distinct plane of Gamma, after the check."""
+    built = []
+    init, plane_matrix = ExactMatrix.__init__, liealg._plane_matrix
+
+    def counting_init(self, rows, cols, entries):
+        built.append((rows, cols))
+        init(self, rows, cols, entries)
+
+    def counting_plane_matrix(plane):
+        built.append("plane")
+        return plane_matrix(plane)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counting_init)
+    for module in (liealg, connections, affine):
+        if getattr(module, "_plane_matrix", None) is plane_matrix:
+            monkeypatch.setattr(module, "_plane_matrix", counting_plane_matrix)
+    g, flat = _matmul_algebra([(0, 0), (0, 1), (1, 0), (1, 1)])
+    curved = standard_connection(builtin("sl2"))
+    for conn in (flat, curved, standard_connection(g)):
+        built.clear()
+        is_flat(conn)
+        assert built == []
+    with pytest.raises(NotFlatTorsionFree):
+        etale_from_lsa(curved)
+    assert built == []
+    sol3 = builtin("sol3")
+    zero = ((ZERO,) * 3,) * 3
+    for conn, distinct in ((flat, 4), (InvariantConnection(
+            sol3, [sol3.c[0], zero, zero]), 2)):
+        n = conn.g.n
+        emb = etale_from_lsa(conn)
+        assert built == ["plane", (n, n)] * distinct
+        assert [x.A for x in emb.images] == [
+            plane_matrix(p) for p in conn.gamma]
+        built.clear()
 
 
 def _dense_weyl(conn):
@@ -928,7 +1041,7 @@ def test_cleared_constants_are_kept_from_the_first_use(name, data):
                                       for a, b in zip(e[::2], e[1::2])])
                    for e in (data.draw(entries, label="M") for _ in range(n))]
     for mats in (conj, random_mats):
-        assert g._int_constants(mats) == _fresh_clear(g, mats)
-        assert list(g._defects(mats)) == _reference_defects(g, mats)
-    assert g._first_defect(conj) is None
+        assert g._int_constants(_rows(mats)) == _fresh_clear(g, mats)
+        assert list(g._defects(_rows(mats))) == _reference_defects(g, mats)
+    assert g._first_defect(_rows(conj)) is None
     assert g._int_constants() == kept
