@@ -798,17 +798,29 @@ def test_dimensions_zero_and_one_through_every_command(tmp_path, capsys, n):
 
 
 # sha256 of the analyze reports on the benchmark corpus, of the
-# classify-dim3 table, of the checks of the stored certificates, of a
-# one-start heis3 search and of an algebra with a non-real constant. A
-# change that moves a report's bytes fails here, so it has to be
-# deliberate and update the hash. Longer searches are left out: a start
-# that stalls near the tolerance converges or not with the BLAS build,
-# while the one heis3 start ends at a residual of exactly 0.0.
+# classify-dim3 table, of the checks of the stored certificates, of an
+# algebra with a non-real constant and of short searches: one start on
+# heis3, on sl2 (no candidate) and on heis3 with constants +-1/3, and
+# five on gauss2, whose fifth start gives the certificate. A change that
+# moves a report's bytes fails here, so it has to be deliberate and
+# update the hash. Longer searches are left out: a start that stalls
+# near the tolerance converges or not with the BLAS build, while the
+# heis3 starts end at a residual of exactly 0.0 and the gauss2 starts
+# at least 400 times below the tolerance.
 _CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "algebras"
 _CERTIFICATES = _CORPUS.parent / "certificates"
 # [e1, e2] = (1/2 - 3i) e2
 _GAUSS2 = {"name": "gauss2", "dim": 2, "brackets": [
     {"left": 0, "right": 1, "result": [["0", "0"], ["1/2", "-3"]]}]}
+# heis3 in the basis f1 = e1 + e2, f2 = e2 + e3, f3 = e1 + 2 e3:
+# [f1, f2] = -[f1, f3] = -[f2, f3] = e3 = (-f1 + f2 + f3)/3
+_E3 = [["-1/3", "0"], ["1/3", "0"], ["1/3", "0"]]
+_MINUS_E3 = [["1/3", "0"], ["-1/3", "0"], ["-1/3", "0"]]
+_HEIS3_THIRDS = {"name": "heis3_thirds", "dim": 3, "brackets": [
+    {"left": 0, "right": 1, "result": _E3},
+    {"left": 0, "right": 2, "result": _MINUS_E3},
+    {"left": 1, "right": 2, "result": _MINUS_E3}]}
+_INLINE = {"gauss2": _GAUSS2, "heis3_thirds": _HEIS3_THIRDS}
 _REPORT_SHA256 = {
     ("analyze", "abelian3", "json"):
         "a8e80f97a42a852712fd7f044fbd21f39844e86303fcd914618c99302f09bfd0",
@@ -878,6 +890,18 @@ _REPORT_SHA256 = {
         "014001b493b3c2936ae93370e8811fe746ba8133dcdba85ed613f556b517626b",
     ("analyze", "gauss2", "text"):
         "968241ecddfb94078c8a8a90ed3e7adb534d365741103a289ed71c84dabf7148",
+    ("search", "gauss2", "json"):
+        "2819cfe1d9b4c0857f35ca6949aeb84698a79e22f3ec1583f4f073746b9134ec",
+    ("search", "gauss2", "text"):
+        "56d98bb19c2e65656a34fbb406d01281661f3a532ed0dc9c0127b98322e335f1",
+    ("search", "sl2", "json"):
+        "d5a1bbaf7684fba97c761917b1c14f4419902b3cb11eb880faad464d411478e9",
+    ("search", "sl2", "text"):
+        "ea1a2c282be6171b6b8714b178a4e436fb1f6f3330f3eb5be423ec23d18123ed",
+    ("search", "heis3_thirds", "json"):
+        "42ce3e874f8b2ea6a01de9b942cb30bdfd8bebc7e475d9aafe5bfa4ba852c834",
+    ("search", "heis3_thirds", "text"):
+        "9391c07dbbcacb79b5387e8d1c8f890fd51578f28040c1d8e2fde6e677efaa0f",
 }
 
 
@@ -885,10 +909,13 @@ def _pinned_argv(command, name, tmp_path):
     """The arguments of a pinned report before --format."""
     if name is None:
         return [command]
-    if name == "gauss2":
-        return [command, _write(tmp_path, "gauss2.json", _GAUSS2)]
     if command == "search":
-        return [command, "--builtin", name, "--starts", "1"]
+        starts = ["--starts", "5" if name == "gauss2" else "1"]
+        if name in _INLINE:
+            return [command, _write(tmp_path, f"{name}.json", _INLINE[name])] + starts
+        return [command, "--builtin", name] + starts
+    if name in _INLINE:
+        return [command, _write(tmp_path, f"{name}.json", _INLINE[name])]
     algebra = str(_CORPUS / f"{name}.json")
     if command == "check-connection":
         gamma = _CERTIFICATES / f"{name}_matmul_connection.json"
