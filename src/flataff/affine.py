@@ -17,10 +17,9 @@ connection on g, with Christoffels read off via V^{-1} (A_i v_j).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .exact import (ExactMatrix, _Immutable, _echelon, _gauss_tuple, _int_rows,
-                    as_gauss, ZERO, ONE)
+                    _unit_vectors, as_gauss, ZERO)
 from .liealg import LieAlgebra, _plane_matrix, builtin
 from .connections import InvariantConnection, _l_rows
 
@@ -293,10 +292,3 @@ def etale_from_lsa(conn: InvariantConnection) -> AffMap:
     mats = {k: _plane_matrix(p) for k, p in distinct.items()}
     return AffMap(conn.g, [AffElement(mats[id(p)], e)
                            for p, e in zip(conn.gamma, units)])
-
-
-@cache
-def _unit_vectors(n: int) -> tuple:
-    """The standard basis of C^n, as tuples of GaussRat."""
-    return tuple(tuple(ONE if t == i else ZERO for t in range(n))
-                 for i in range(n))

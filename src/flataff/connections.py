@@ -65,13 +65,12 @@ class InvariantConnection(_Immutable):
 
     def __init__(self, g: LieAlgebra, gamma):
         n = g.n
-        if len(gamma) != n:
-            raise ValueError("Christoffel array has wrong shape")
 
         def kept(seq, convert):
+            if len(seq) != n:
+                raise ValueError(f"Christoffel array must be {n} x {n} x {n}")
             out = tuple(convert(seq[k]) for k in range(n))
-            same = type(seq) is tuple and len(seq) == n
-            return seq if same and all(map(is_, out, seq)) else out
+            return seq if type(seq) is tuple and all(map(is_, out, seq)) else out
 
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "gamma", kept(gamma, lambda plane: kept(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 
 __all__ = [
@@ -228,6 +229,13 @@ ZERO = GaussRat(0)
 ONE = GaussRat(1)
 I = GaussRat(0, 1)
 HALF = GaussRat(Fraction(1, 2))
+
+
+@cache
+def _unit_vectors(n: int) -> tuple:
+    """The standard basis of C^n, as tuples of GaussRat."""
+    return tuple(tuple(ONE if t == i else ZERO for t in range(n))
+                 for i in range(n))
 
 
 def as_gauss(x) -> GaussRat:

@@ -17,7 +17,7 @@ from itertools import chain, groupby
 from math import lcm
 
 from .exact import (ExactMatrix, _Immutable, _den, _echelon, _from_ints,
-                    _int_rows, _ints, as_gauss, ZERO, ONE)
+                    _int_rows, _ints, _unit_vectors, as_gauss, ZERO)
 
 __all__ = [
     "LieAlgebra",
@@ -93,12 +93,17 @@ class LieAlgebra(_Immutable):
         if n < 0:
             raise ValueError("dimension must be nonnegative")
         if not isinstance(c, dict):
+            if len(c) != n or any(len(plane) != n for plane in c):
+                raise ValueError(f"structure constants must be {n} x {n} x {n}")
             c = {(i, j): c[i][j] for i in range(n) for j in range(n)}
         zero_row, consts = (ZERO,) * n, {}
         rows = [[zero_row] * n for _ in range(n)]
         for (i, j), v in c.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise IndexError(f"bracket pair ({i}, {j}) out of range")
+            if len(v) != n:
+                raise ValueError(f"bracket row c[{i}][{j}] has {len(v)} "
+                                 f"entries, not {n}")
             row = tuple(consts.setdefault((x.u, x.v, x.d), x)
                         if (x := as_gauss(v[k])) else ZERO for k in range(n))
             if row != zero_row:
@@ -186,7 +191,7 @@ class LieAlgebra(_Immutable):
 
     def ad(self, x) -> ExactMatrix:
         """Matrix of ad(x) for an arbitrary coordinate vector x."""
-        return _plane_matrix([self.bracket(x, e) for e in self._full_basis()])
+        return _plane_matrix([self.bracket(x, e) for e in _unit_vectors(self.n)])
 
     def adjoint_rep(self) -> list:
         return [self.ad_matrix(i) for i in range(self.n)]
@@ -284,19 +289,13 @@ class LieAlgebra(_Immutable):
         return [[row.get(k, ZERO) for k in range(self.n)]
                 for _, row in sorted(piv.items())]
 
-    def _full_basis(self) -> list:
-        return [
-            [ONE if j == i else ZERO for j in range(self.n)]
-            for i in range(self.n)
-        ]
-
     def derived_series_dims(self) -> list:
         """Dimensions of g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ... until stable."""
         return self._series_dims(lambda cur: self._bracket_space(cur, cur))
 
     def lower_central_dims(self) -> list:
         """Dimensions of g ⊇ [g,g] ⊇ [g,[g,g]] ⊇ ... until stable."""
-        full = self._full_basis()
+        full = _unit_vectors(self.n)
         return self._series_dims(lambda cur: self._bracket_space(full, cur))
 
     def _series_dims(self, step) -> list:

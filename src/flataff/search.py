@@ -15,11 +15,10 @@ Forked workers, one per CPU of the process's affinity set, share the
 starts; reports do not depend on them, and `taskset -c 0` runs the
 search serially. numpy loads with one BLAS thread where no count is set.
 
-The search runs on g in the basis e_i/lam that makes the largest real or
-imaginary part of a structure constant 1 (see run_search). That change
-of basis is exact, so the answer does not depend on the scale of the
-input, and every structure constant the search turns into a float lies
-in [-1, 1].
+The floats are those of c/lam, g's constants in the basis e_i/lam (see
+FlatnessSystem), so each lies in [-1, 1] whatever the scale of g. A point
+s of that system is the connection c/2 + lam s on g itself, the one the
+search checks and returns.
 
 Numeric candidates are then snapped to Gaussian rationals, one rung of
 _DENOMINATOR_LADDER at a time: each part goes to its best rational
@@ -38,9 +37,9 @@ import os
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 
-from .exact import ExactMatrix, HALF, _gauss
+from .exact import GaussRat, HALF, _gauss
 from .liealg import LieAlgebra
-from .connections import InvariantConnection, is_flat, is_torsion_free
+from .connections import InvariantConnection, is_flat
 
 __all__ = [
     "FlatnessSystem",
@@ -98,7 +97,9 @@ class Candidate:
 
 
 class FlatnessSystem:
-    """The curvature equations for Gamma = c/2 + s, s symmetric.
+    """The curvature equations for Gamma = c/2 + s, s symmetric, on c/lam,
+    lam = max(|re|, |im|) over the constants c of g (1 if g is abelian).
+    A solution s is the flat connection c/2 + lam s on g.
 
     Unknown layout: unknown (p, k) sits at index p * n + k where p runs
     over index pairs (i, j), i <= j, in lexicographic order. Residual
@@ -124,7 +125,12 @@ class FlatnessSystem:
             (l, k, i, j) for l in range(n) for k in range(n)
             for i in range(n) for j in range(i + 1, n)
         ]
-        self.c_float = np.array(g.c, dtype=complex).reshape(n, n, n)
+        self.scale = GaussRat(max((Fraction(max(abs(x.u), abs(x.v)), x.d)
+                                   for e in g.nonzero for *_, x in e), default=1))
+        self.c_float = np.zeros((n, n, n), dtype=complex)
+        for a, entries in enumerate(g.nonzero):  # each rounded once from c/lam
+            for b, k, x in entries:
+                self.c_float[a, b, k] = complex(x / self.scale)
         self._c_half = self.c_float / 2.0
         self.c_max = np.abs(self.c_float).max(initial=0.0)
         # the 0/1 map P of Gamma = c/2 + P.s, stored as the unknown that
@@ -204,11 +210,13 @@ class FlatnessSystem:
         return J if s.ndim > 1 else J[0]
 
     def connection_from_rational_s(self, s_exact) -> InvariantConnection:
-        """Exact connection c/2 + s for a list of GaussRat unknowns."""
+        """The exact connection c/2 + lam s on g for a list of GaussRat
+        unknowns s: torsion-free, as s is symmetric."""
         if len(s_exact) != self.unknown_count:
             raise ValueError("wrong number of unknowns")
+        s = [self.scale * x for x in s_exact]
         gamma = [
-            [[HALF * c + s_exact[u] for c, u in zip(row_c, row_u)]
+            [[HALF * c + s[u] for c, u in zip(row_c, row_u)]
              for row_c, row_u in zip(plane_c, plane_u)]
             for plane_c, plane_u in zip(self.g.c, self._gamma_index.tolist())
         ]
@@ -420,12 +428,12 @@ def _snap_may_be_flat(sys: FlatnessSystem, s_exact) -> bool:
 
 
 def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem):
-    """Snap a numeric candidate to Gaussian rationals and check the
-    snapped connection exactly. Denominators are tried smallest first
-    so that candidates sitting on a rational point of a solution family
-    are caught at the simplest description. A float gate skips the
-    exact check of snaps that are certainly not flat. Returns None when
-    no snap passes the exact test."""
+    """Snap a numeric candidate to Gaussian rationals and check that the
+    snapped connection on sys.g (torsion-free by construction) is flat.
+    Denominators are tried smallest first so that candidates sitting on
+    a rational point of a solution family are caught at the simplest
+    description. A float gate skips the exact check of snaps that are
+    certainly not flat. Returns None when no snap passes the exact test."""
     for den in _DENOMINATOR_LADDER:
         s_exact = []
         for z in candidate.s:
@@ -438,7 +446,7 @@ def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem):
                 or not _snap_may_be_flat(sys, s_exact)):
             continue
         conn = sys.connection_from_rational_s(s_exact)
-        if is_flat(conn) and is_torsion_free(conn):
+        if is_flat(conn):
             return conn
     return None
 
@@ -455,21 +463,14 @@ class SearchOutcome:
 
 
 def run_search(g: LieAlgebra, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """Full pipeline: assemble, multistart, rationalize, verify. It runs
-    on g in the basis e_i/lam, whose constants are c/lam, lam = max(|re|,
-    |im|) over c (1 if g is abelian), and moves the snap of the first
-    candidate (by start index) that passes exact verification back to the
-    basis e_i: the certificate lam Gamma' for g. Candidates are reported
-    in the unknowns of the unit-scaled algebra."""
-    lam = max((Fraction(max(abs(v.u), abs(v.v)), v.d) for entries in g.nonzero
-               for _, _, v in entries), default=Fraction(1))
-    eye = ExactMatrix.identity(g.n)
-    sys = assemble(g.in_basis(eye.scale(1 / lam)))
+    """Full pipeline: assemble, multistart, rationalize, verify. The
+    certificate is the connection on g that rationalize_and_verify
+    checked, for the first candidate (by start index) that passes.
+    Candidates hold the unknowns s of the scaled system (FlatnessSystem)."""
+    sys = assemble(g)
     candidates = tuple(newton_multistart(sys, cfg))
     for cand in candidates:
         conn = rationalize_and_verify(cand, sys)
         if conn is not None:
-            gamma = conn.in_basis(eye.scale(lam)).gamma
-            return SearchOutcome(candidates, InvariantConnection(g, gamma),
-                                 cand.start_index)
+            return SearchOutcome(candidates, conn, cand.start_index)
     return SearchOutcome(candidates, None, None)

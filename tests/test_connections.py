@@ -108,6 +108,20 @@ def test_zero_rows_are_one_shared_tuple():
         assert len({id(row) for row in rows}) == 1
 
 
+def test_wrong_shaped_christoffels_are_refused():
+    g = builtin("heis3")
+    gamma = standard_connection(g).gamma
+    wide_rows = [[list(row) + [0] for row in plane] for plane in gamma]
+    long_planes = [list(plane) + [[0, 0, 0]] for plane in gamma]
+    short_rows = [[list(row)[:2] for row in plane] for plane in gamma]
+    for bad in (wide_rows, long_planes, short_rows, list(gamma) + [gamma[0]],
+                list(gamma)[:2]):
+        with pytest.raises(ValueError, match="must be 3 x 3 x 3"):
+            InvariantConnection(g, bad)
+    assert InvariantConnection(g, [[list(row) for row in plane]
+                                   for plane in gamma]).gamma == gamma
+
+
 def test_standard_connection_torsion_free_always():
     rng = random.Random(88)
     for name in ("abelian3", "heis3", "sol3", "sl2"):

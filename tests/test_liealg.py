@@ -90,6 +90,23 @@ def test_antisymmetry_validation_on_raw_constants():
         LieAlgebra(2, c)
 
 
+def test_wrong_shaped_constants_are_refused():
+    # each would be cut to aff1, [e1, e2] = e2, without the shape check
+    with pytest.raises(ValueError, match=r"c\[0\]\[1\] has 3 entries, not 2"):
+        LieAlgebra(2, {(0, 1): [0, 1, 7], (1, 0): [0, -1, -7]})
+    aff1 = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
+    with pytest.raises(ValueError, match="must be 2 x 2 x 2"):
+        LieAlgebra(2, aff1 + [[[0, 0], [0, 0]]])
+    with pytest.raises(ValueError, match="must be 2 x 2 x 2"):
+        LieAlgebra(2, [aff1[0] + [[0, 0]], aff1[1]])
+    with pytest.raises(ValueError, match=r"c\[0\]\[1\] has 3 entries, not 2"):
+        LieAlgebra(2, [[[0, 0], [0, 1, 7]], [[0, -1], [0, 0]]])
+    with pytest.raises(ValueError, match=r"c\[1\]\[0\] has 1 entries, not 2"):
+        LieAlgebra(2, [[[0, 0], [0, 1]], [[0], [0, 0]]])
+    assert LieAlgebra(2, aff1).same_constants(
+        from_structure_constants(2, brackets={(0, 1): [0, 1]}))
+
+
 def test_ad_matrices():
     g = builtin("heis3")
     a0 = g.ad_matrix(0)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from flataff import affine, cli, connections, obstructions
 from flataff import search as search_module
-from flataff.exact import GaussRat, ExactMatrix, MultiPoly, ZERO, ONE
+from flataff.exact import GaussRat, ExactMatrix, MultiPoly, ZERO, ONE, _unit_vectors
 from flataff.liealg import LieAlgebra, builtin, from_structure_constants
 from flataff.connections import (
     InvariantConnection,
@@ -413,7 +413,7 @@ def test_h1_trivial_is_the_abelianization():
     algebras = [builtin(name) for name in ("abelian3", "heis3", "sol3", "sl2")]
     aff1 = from_structure_constants(2, brackets={(0, 1): [0, 1]})
     for g in algebras + [aff1, gl2(), sl2_plus_sl2(), sl3()]:
-        full = g._full_basis()
+        full = _unit_vectors(g.n)
         want = g.n - len(g._bracket_space(full, full))
         assert h1_dim(LinearRep.trivial(g)) == want
     assert [h1_dim(LinearRep.trivial(g)) for g in algebras] == [3, 2, 1, 0]
@@ -610,7 +610,7 @@ def _dense_reductive_connection(g):
     ½c + π_i σ_j + π_j σ_i + (⅛κ + π_i π_j) z1, from the dense center
     system, the brackets of the full basis and the traces of ad."""
     n = g.n
-    full = g._full_basis()
+    full = _unit_vectors(g.n)
     s = g._bracket_space(full, full)
     z = ExactMatrix(n * n, n, [g.c[i][j][k] for i in range(n)
                                for k in range(n) for j in range(n)]).nullspace()

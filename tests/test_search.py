@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 import flataff
 from flataff import search
 from flataff.exact import GaussRat
-from flataff.liealg import builtin, from_structure_constants
-from flataff.connections import curvature, is_flat, is_torsion_free
+from flataff import connections
+from flataff.liealg import LieAlgebra, builtin, from_structure_constants
+from flataff.connections import (InvariantConnection, curvature, is_flat,
+                                 is_torsion_free)
 from flataff.search import (
     FlatnessSystem,
     SearchConfig,
@@ -88,11 +90,14 @@ def test_residual_zero_cases():
 
 
 def test_residual_matches_exact_curvature():
+    # the residual is that of the constants c/lam (lam = 2 for sl2, else
+    # 1) at s, the curvature of c/2 + lam s on g divided by lam^2
     rng = random.Random(606)
     checked = 0
     for name in ("abelian3", "heis3", "sol3", "sl2"):
         g = builtin(name)
         sys = assemble(g)
+        lam = 2 if name == "sl2" else 1
         for _ in range(25):
             s_exact = [
                 GaussRat(
@@ -106,7 +111,7 @@ def test_residual_matches_exact_curvature():
             s_float = np.array([complex(v) for v in s_exact])
             r_float = sys.residual(s_float)
             for t, (l, k, i, j) in enumerate(sys.residual_components):
-                want = complex(r_exact[l][k][i][j])
+                want = complex(r_exact[l][k][i][j] / (lam * lam))
                 got = r_float[t]
                 assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
             checked += 1
@@ -330,8 +335,8 @@ def test_run_search_pins_certificate_starts():
 
 def test_run_search_is_scale_invariant():
     # [e1, e2] = k e2 is aff1 in the basis (e1/k, e2) for every k != 0;
-    # the search runs on the unit-scaled constants, so one certificate
-    # serves every scale, far outside the float range included
+    # the search's floats are the unit-scaled constants c/lam, so one
+    # certificate serves every scale, far outside the float range included
     cfg = SearchConfig(starts=8, seed=0)
 
     def aff1(k):
@@ -357,12 +362,48 @@ def test_run_search_is_scale_invariant():
 
 
 def test_run_search_certificate_is_on_its_input():
-    """The certificate found on the unit-scaled algebra is moved back onto
-    g itself."""
+    """The certificate is a connection on g itself, at every scale."""
     cfg = SearchConfig(starts=8, seed=0)
     for k in (3, Fraction(1, 7), 10**400):
         g = from_structure_constants(2, brackets={(0, 1): [0, k]})
         assert run_search(g, cfg).certificate.g is g
+
+
+def test_run_search_checks_the_certificate_it_returns(monkeypatch):
+    """run_search builds no second algebra, changes no basis and runs no
+    torsion check: the connection that is_flat passed on g is the one it
+    returns, and it is torsion-free by construction."""
+    thirds = builtin("heis3").in_basis([[1, 1, 0], [0, 1, 1], [1, 0, 2]])
+    gauss2 = from_structure_constants(2, brackets={
+        (0, 1): [0, GaussRat(Fraction(1, 2), -3)]})
+    built, flat_checked = [], []
+    init, flat = LieAlgebra.__init__, search.is_flat
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by run_search")
+
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recording_is_flat(conn):
+        flat_checked.append(conn)
+        return flat(conn)
+
+    monkeypatch.setattr(LieAlgebra, "__init__", recording_init)
+    monkeypatch.setattr(LieAlgebra, "in_basis", forbidden)
+    monkeypatch.setattr(InvariantConnection, "in_basis", forbidden)
+    monkeypatch.setattr(connections, "is_torsion_free", forbidden)
+    monkeypatch.setattr(search, "is_torsion_free", forbidden, raising=False)
+    monkeypatch.setattr(search, "is_flat", recording_is_flat)
+    for g, cfg, start in ((thirds, SearchConfig(starts=1), 0),
+                          (gauss2, SearchConfig(starts=5), 4)):
+        out = run_search(g, cfg)
+        assert out.certificate_start == start
+        assert out.certificate.g is g
+        assert out.certificate is flat_checked[-1]
+        assert is_flat(out.certificate) and is_torsion_free(out.certificate)
+    assert built == []
 
 
 # ------------------------------------------- the LM pool against one start
