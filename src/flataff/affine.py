@@ -192,11 +192,16 @@ def _augmented_rows(A_rows, v) -> list:
     return [{**row, m: t} if t else row for row, t in zip(A_rows, v)] + [{}]
 
 
+def _image_rows(m: AffMap) -> list:
+    """Each image of m as the rows of [[A, v], [0, 0]] (_augmented_rows)."""
+    return [_augmented_rows(im.A._nonzero_rows(), im.v) for im in m.images]
+
+
 def check_homomorphism(m: AffMap) -> HomVerdict:
     """Check [m(e_i), m(e_j)] = m([e_i, e_j]) for all i < j, and whether
     the images are linearly independent. Both read the images as
     matrices [[A, v], [0, 0]], which hold the entries of A and v."""
-    aug = [_augmented_rows(im.A._nonzero_rows(), im.v) for im in m.images]
+    aug = _image_rows(m)
     counter = m.g._first_defect(aug)
     # the rank of the images, each a row of its entries keyed by (r, s)
     injective = len(_echelon(_int_rows(
@@ -207,12 +212,11 @@ def check_homomorphism(m: AffMap) -> HomVerdict:
 
 def is_etale(m: AffMap) -> bool:
     """True when the translation parts of the basis images form a basis
-    of the ambient space. Requires a homomorphism."""
-    verdict = check_homomorphism(m)
-    if not verdict.ok:
-        raise NotHomomorphism(
-            f"bracket mismatch at basis pair {verdict.counterexample}"
-        )
+    of the ambient space, which makes m injective. Requires a
+    homomorphism: one defect check, with no rank of the images."""
+    counter = m.g._first_defect(_image_rows(m))
+    if counter is not None:
+        raise NotHomomorphism(f"bracket mismatch at basis pair {counter}")
     return _translations_form_basis(m)
 
 

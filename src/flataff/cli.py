@@ -134,6 +134,10 @@ def _require_int(data, key, position, minimum=0):
 def parse_algebra_data(data, source: str = "<input>") -> LieAlgebra:
     if not isinstance(data, dict):
         raise ParseError(source, "top level must be an object")
+    for key in data:
+        if key not in ("name", "dim", "basis", "brackets"):
+            raise ParseError(f"{source}.{key}", "unknown key; expected name, "
+                             "dim, basis or brackets")
     if "name" in data and not isinstance(data["name"], str):
         raise ParseError(f"{source}.name", "expected a string")
     n = _require_int(data, "dim", source)
@@ -397,11 +401,15 @@ def emit(payload: dict, fmt: str) -> str:
 
 
 def _algebra_from_args(args) -> tuple:
-    if getattr(args, "builtin", None):
-        return builtin(args.builtin), args.builtin
-    if getattr(args, "path", None):
-        data = _load_object(args.path)
-        return parse_algebra_data(data, source=args.path), data.get("name")
+    name, path = getattr(args, "builtin", None), getattr(args, "path", None)
+    if name and path:
+        raise ParseError("<args>", "give an algebra file or --builtin NAME, "
+                         "not both")
+    if name:
+        return builtin(name), name
+    if path:
+        data = _load_object(path)
+        return parse_algebra_data(data, source=path), data.get("name")
     raise ParseError("<args>", "need an algebra file or --builtin NAME")
 
 

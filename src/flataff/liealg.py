@@ -1,12 +1,13 @@
 """Complex Lie algebras given by structure constants.
 
 A LieAlgebra stores the full array c[i][j][k] with
-[e_i, e_j] = sum_k c[i][j][k] e_k, validated for antisymmetry and the
-Jacobi identity at construction time, and indexed by its nonzero entries
-(`nonzero`) for those two checks, the bracket, the Killing form, the
-traces of ad, [g, g] and `_defects`, the one check that matrices
-represent g. Sums run on the cleared constants of `_int_constants`.
-`in_basis` rewrites g in another basis. Entries are GaussRat.
+[e_i, e_j] = sum_k c[i][j][k] e_k, read from a bracket table in one pass
+that completes and checks antisymmetry, then checked for the Jacobi
+identity. Its nonzero entries (`nonzero`) index that check, equality,
+the bracket, the Killing form, the traces of ad, [g, g] and `_defects`,
+the one check that matrices represent g. Sums run on the cleared
+constants of `_int_constants`. `in_basis` rewrites g in another basis.
+Entries are GaussRat.
 """
 
 from __future__ import annotations
@@ -85,8 +86,10 @@ class LieAlgebra(_Immutable):
 
     Immutable; construct via from_structure_constants or builtin, or pass
     the full constant array directly, or a dict {(i, j): row c[i][j]}
-    that omits zero rows. Zero constants are stored as ZERO, zero rows as
-    one shared tuple and equal constants as one object.
+    where an unlisted pair is minus its mirror (j, i), or zero. Pairs
+    listed in both orders, (i, i) too, must agree (InconsistentEntry).
+    Zero constants are stored as ZERO, zero rows as one shared tuple and
+    equal constants, mirrored negatives too, as one object.
     """
 
     def __init__(self, n: int, c, names=None):
@@ -97,22 +100,34 @@ class LieAlgebra(_Immutable):
                 raise ValueError(f"structure constants must be {n} x {n} x {n}")
             c = {(i, j): c[i][j] for i in range(n) for j in range(n)}
         zero_row, consts = (ZERO,) * n, {}
+
+        def own(x):  # the one object kept for the value of x
+            return consts.setdefault((x.u, x.v, x.d), x) if x else ZERO
+
         rows = [[zero_row] * n for _ in range(n)]
         for (i, j), v in c.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise IndexError(f"bracket pair ({i}, {j}) out of range")
-            if len(v) != n:
-                raise ValueError(f"bracket row c[{i}][{j}] has {len(v)} "
+            row = tuple(own(as_gauss(x)) for x in v)
+            if len(row) != n:
+                raise ValueError(f"bracket row c[{i}][{j}] has {len(row)} "
                                  f"entries, not {n}")
-            row = tuple(consts.setdefault((x.u, x.v, x.d), x)
-                        if (x := as_gauss(v[k])) else ZERO for k in range(n))
             if row != zero_row:
                 rows[i][j] = row
-        c = tuple(map(tuple, rows))
+                if (j, i) not in c:
+                    rows[j][i] = tuple(x if x is ZERO else own(-x) for x in row)
         if names is None:
             names = [f"e{i + 1}" for i in range(n)]
         if len(names) != n:
             raise ValueError("need one name per basis element")
+        # pairs listed in both orders, (i, i) among them, must agree
+        bad = [(i, j, k) for i, j in c if i <= j and (j, i) in c
+               for k, (x, y) in enumerate(zip(rows[i][j], rows[j][i]))
+               if x != -y]
+        if bad:
+            i, j, k = min(bad)
+            raise InconsistentEntry(f"c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]")
+        c = tuple(map(tuple, rows))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "names", tuple(str(s) for s in names))
@@ -120,18 +135,7 @@ class LieAlgebra(_Immutable):
         object.__setattr__(self, "nonzero", tuple(
             tuple((b, k, x) for b, row in enumerate(plane) if row is not zero_row
                   for k, x in enumerate(row) if x is not ZERO) for plane in c))
-        self._check_antisymmetry()
         self._check_jacobi()
-
-    def _check_antisymmetry(self):
-        """InconsistentEntry at the least (i, j, k), i <= j, where
-        c[i][j][k] != -c[j][i][k]. One side of such an entry is nonzero,
-        so it is in the index."""
-        bad = [(min(a, b), max(a, b), k) for a, entries in enumerate(self.nonzero)
-               for b, k, x in entries if self.c[b][a][k] != -x]
-        if bad:
-            i, j, k = min(bad)
-            raise InconsistentEntry(f"c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]")
 
     def _check_jacobi(self):
         """JacobiViolation at the first (i, j, k, l), i < j < k, where
@@ -358,8 +362,9 @@ class LieAlgebra(_Immutable):
         return P.to_lists(), P.inverse().transpose()
 
     def same_constants(self, other: "LieAlgebra") -> bool:
-        """Equality of structure constant arrays (basis-dependent)."""
-        return self.n == other.n and self.c == other.c
+        """Equality of structure constant arrays (basis-dependent), read
+        off the nonzero index, which holds every nonzero constant."""
+        return self.n == other.n and self.nonzero == other.nonzero
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
@@ -394,13 +399,7 @@ def from_structure_constants(n: int, names=None, brackets=None) -> LieAlgebra:
     A pair (i, i), or both (i, j) and (j, i), may be given only if they
     are consistent; LieAlgebra raises InconsistentEntry otherwise.
     """
-    brackets = brackets or {}
-    rows = {}  # only the listed pairs and their mirrors
-    for (i, j), v in brackets.items():
-        rows[i, j] = v = _coerce_vector(v, n)
-        if (j, i) not in brackets:
-            rows[j, i] = [x if x is ZERO else -x for x in v]
-    return LieAlgebra(n, rows, names=names)
+    return LieAlgebra(n, dict(brackets or {}), names=names)
 
 
 def _abelian(n: int) -> LieAlgebra:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from flataff import affine, exact, liealg, obstructions
 from flataff.exact import GaussRat, ExactMatrix, ZERO, ONE
 from flataff.liealg import builtin, from_structure_constants
 from flataff.connections import (
@@ -147,6 +148,28 @@ def test_is_etale_false_for_isotropy_only_maps():
     verdict = check_homomorphism(m)
     assert verdict.ok and verdict.injective
     assert not is_etale(m)
+
+
+def test_is_etale_eliminates_once(monkeypatch):
+    """is_etale eliminates the translation matrix alone, not the images
+    as check_homomorphism's injectivity does; lsa_from_etale adds the
+    inverse of the translation matrix."""
+    calls, echelon = [], exact._echelon
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return echelon(*args, **kwargs)
+
+    for module in (exact, affine, liealg, obstructions):
+        monkeypatch.setattr(module, "_echelon", counting)
+    for kind in ("heis", "sol"):
+        m = canonical_embedding(kind)
+        calls.clear()
+        assert is_etale(m)
+        assert len(calls) == 1
+        calls.clear()
+        lsa_from_etale(m)
+        assert len(calls) == 2
 
 
 def test_lsa_from_canonical_heis():

@@ -112,6 +112,40 @@ def test_parse_algebra_rejects_nonzero_self_bracket(tmp_path, capsys):
         f"error: {path}.brackets[1]: [e1, e1] must vanish\n")
 
 
+def test_parse_algebra_rejects_unknown_top_level_key(tmp_path, capsys):
+    """A misspelled "brackets" is an error at the first unknown key, not
+    the abelian algebra."""
+    item = {"left": 0, "right": 1, "result": [_zero_pair(), ["1", "0"]]}
+    path = _write(tmp_path, "typo.json",
+                  {"dim": 2, "bracket": [item], "comment": "aff1"})
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(path)
+    assert exc.value.position == f"{path}.bracket"
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}.bracket: unknown key; expected name, dim, basis or "
+        "brackets\n")
+    ok = {"name": "aff1", "dim": 2, "basis": ["x", "y"], "brackets": [item]}
+    assert parse_algebra_data(ok).c[0][1][1] == ONE
+
+
+def test_file_and_builtin_together_are_refused(tmp_path, capsys):
+    path = _write(tmp_path, "aff1.json", {"dim": 2, "brackets": [
+        {"left": 0, "right": 1, "result": [_zero_pair(), ["1", "0"]]}]})
+    gamma = _write(tmp_path, "gamma.json", {"gamma": []})
+    for argv in (["analyze", path, "--builtin", "sl2"],
+                 ["search", path, "--builtin", "sl2", "--starts", "1"],
+                 ["check-connection", path, "--builtin", "sl2",
+                  "--gamma", gamma],
+                 ["check-embedding", path, "--builtin", "sl2",
+                  "--map", gamma]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: <args>: give an algebra file or "
+                                "--builtin NAME, not both\n")
+
+
 def test_read_failures_name_the_file(tmp_path, capsys):
     """A file that is not UTF-8, and integers longer than int() reads,
     end in a ParseError at the file or coefficient position."""

@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flataff.exact import GaussRat, ExactMatrix, ZERO, ONE
+from flataff import liealg
+from flataff.exact import GaussRat, ExactMatrix, ZERO, ONE, as_gauss
 from flataff.liealg import (
     LieAlgebra,
     JacobiViolation,
@@ -80,6 +81,34 @@ def test_inconsistent_entries_rejected():
         2, brackets={(0, 1): [0, 1], (1, 0): [0, -1]}
     )
     assert g.c[0][1][1] == ONE
+
+
+def test_dict_fills_unlisted_mirrors():
+    # (1, 0) is not listed, so it is minus (0, 1): aff1, [e1, e2] = e2
+    g = LieAlgebra(2, {(0, 1): [0, 1]})
+    assert g.c[1][0] == (ZERO, -ONE)
+    assert g == from_structure_constants(2, brackets={(0, 1): [0, 1]})
+    # one object per distinct constant, mirrored negatives too, and one
+    # shared zero row
+    s = builtin("sl2")  # [h, e] = 2e, [h, f] = -2f, [e, f] = h
+    assert s.c[0][1][1] is s.c[2][0][2] and s.c[1][0][1] is s.c[0][2][2]
+    assert s.c[0][0] is s.c[1][1] is s.c[2][2]
+
+
+def test_from_structure_constants_coerces_each_coefficient_once(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return as_gauss(x)
+
+    monkeypatch.setattr(liealg, "as_gauss", counting)
+    # sl2, with (e, f) listed in both orders
+    brackets = {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0],
+                (2, 1): [-1, 0, 0]}
+    g = from_structure_constants(3, brackets=brackets)
+    assert len(calls) == 12
+    assert g.same_constants(builtin("sl2"))
 
 
 def test_antisymmetry_validation_on_raw_constants():

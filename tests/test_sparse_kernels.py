@@ -206,26 +206,45 @@ def test_jacobi_violation_matches_dense_reference():
 
 def test_antisymmetry_violation_matches_dense_reference():
     """One to three entries changed on one side only, the diagonal
-    c[i][i] included: the check reports the least bad (i <= j, k)."""
-    rng = random.Random(5151)
-    violations = 0
+    c[i][i] included: the check reports the least bad (i <= j, k), for
+    the full array and for a dict that lists only the changed pairs in
+    both orders (in random order) and every other pair once. The upper
+    triangle of each copy builds an algebra (the dict fills the mirrors)
+    whose same_constants agrees with comparing the full arrays."""
+    rng, order = random.Random(5151), random.Random(5252)
+    violations, same = 0, []
     for g in _algebras():
         n = g.n
         for _ in range(12):
             c = [[list(row) for row in plane] for plane in g.c]
+            changed = set()
             for _ in range(rng.randint(1, 3)):
                 i, j, k = (rng.randrange(n) for _ in range(3))
                 c[i][j][k] = c[i][j][k] + GaussRat(rng.choice([1, -1, 2]),
                                                    rng.choice([0, 0, 1]))
+                changed |= {(i, j), (j, i)}
+            pairs = [(i, j) for i in range(n) for j in range(n)
+                     if i < j or (i, j) in changed]
+            order.shuffle(pairs)
+            upper = {(i, j): c[i][j] for i in range(n) for j in range(i + 1, n)}
+            try:
+                h = LieAlgebra(n, upper)
+            except JacobiViolation:
+                pass
+            else:
+                assert h.same_constants(g) == (h.c == g.c)
+                same.append(h.same_constants(g))
             want = _dense_antisymmetry_violation(n, c)
             if want is None:
                 continue
             violations += 1
-            with pytest.raises(InconsistentEntry) as exc:
-                LieAlgebra(n, c)
-            assert str(exc.value) == "c[%d][%d][%d] != -c[%d][%d][%d]" % (
-                *want, want[1], want[0], want[2])
+            for table in (c, {p: c[p[0]][p[1]] for p in pairs}):
+                with pytest.raises(InconsistentEntry) as exc:
+                    LieAlgebra(n, table)
+                assert str(exc.value) == "c[%d][%d][%d] != -c[%d][%d][%d]" % (
+                    *want, want[1], want[0], want[2])
     assert violations >= 60
+    assert True in same and False in same
 
 
 def _dense_matmul(x, y):
