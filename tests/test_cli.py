@@ -832,8 +832,9 @@ def test_dimensions_zero_and_one_through_every_command(tmp_path, capsys, n):
 
 
 # sha256 of the analyze reports on the benchmark corpus, of the
-# classify-dim3 table, of the checks of the stored certificates, of an
-# algebra with a non-real constant and of short searches: one start on
+# classify-dim3 table, of the checks of the stored certificates and of
+# two homomorphisms that are not etale, of an algebra with a non-real
+# constant and of short searches: one start on
 # heis3, on sl2 (no candidate) and on heis3 with constants +-1/3, and
 # five on gauss2, whose fifth start gives the certificate. A change that
 # moves a report's bytes fails here, so it has to be deliberate and
@@ -855,6 +856,18 @@ _HEIS3_THIRDS = {"name": "heis3_thirds", "dim": 3, "brackets": [
     {"left": 0, "right": 2, "result": _MINUS_E3},
     {"left": 1, "right": 2, "result": _MINUS_E3}]}
 _INLINE = {"gauss2": _GAUSS2, "heis3_thirds": _HEIS3_THIRDS}
+# homomorphisms that are not etale: e1 -> (0, f1) into aff(2), whose
+# ambient dimension is not dim g, and abelian3 -> (0, f1), (0, f2), (0, 0),
+# whose translation matrix is square and singular
+_ZERO3 = [[_zero_pair()] * 3] * 3
+_INLINE_MAPS = {
+    "line_in_aff2": ({"name": "line", "dim": 1}, [
+        {"A": [[_zero_pair()] * 2] * 2, "v": [["1", "0"], _zero_pair()]}]),
+    "abelian3_singular": (None, [
+        {"A": _ZERO3, "v": [["1", "0"], _zero_pair(), _zero_pair()]},
+        {"A": _ZERO3, "v": [_zero_pair(), ["1", "0"], _zero_pair()]},
+        {"A": _ZERO3, "v": [_zero_pair()] * 3}]),
+}
 _REPORT_SHA256 = {
     ("analyze", "abelian3", "json"):
         "a8e80f97a42a852712fd7f044fbd21f39844e86303fcd914618c99302f09bfd0",
@@ -916,6 +929,14 @@ _REPORT_SHA256 = {
         "7e63886b97205d03f65b2ae5b901c43e90d37cf891af55f2061900b5f5dcd5a4",
     ("check-embedding", "sol3", "text"):
         "7dc1c714874ec42a1097cfbf7c67a09d64ce3bf02babb54e52930aa911fc17be",
+    ("check-embedding", "line_in_aff2", "json"):
+        "27d85f5c97267711f1f2486d8698a1afa05274a11d31f9e5d62d5de222b50c58",
+    ("check-embedding", "line_in_aff2", "text"):
+        "5488cffafa063d3570f3d496650f1d7b0261e1e435682bbbde9cb79a8e085ac8",
+    ("check-embedding", "abelian3_singular", "json"):
+        "5a2394bc4a15fb77499c7ee5eb68fcd31c6fa3ca989ccdc8c72ea452db2d382b",
+    ("check-embedding", "abelian3_singular", "text"):
+        "429db32f1532711b3fb4a0142b5bfa2f33427274b378693ebbddb6f5a1a68339",
     ("search", "heis3", "json"):
         "9d6cdb4dff18efb74905e897c3ccbbc399e0766bd1cc728e5d482255f48e8d1f",
     ("search", "heis3", "text"):
@@ -950,6 +971,12 @@ def _pinned_argv(command, name, tmp_path):
         return [command, "--builtin", name] + starts
     if name in _INLINE:
         return [command, _write(tmp_path, f"{name}.json", _INLINE[name])]
+    if name in _INLINE_MAPS:
+        data, images = _INLINE_MAPS[name]
+        algebra = (_write(tmp_path, f"{name}.json", data) if data
+                   else str(_CORPUS / "abelian3.json"))
+        return [command, algebra, "--map",
+                _write(tmp_path, f"{name}_map.json", {"images": images})]
     algebra = str(_CORPUS / f"{name}.json")
     if command == "check-connection":
         gamma = _CERTIFICATES / f"{name}_matmul_connection.json"
