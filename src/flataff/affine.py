@@ -10,8 +10,8 @@ v as the translation part. The bracket is
 A map g -> aff(n) sending the basis to images (A_i, v_i) is étale when
 the translation parts are a basis of C^n; in that case the orbit of the
 origin is open with trivial isotropy intersection and the pull-back of
-the flat affine structure gives a flat torsion-free invariant
-connection on g, with Christoffels read off via V^{-1} (A_i v_j).
+the flat affine structure is a flat torsion-free invariant connection
+on g, Γ[i][j] = V^{-1} (A_i v_j), read off by one solve (_induced_connection).
 """
 
 from __future__ import annotations
@@ -217,11 +217,6 @@ def is_etale(m: AffMap) -> bool:
     counter = m.g._first_defect(_image_rows(m))
     if counter is not None:
         raise NotHomomorphism(f"bracket mismatch at basis pair {counter}")
-    return _translations_form_basis(m)
-
-
-def _translations_form_basis(m: AffMap) -> bool:
-    """The rank half of is_etale, without the homomorphism check."""
     return m.ambient == m.g.n and m.translation_matrix().rank() == m.g.n
 
 
@@ -257,26 +252,32 @@ def canonical_embedding(kind: str) -> AffMap:
 def lsa_from_etale(m: AffMap) -> InvariantConnection:
     """Connection induced by an étale affine representation:
     Γ[i][j][·] = V^{-1} (A_i v_j) with V the translation matrix."""
-    if not is_etale(m):
+    counter = m.g._first_defect(_image_rows(m))
+    if counter is not None:
+        raise NotHomomorphism(f"bracket mismatch at basis pair {counter}")
+    if (conn := _induced_connection(m)) is None:
         raise NotEtale("translation parts are not a basis")
-    return _connection_from_map(m)
+    return conn
 
 
-def _connection_from_map(m: AffMap) -> InvariantConnection:
-    """lsa_from_etale without the étale check; a map whose translation
-    matrix is singular raises ValueError."""
-    n = m.g.n
-    V = m.translation_matrix()
-    Vinv = V.inverse()
-    gamma = []
-    for i in range(n):
-        Ai = m.images[i].A
-        rows_i = []
-        for j in range(n):
-            w = Ai.mul_vec(list(m.images[j].v))
-            rows_i.append(Vinv.mul_vec(w))
-        gamma.append(rows_i)
-    return InvariantConnection(m.g, gamma)
+def _induced_connection(m: AffMap) -> InvariantConnection | None:
+    """Γ[i][j] = V^{-1} (A_i v_j) from one solve of the translation matrix
+    V against the n² columns A_i v_j; None unless V is square and
+    nonsingular, i.e. unless m is étale. For an étale homomorphism Γ is
+    flat and torsion-free. ∇_{e_i} is L_i = V^{-1} A_i V (column j is
+    Γ[i][j]), so [L_i, L_j] = V^{-1} A_[e_i,e_j] V = L_[e_i,e_j]: R = 0.
+    Γ[i][j] - Γ[j][i] = V^{-1} (A_i v_j - A_j v_i) = V^{-1} v_[e_i,e_j]
+    = c[i][j]: T = 0."""
+    if m.ambient != (n := m.g.n):
+        return None
+    cols = [im.A.mul_vec(list(jm.v)) for im in m.images for jm in m.images]
+    rhs = ExactMatrix(n, n * n, [w[r] for r in range(n) for w in cols])
+    try:
+        X = m.translation_matrix().solve(rhs)
+    except ValueError:  # V is singular
+        return None
+    return InvariantConnection(m.g, [[X.col(i * n + j) for j in range(n)]
+                                     for i in range(n)])
 
 
 def etale_from_lsa(conn: InvariantConnection) -> AffMap:

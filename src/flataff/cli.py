@@ -36,8 +36,7 @@ from .affine import (
     AffElement,
     AffMap,
     check_homomorphism,
-    _connection_from_map,
-    _translations_form_basis,
+    _induced_connection,
 )
 from .obstructions import decide_existence
 from .search import SearchConfig, run_search
@@ -511,10 +510,9 @@ def _dispatch(args) -> dict:
         g, name = _algebra_from_args(args)
         m = parse_affmap(args.map, g)
         verdict = check_homomorphism(m)
-        # etale is None for a non-homomorphism, and the induced
-        # connection exists only for an etale map
-        etale = _translations_form_basis(m) if verdict.ok else None
-        conn = _connection_from_map(m) if etale else None
+        # None for a non-homomorphism; induced_* proved in _induced_connection
+        conn = _induced_connection(m) if verdict.ok else None
+        etale = conn is not None if verdict.ok else None
         return {
             "algebra": _algebra_payload(g, name),
             "ambient": m.ambient,
@@ -527,8 +525,8 @@ def _dispatch(args) -> dict:
             "injective": verdict.injective,
             "etale": etale,
             "induced_connection": conn and conn.gamma,
-            "induced_flat": conn and is_flat(conn),
-            "induced_torsion_free": conn and is_torsion_free(conn),
+            "induced_flat": etale or None,
+            "induced_torsion_free": etale or None,
         }
     if args.command == "search":
         g, name = _algebra_from_args(args)

@@ -1,12 +1,15 @@
 """Tests for the affine algebra, embeddings, and the connection
 correspondence."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from flataff import affine, exact, liealg, obstructions
+from flataff import affine, cli, exact, liealg, obstructions
 from flataff.exact import GaussRat, ExactMatrix, ZERO, ONE
 from flataff.liealg import builtin, from_structure_constants
 from flataff.connections import (
@@ -32,6 +35,9 @@ from flataff.affine import (
     lsa_from_etale,
     etale_from_lsa,
 )
+from known_algebras import gl_z
+
+_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def _rand_gauss(rng):
@@ -152,16 +158,24 @@ def test_is_etale_false_for_isotropy_only_maps():
 
 def test_is_etale_eliminates_once(monkeypatch):
     """is_etale eliminates the translation matrix alone, not the images
-    as check_homomorphism's injectivity does; lsa_from_etale adds the
-    inverse of the translation matrix."""
+    as check_homomorphism's injectivity does; lsa_from_etale solves it
+    once for the induced connection. check-embedding adds the image rank
+    to that solve and runs the defect kernel once, in check_homomorphism:
+    the induced connection's flatness and torsion are not re-checked."""
     calls, echelon = [], exact._echelon
+    defects, first_defect = [], liealg.LieAlgebra._first_defect
 
     def counting(*args, **kwargs):
         calls.append(args)
         return echelon(*args, **kwargs)
 
+    def counting_defect(self, mats):
+        defects.append(mats)
+        return first_defect(self, mats)
+
     for module in (exact, affine, liealg, obstructions):
         monkeypatch.setattr(module, "_echelon", counting)
+    monkeypatch.setattr(liealg.LieAlgebra, "_first_defect", counting_defect)
     for kind in ("heis", "sol"):
         m = canonical_embedding(kind)
         calls.clear()
@@ -169,7 +183,16 @@ def test_is_etale_eliminates_once(monkeypatch):
         assert len(calls) == 1
         calls.clear()
         lsa_from_etale(m)
-        assert len(calls) == 2
+        assert len(calls) == 1
+    for name in ("heis3", "sol3"):
+        args = cli._parser().parse_args([
+            "check-embedding", str(_DATA / "algebras" / f"{name}.json"),
+            "--map", str(_DATA / "certificates" / f"{name}_embedding.json")])
+        calls.clear()
+        defects.clear()
+        payload = cli._dispatch(args)
+        assert payload["etale"] and payload["induced_flat"]
+        assert (len(calls), len(defects)) == (2, 1)
 
 
 def test_lsa_from_canonical_heis():
@@ -263,33 +286,39 @@ def test_round_trip_on_flat_connections():
         )
 
 
-def test_etale_maps_always_induce_flat_torsion_free():
-    # perturb the canonical embeddings by harmless basis rescalings of C^3
-    rng = random.Random(909)
+@seed(909)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_etale_maps_always_induce_flat_torsion_free(data, tmp_path_factory):
+    """The canonical embeddings conjugated by P in GL(3, Z), A -> P A P^-1
+    and v -> P v, so that V = P is dense: the induced connection is flat
+    and torsion-free, and check-embedding, which states both rather than
+    checking them, agrees with is_flat and is_torsion_free run on the
+    connection it reports."""
+    P = ExactMatrix.from_rows(data.draw(gl_z(3), label="P"))
+    Pinv = P.inverse()
+    path = tmp_path_factory.mktemp("maps") / "map.json"
     for kind in ("heis", "sol"):
         base = canonical_embedding(kind)
-        for _ in range(5):
-            scale = [GaussRat(rng.randint(1, 3)) for _ in range(3)]
-            P = ExactMatrix(
-                3,
-                3,
-                [
-                    scale[i] if i == j else ZERO
-                    for i in range(3)
-                    for j in range(3)
-                ],
-            )
-            Pinv = P.inverse()
-            images = [
-                AffElement(P @ im.A @ Pinv, P.mul_vec(list(im.v)))
-                for im in base.images
-            ]
-            m = AffMap(base.g, images)
-            assert check_homomorphism(m).ok
-            if is_etale(m):
-                conn = lsa_from_etale(m)
-                assert is_flat(conn)
-                assert is_torsion_free(conn)
+        images = [AffElement(P @ im.A @ Pinv, P.mul_vec(list(im.v)))
+                  for im in base.images]
+        m = AffMap(base.g, images)
+        assert check_homomorphism(m).ok and is_etale(m)
+        conn = lsa_from_etale(m)
+        assert is_flat(conn) and is_torsion_free(conn)
+
+        path.write_text(json.dumps({"images": [
+            {"A": [[x.to_pair() for x in im.A.row(r)] for r in range(3)],
+             "v": [x.to_pair() for x in im.v]} for im in images]}))
+        args = cli._parser().parse_args([
+            "check-embedding", "--builtin", f"{kind}3", "--map", str(path)])
+        payload = json.loads(cli.emit(cli._dispatch(args), "json"))
+        assert payload["induced_flat"] is payload["induced_torsion_free"] is True
+        induced = InvariantConnection(base.g, [
+            [[GaussRat.from_pair(x) for x in row] for row in plane]
+            for plane in payload["induced_connection"]])
+        assert induced == conn
+        assert is_flat(induced) and is_torsion_free(induced)
 
 
 def test_left_symmetric_identity_for_flat_torsion_free():
