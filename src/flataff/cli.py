@@ -28,8 +28,8 @@ from .connections import (
     InvariantConnection,
     zero_connection,
     standard_connection,
-    is_flat,
     is_torsion_free,
+    _curved_pairs,
     _weyl_entries,
 )
 from .affine import (
@@ -236,14 +236,14 @@ def _decision_payload(report) -> dict:
 
 
 def _connection_analysis(conn: InvariantConnection) -> dict:
-    flat, tf = is_flat(conn), is_torsion_free(conn)
+    R, tf = _curved_pairs(conn), is_torsion_free(conn)  # one defect pass
     return {
-        "flat": flat,
+        "flat": not R,
         "torsion_free": tf,
         # the projective Weyl tensor needs zero torsion and n >= 3; R = 0
         # makes Ric and W vanish, so only a curved connection is checked
         "projectively_flat": (
-            (flat or next(_weyl_entries(conn), None) is None)
+            (not R or next(_weyl_entries(conn, R), None) is None)
             if tf and conn.g.n >= 3 else None
         ),
     }

@@ -214,18 +214,22 @@ def projective_weyl(conn: InvariantConnection):
     the other two cannot see it when the Ricci tensor is symmetric.
     """
     _weyl_checks(conn)
-    return _dense(conn.g.n, _weyl_entries(conn))
+    return _dense(conn.g.n, _weyl_entries(conn, _curved_pairs(conn)))
 
 
-def _weyl_entries(conn: InvariantConnection):
+def _curved_pairs(conn: InvariantConnection) -> dict:
+    """{(i, j): D} for each i < j whose defect D = R(e_i, e_j) is not 0."""
+    return {(i, j): D for i, j, D in conn.g._defects(_l_rows(conn)) if D}
+
+
+def _weyl_entries(conn: InvariantConnection, R: dict):
     """Yield (l, k, i, j, W[l][k][i][j]) for each nonzero W with i < j (W
     is antisymmetric in (i, j), as R is) of a torsion-free connection in
-    dimension n >= 3, without those checks. Ric is summed from the defects:
-    R[l][k][i][j] = x, i < j, adds x to Ric[j][k] if l = i and -x to
-    Ric[i][k] if l = j. W is evaluated only where R or a gamma term is
-    nonzero."""
+    dimension n >= 3, without those checks. Ric is summed from the defects
+    R = _curved_pairs(conn): R[l][k][i][j] = x, i < j, adds x to Ric[j][k]
+    if l = i and -x to Ric[i][k] if l = j. W is evaluated only where R or a
+    gamma term is nonzero."""
     n = conn.g.n
-    R = {(i, j): D for i, j, D in conn.g._defects(_l_rows(conn)) if D}
     ric = {}
     for (i, j), D in R.items():
         for (l, k), x in D.items():
@@ -256,4 +260,4 @@ def _weyl_entries(conn: InvariantConnection):
 def is_projectively_flat(conn: InvariantConnection) -> bool:
     """W = 0, up to the first nonzero entry."""
     _weyl_checks(conn)
-    return next(_weyl_entries(conn), None) is None
+    return next(_weyl_entries(conn, _curved_pairs(conn)), None) is None

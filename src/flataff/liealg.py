@@ -13,9 +13,10 @@ Entries are GaussRat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, groupby
+from functools import cached_property, reduce
+from itertools import groupby
 from math import lcm
+from operator import or_
 
 from .exact import (ExactMatrix, _Immutable, _den, _echelon, _from_ints,
                     _int_rows, _ints, _unit_vectors, as_gauss, ZERO)
@@ -167,7 +168,11 @@ class LieAlgebra(_Immutable):
                     for j, group in groupby(entries, lambda e: e[0])}
                    for entries in self.nonzero]
 
-    _cleared = cached_property(_clear)
+    @cached_property
+    def _cleared(self) -> tuple:  # _clear(), and the OR of every |a|, |b|
+        d, C = self._clear()
+        return d, C, reduce(or_, (abs(t) for Ci in C for row in Ci.values()
+                                  for z in row.values() for t in z), 0)
 
     def _int_constants(self, mats=()) -> tuple:
         """(d, C, N), d the lcm of all denominators of the constants and
@@ -176,7 +181,7 @@ class LieAlgebra(_Immutable):
         increasing) and N[t][r] = {s: d mats[t][r][s]}, nonzero (re, im)
         int pairs. The constants are cleared at the first call and kept
         (_cleared); the Jacobi check does not keep its clear."""
-        d, C = self._cleared
+        d, C, _ = self._cleared
         f = lcm(d, _den(x for p in mats for row in p for x in row.values())) // d
         if f > 1:
             d, C = d * f, [{j: {k: (a * f, b * f) for k, (a, b) in row.items()}
@@ -228,26 +233,29 @@ class LieAlgebra(_Immutable):
         later pair.
 
         The sums run on ints. With d the lcm of every denominator of the
-        M and the constants, N = d M and C = d c (_int_constants) are
-        Gaussian integer arrays, and d^2 D = [N_i, N_j] - sum_k C_ijk N_k.
-        Each a + b i is packed into the int a + b X, X = 2^K (Kronecker
-        substitution), so a product is one int product and a sum of them
-        is S_0 + S_1 X + S_2 X^2, standing for (S_0 - S_2) + S_1 i. An
-        entry sums at most 2m + n products, each adding under 2 top^2 to
-        every |S_t|, top bounding every |a|, |b|, so for K as below the
-        S_t are the balanced base-X digits of the sum."""
-        d, C, N = self._int_constants(mats)
-        top = max((abs(t) for row in chain(*N, *(Ci.values() for Ci in C))
-                   for z in row.values() for t in z), default=0)
-        terms = 2 * len(N[0] if N else ()) + self.n
-        K = 2 * top.bit_length() + terms.bit_length() + 2
+        M and the constants, N = d M and C = d c are Gaussian integer
+        arrays, and d^2 D = [N_i, N_j] - sum_k C_ijk N_k. Each a + b i is
+        packed into the int a + b X, X = 2^K (Kronecker substitution), so
+        a product is one int product and a sum of them is
+        S_0 + S_1 X + S_2 X^2, standing for (S_0 - S_2) + S_1 i. An entry
+        sums at most 2m + n products, each adding under 2 top^2 to every
+        |S_t|, top bounding every |a|, |b|, so for K as below the S_t are
+        the balanced base-X digits of the sum. One read of the M gives d and
+        bounds top by bit length: (u + v i) / e in an M has parts of at most
+        B + bitlength(d) bits in d M, B that of max |u|, |v|. Each entry is
+        packed straight into its int, the kept d' c (_cleared) times d / d'."""
+        d_c, C, top_c = self._cleared
+        xs = [x for p in mats for row in p for x in row.values()]
+        d = lcm(d_c, *(x.d for x in xs))
+        f, top_m = d // d_c, reduce(or_, (abs(x.u) | abs(x.v) for x in xs), 0)
+        terms = 2 * len(mats[0] if mats else ()) + self.n
+        K = (2 * max(top_m.bit_length() + d.bit_length(),
+                     (top_c * f).bit_length()) + terms.bit_length() + 2)
         h, mask = 1 << (K - 1), (1 << K) - 1
-
-        def pack(row):
-            return {s: a + (b << K) for s, (a, b) in row.items()}
-
-        N = [[pack(row) for row in p] for p in N]
-        C = [{j: pack(row) for j, row in Ci.items()} for Ci in C]
+        N = [[{s: (x.u + (x.v << K)) * (d // x.d) for s, x in row.items()}
+              for row in p] for p in mats]
+        C = [{j: {k: (a + (b << K)) * f for k, (a, b) in row.items()}
+              for j, row in Ci.items() if j > i} for i, Ci in enumerate(C)]
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 D = {}

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 from .exact import (ExactMatrix, MultiPoly, _Immutable, _echelon, _nullspace,
                     poly_det, HALF, ZERO)
@@ -52,9 +54,7 @@ class InvalidRep(ValueError):
 
 class LinearRep(_Immutable):
     """A representation rho: g -> gl(V), one exact matrix per basis
-    element, validated exactly at construction."""
-
-    __slots__ = ("g", "V_dim", "rho")
+    element, validated exactly at construction on its kept rows (_rows)."""
 
     def __init__(self, g: LieAlgebra, rho):
         rho = tuple(rho)
@@ -67,12 +67,14 @@ class LinearRep(_Immutable):
                     raise InvalidRep("matrices must be square, equal size")
         else:
             d = 0
-        pair = g._first_defect([m._nonzero_rows() for m in rho])
+        rows = [m._nonzero_rows() for m in rho]
+        pair = g._first_defect(rows)
         if pair is not None:
             raise InvalidRep(
                 "representation property fails at pair (%d, %d)" % pair)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "V_dim", d)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "rho", rho)
 
     @classmethod
@@ -80,11 +82,19 @@ class LinearRep(_Immutable):
         """The adjoint representation, built without the matrix-product
         check: ad is a representation exactly when the Jacobi identity
         holds, and every LieAlgebra checks it at construction."""
+        rows = [[{} for _ in range(g.n)] for _ in range(g.n)]
+        for i, entries in enumerate(g.nonzero):
+            for j, k, x in entries:
+                rows[i][k][j] = x  # row k of ad(e_i) is {j: c[i][j][k]}
         rep = object.__new__(cls)
         object.__setattr__(rep, "g", g)
         object.__setattr__(rep, "V_dim", g.n)
-        object.__setattr__(rep, "rho", tuple(g.adjoint_rep()))
+        object.__setattr__(rep, "_rows", rows)
         return rep
+
+    @cached_property
+    def rho(self) -> tuple:  # __init__ sets it; the adjoint's is built here
+        return tuple(self.g.adjoint_rep())
 
     @classmethod
     def trivial(cls, g: LieAlgebra, dim: int = 1) -> "LinearRep":
@@ -100,33 +110,40 @@ class LinearRep(_Immutable):
 def h1_dim(rep: LinearRep) -> int:
     """dim H^1(g, V) = dim Z^1 - dim B^1, both computed as exact ranks.
 
-    A cochain f: g -> V is flattened into n*V_dim unknowns with f(e_j)_a
-    at index a*n + j, which keeps the eliminations sparser. Cocycles satisfy
-    f([e_i, e_j]) = rho(e_i) f(e_j) - rho(e_j) f(e_i). Both systems are
-    sparse rows of the Gaussian integers d c and d rho, cleared by one
-    common d and ranked by exact._echelon.
+    Cocycles f satisfy f([e_i, e_j]) = rho(e_i) f(e_j) - rho(e_j) f(e_i):
+    n(n-1)/2 * V_dim equations in the n*V_dim unknowns f(e_j)_a. Since
+    rank M = rank M^T over Q(i), the system is built transposed, one
+    sparse row per unknown (index a*n + j, which keeps the elimination
+    sparser) listing the equations it enters. B^1, the image of
+    v -> (e_i -> rho(e_i) v), is the rank of the stacked rho(e_i), built
+    transposed too: one row per coordinate of V. Both hold the Gaussian
+    integers d c and d rho, cleared by one common d, ranked by _echelon.
     """
     g = rep.g
     n, dim = g.n, rep.V_dim
-    d, C, rho = g._int_constants([m._nonzero_rows() for m in rep.rho])
-    # rho[i][a]: {b: d rho(e_i)[a, b]}; one sparse row per (i < j, a), in
-    # which only a constant's entry can meet a rho entry
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in range(dim):
-                row = {b * n + j: (-u, -v) for b, (u, v) in rho[i][a].items()}
-                row.update({b * n + i: z for b, z in rho[j][a].items()})
-                for k, (u, v) in C[i].get(j, {}).items():
-                    re, im = row.pop(a * n + k, (0, 0))
-                    if re + u or im + v:
-                        row[a * n + k] = (re + u, im + v)
-                rows.append(row)
-    z1 = n * dim - len(_echelon(rows))
-    # B^1 is the image of v -> (e_i -> rho(e_i) v): the rank of the
-    # rho(e_i) stacked into one (n d) x d matrix
-    b1 = len(_echelon(row for p in rho for row in p))
-    return z1 - b1
+    _, C, rho = g._int_constants(rep._rows)
+    # rho[i][a]: {b: d rho(e_i)[a, b]}; z1[j::n] are the rows of f(e_j),
+    # and equation (i < j, a) is column e = t * dim + a, (i, j) pair t
+    z1 = [{} for _ in range(n * dim)]
+    by_a = [z1[a * n:a * n + n] for a in range(dim)]  # by_a[a][k]: f(e_k)_a
+    neg = [[{b: (-u, -v) for b, (u, v) in row.items()} for row in p] for p in rho]
+    for t, (i, j) in enumerate(combinations(range(n), 2)):
+        zi, zj, cij = z1[i::n], z1[j::n], C[i].get(j, {}).items()
+        for e, (ri, rj, fa) in enumerate(zip(neg[i], rho[j], by_a), t * dim):
+            for b, z in ri.items():
+                zj[b][e] = z
+            for b, z in rj.items():
+                zi[b][e] = z
+            # only a constant's entry can meet a rho entry
+            for k, (u, v) in cij:
+                re, im = fa[k].pop(e, (0, 0))
+                if re + u or im + v:
+                    fa[k][e] = (re + u, im + v)
+    b1 = [{} for _ in range(dim)]
+    for t, row in enumerate(row for p in rho for row in p):
+        for b, z in row.items():
+            b1[b][t] = z
+    return n * dim - len(_echelon(z1)) - len(_echelon(b1))
 
 
 def fundamental_det_poly(rep: LinearRep):
@@ -141,18 +158,10 @@ def fundamental_det_poly(rep: LinearRep):
         )
     if n == 0:
         raise DimensionMismatch("empty algebra")
-    rows = []
-    for r in range(n):
-        row = []
-        for i in range(n):
-            p = MultiPoly.zero(n)
-            for s in range(n):
-                coef = rep.rho[i][r, s]
-                if not coef.is_zero():
-                    p = p + MultiPoly.variable(n, s) * coef
-            row.append(p)
-        rows.append(row)
-    d = poly_det(rows)
+    # entry (r, i) is sum_s rho(e_i)[r, s] p_s, from the kept rows
+    x = [tuple(int(s == t) for t in range(n)) for s in range(n)]
+    d = poly_det([[MultiPoly(n, {x[s]: v for s, v in rep._rows[i][r].items()})
+                   for i in range(n)] for r in range(n)])
     return d, not d.is_zero()
 
 
@@ -190,16 +199,19 @@ class DecisionReport:
     notes: tuple
 
 
-def _yes(conn: InvariantConnection, note: str) -> DecisionReport:
+def _yes(conn: InvariantConnection, note: str,
+         embedding: AffMap | None = None) -> DecisionReport:
     """A YES with the certificate (conn, etale_from_lsa(conn)), checked
-    once. etale_from_lsa sends e_i to (L_i, e_i) with L_i e_j = Γ[i][j],
-    whose bracket defect on (e_i, e_j) is (R(e_i, e_j), T(e_i, e_j)): the
-    linear part at (l, k) is R[l][k][i][j] and the translation part is
-    T[i][j]. So its one pass of LieAlgebra._defects checks flatness and
-    torsion together, stops at the first bad pair, and raises
-    NotFlatTorsionFree there; no curvature or torsion tensor is built.
-    Its translation matrix is the identity, so the map is étale."""
-    return DecisionReport("YES", conn, etale_from_lsa(conn), None, (note,))
+    once (the search passes the map its check made). etale_from_lsa sends
+    e_i to (L_i, e_i) with L_i e_j = Γ[i][j], whose bracket defect on
+    (e_i, e_j) is (R(e_i, e_j), T(e_i, e_j)): the linear part at (l, k) is
+    R[l][k][i][j] and the translation part is T[i][j]. So its one pass of
+    LieAlgebra._defects checks flatness and torsion together, stops at the
+    first bad pair, and raises NotFlatTorsionFree there; no curvature or
+    torsion tensor is built. Its translation matrix is the identity, so
+    the map is étale."""
+    return DecisionReport("YES", conn, embedding or etale_from_lsa(conn),
+                          None, (note,))
 
 
 def _abelian_ideal_connection(g: LieAlgebra):
@@ -314,7 +326,8 @@ def decide_existence(g: LieAlgebra,
     if outcome.found:
         return _yes(outcome.certificate, (
             f"numeric search over {cfg.starts} starts found an exactly "
-            f"verified certificate at start {outcome.certificate_start}"))
+            f"verified certificate at start {outcome.certificate_start}"),
+            outcome.embedding)
     return DecisionReport(
         verdict="UNKNOWN",
         connection=None,

@@ -34,12 +34,14 @@ numpy, and exact verdicts never do.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 
 from .exact import GaussRat, HALF, _gauss
 from .liealg import LieAlgebra
-from .connections import InvariantConnection, is_flat
+from .connections import InvariantConnection
+from .affine import AffMap, NotFlatTorsionFree, etale_from_lsa
 
 __all__ = [
     "FlatnessSystem",
@@ -433,7 +435,8 @@ def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem):
     Denominators are tried smallest first so that candidates sitting on
     a rational point of a solution family are caught at the simplest
     description. A float gate skips the exact check of snaps that are
-    certainly not flat. Returns None when no snap passes the exact test."""
+    certainly not flat. Returns (connection, etale_from_lsa of it) for
+    the first snap that passes that exact check, None when none does."""
     for den in _DENOMINATOR_LADDER:
         s_exact = []
         for z in candidate.s:
@@ -446,8 +449,8 @@ def rationalize_and_verify(candidate: Candidate, sys: FlatnessSystem):
                 or not _snap_may_be_flat(sys, s_exact)):
             continue
         conn = sys.connection_from_rational_s(s_exact)
-        if is_flat(conn):
-            return conn
+        with suppress(NotFlatTorsionFree):
+            return conn, etale_from_lsa(conn)
     return None
 
 
@@ -456,6 +459,7 @@ class SearchOutcome:
     candidates: tuple  # numeric Candidate list, start order
     certificate: InvariantConnection | None
     certificate_start: int | None
+    embedding: AffMap | None = None  # etale_from_lsa(certificate)
 
     @property
     def found(self) -> bool:
@@ -464,13 +468,14 @@ class SearchOutcome:
 
 def run_search(g: LieAlgebra, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Full pipeline: assemble, multistart, rationalize, verify. The
-    certificate is the connection on g that rationalize_and_verify
-    checked, for the first candidate (by start index) that passes.
+    certificate (a connection on g) and its embedding are those that
+    rationalize_and_verify checked and made, for the first candidate (by
+    start index) that passes.
     Candidates hold the unknowns s of the scaled system (FlatnessSystem)."""
     sys = assemble(g)
     candidates = tuple(newton_multistart(sys, cfg))
     for cand in candidates:
-        conn = rationalize_and_verify(cand, sys)
-        if conn is not None:
-            return SearchOutcome(candidates, conn, cand.start_index)
+        if (found := rationalize_and_verify(cand, sys)) is not None:
+            conn, emb = found
+            return SearchOutcome(candidates, conn, cand.start_index, emb)
     return SearchOutcome(candidates, None, None)

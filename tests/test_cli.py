@@ -13,7 +13,7 @@ import pytest
 
 import flataff
 from flataff.exact import GaussRat, ZERO, ONE
-from flataff.liealg import builtin, JacobiViolation
+from flataff.liealg import LieAlgebra, builtin, JacobiViolation
 from flataff.connections import InvariantConnection, is_flat, is_torsion_free
 from flataff.cli import (
     ParseError,
@@ -719,10 +719,17 @@ def _gl2_files(tmp_path):
 
 def test_each_exact_check_runs_once_per_command(tmp_path, monkeypatch,
                                                 capsys):
-    counts = {}
-    for name in ("check_homomorphism", "curvature", "torsion", "is_flat",
+    counts = {"defects": 0}
+    for name in ("check_homomorphism", "curvature", "torsion", "_curved_pairs",
                  "is_torsion_free"):
         _count_calls(monkeypatch, name, counts)
+    defects = LieAlgebra._defects
+
+    def counted_defects(self, mats):
+        counts["defects"] += 1
+        return defects(self, mats)
+
+    monkeypatch.setattr(LieAlgebra, "_defects", counted_defects)
 
     zero_A = [[_zero_pair()] * 3 for _ in range(3)]
     A1 = [[_zero_pair()] * 3 for _ in range(3)]
@@ -738,27 +745,31 @@ def test_each_exact_check_runs_once_per_command(tmp_path, monkeypatch,
     assert data["etale"] is True and data["induced_flat"] is True
     assert counts["check_homomorphism"] == 1
 
-    # flatness and torsion are checked pair by pair, and the Weyl check
-    # of a curved connection reads the defects, not a curvature tensor
+    # torsion is checked pair by pair, and one pass of the defect kernel
+    # gives flatness and, for a curved connection, the Weyl check's
+    # curvature: no curvature tensor is built
     def check_connection_counts(argv):
-        for name in ("curvature", "torsion", "is_flat", "is_torsion_free"):
+        for name in ("curvature", "torsion", "_curved_pairs",
+                     "is_torsion_free", "defects"):
             counts[name] = 0
         assert main(argv + ["--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         return ((data["flat"], data["torsion_free"], data["projectively_flat"]),
-                (counts["is_flat"], counts["is_torsion_free"],
-                 counts["curvature"], counts["torsion"]))
+                (counts["_curved_pairs"], counts["defects"],
+                 counts["is_torsion_free"], counts["curvature"],
+                 counts["torsion"]))
 
     algebra, conn = _gl2_files(tmp_path)
     assert check_connection_counts(["check-connection", algebra, "--gamma",
-                                    conn]) == ((True, True, True), (1, 1, 0, 0))
+                                    conn]) == ((True, True, True),
+                                               (1, 1, 1, 0, 0))
     sl2 = builtin("sl2")
     half = _write(tmp_path, "sl2_standard.json", {"gamma": [
         [[(x / 2).to_pair() for x in row] for row in plane]
         for plane in sl2.c]})
     assert check_connection_counts(["check-connection", "--builtin", "sl2",
                                     "--gamma", half]) == (
-        (False, True, True), (1, 1, 0, 0))
+        (False, True, True), (1, 1, 1, 0, 0))
 
 
 def test_analyze_gl2_is_yes_by_the_matrix_product(tmp_path, capsys):

@@ -308,7 +308,8 @@ def test_each_certificate_is_verified_once(monkeypatch):
     defect_calls, hom_calls = per_yes(g, SearchConfig(starts=20, seed=1))
     (k,) = snap_checks
     assert k >= 1
-    assert (defect_calls, hom_calls) == (k + 1, 0)
+    # the snap check that passed made the embedding: no pass after it
+    assert (defect_calls, hom_calls) == (k, 0)
 
     # a semisimple NO: one Killing form, ranked by the gate, no determinant
     # polynomial and no cocycle elimination; both follow by theorem
@@ -428,6 +429,34 @@ def test_h1_builds_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(ExactMatrix, "__init__", refuse)
     assert [h1_dim(rep) for rep in reps] == [0, 4, 2]
+
+
+def test_h1_eliminates_the_short_side(monkeypatch):
+    """h1_dim ranks the cocycle system transposed: on sl3's adjoint it
+    hands _echelon one row per unknown f(e_j)_a, 64 rows in all, not one
+    per equation (224, of which 168 reduce to zero), and B^1 one row per
+    coordinate of V (8, not 64). The adjoint is read off g.nonzero: no
+    ExactMatrix is built, and rho is built only when asked for."""
+    calls, echelon = [], obstructions._echelon
+
+    def counting(rows, *args, **kwargs):
+        rows = list(rows)
+        calls.append(len(rows))
+        return echelon(rows, *args, **kwargs)
+
+    monkeypatch.setattr(obstructions, "_echelon", counting)
+    g, init = sl3(), ExactMatrix.__init__
+
+    def refuse(*args):
+        raise AssertionError("ExactMatrix built")
+
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    rep = LinearRep.adjoint(g)
+    assert h1_dim(rep) == 0
+    z1, b1 = calls
+    assert z1 <= 64 and b1 <= 8
+    monkeypatch.setattr(ExactMatrix, "__init__", init)
+    assert rep.rho == tuple(g.adjoint_rep())
 
 
 def test_sl4_decides_quickly():

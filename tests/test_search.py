@@ -16,6 +16,7 @@ from flataff import search
 from flataff.exact import GaussRat
 from flataff import connections
 from flataff.liealg import LieAlgebra, builtin, from_structure_constants
+from flataff.affine import etale_from_lsa
 from flataff.connections import (InvariantConnection, curvature, is_flat,
                                  is_torsion_free)
 from flataff.search import (
@@ -172,10 +173,10 @@ def test_rationalize_snaps_thirds():
     vals[0] = 0.3333333341 + 0j  # pair (0,0), k = 0
     cand = Candidate(start_index=0, s=tuple(vals), residual_norm=1e-11,
                      iterations=1)
-    conn = rationalize_and_verify(cand, sys)
-    assert conn is not None
+    conn, emb = rationalize_and_verify(cand, sys)
     assert conn.gamma[0][0][0] == GaussRat(Fraction(1, 3))
     assert is_flat(conn) and is_torsion_free(conn)
+    assert emb == etale_from_lsa(conn)
 
 
 def test_rationalize_rejects_unverifiable():
@@ -197,11 +198,11 @@ def test_rationalize_rejects_far_from_rationals():
     vals[0] = 0.3334 + 0j  # 6e-5 away from 1/3, beyond the 1e-6 gate
     cand = Candidate(start_index=0, s=tuple(vals), residual_norm=1e-11,
                      iterations=1)
-    conn = rationalize_and_verify(cand, sys)
+    found = rationalize_and_verify(cand, sys)
     # the only snaps within tolerance have denominator around 10^4 and
     # those do not solve the system exactly unless they hit the variety
-    if conn is not None:
-        assert is_flat(conn) and is_torsion_free(conn)
+    if found is not None:
+        assert is_flat(found[0]) and is_torsion_free(found[0])
 
 
 def test_run_search_heis3():
@@ -371,13 +372,14 @@ def test_run_search_certificate_is_on_its_input():
 
 def test_run_search_checks_the_certificate_it_returns(monkeypatch):
     """run_search builds no second algebra, changes no basis and runs no
-    torsion check: the connection that is_flat passed on g is the one it
-    returns, and it is torsion-free by construction."""
+    torsion check of its own: the connection that etale_from_lsa passed
+    on g is the one it returns, with the embedding that check made, and
+    it is torsion-free by construction."""
     thirds = builtin("heis3").in_basis([[1, 1, 0], [0, 1, 1], [1, 0, 2]])
     gauss2 = from_structure_constants(2, brackets={
         (0, 1): [0, GaussRat(Fraction(1, 2), -3)]})
-    built, flat_checked = [], []
-    init, flat = LieAlgebra.__init__, search.is_flat
+    built, etale_checked = [], []
+    init, etale = LieAlgebra.__init__, search.etale_from_lsa
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called by run_search")
@@ -386,22 +388,25 @@ def test_run_search_checks_the_certificate_it_returns(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def recording_is_flat(conn):
-        flat_checked.append(conn)
-        return flat(conn)
+    def recording_etale(conn):
+        etale_checked.append(conn)
+        emb = etale(conn)
+        etale_checked.append(emb)
+        return emb
 
     monkeypatch.setattr(LieAlgebra, "__init__", recording_init)
     monkeypatch.setattr(LieAlgebra, "in_basis", forbidden)
     monkeypatch.setattr(InvariantConnection, "in_basis", forbidden)
     monkeypatch.setattr(connections, "is_torsion_free", forbidden)
     monkeypatch.setattr(search, "is_torsion_free", forbidden, raising=False)
-    monkeypatch.setattr(search, "is_flat", recording_is_flat)
+    monkeypatch.setattr(search, "etale_from_lsa", recording_etale)
     for g, cfg, start in ((thirds, SearchConfig(starts=1), 0),
                           (gauss2, SearchConfig(starts=5), 4)):
         out = run_search(g, cfg)
         assert out.certificate_start == start
         assert out.certificate.g is g
-        assert out.certificate is flat_checked[-1]
+        assert out.certificate is etale_checked[-2]
+        assert out.embedding is etale_checked[-1]
         assert is_flat(out.certificate) and is_torsion_free(out.certificate)
     assert built == []
 
@@ -797,7 +802,8 @@ def test_rationalize_matches_reference(monkeypatch, g, cfg, certified):
         ref = _reference_rationalize(cand, sys)
         ref_seen = list(seen)
         seen.clear()
-        conn = rationalize_and_verify(cand, sys)
+        out = rationalize_and_verify(cand, sys)
+        conn = out and out[0]
         assert conn == ref, cand.start_index
         assert seen == ref_seen, cand.start_index
         gated += len(seen)

@@ -12,11 +12,11 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from flataff.cli import parse_algebra
-from flataff.exact import (ExactMatrix, GaussRat, ONE, ZERO, _echelon, _int_rows,
-                          _unit_vectors)
+from flataff.exact import (ExactMatrix, GaussRat, ONE, ZERO, _den, _echelon,
+                          _int_rows, _unit_vectors)
 from flataff.liealg import (
     LieAlgebra,
     InconsistentEntry,
@@ -1004,6 +1004,94 @@ def test_lie_layer_matches_the_gaussrat_loops_on_complex_fractions():
         conj = LinearRep(g, [Q @ a @ Q.inverse() for a in g.adjoint_rep()])
         _assert_matches_the_gaussrat_loops(g, [conj, LinearRep.trivial(g, 2)])
         assert h1_dim(conj) == h1_dim(LinearRep.adjoint(g))
+
+
+def _with_trivial(mats):
+    """Each n x n matrix A as the (n + 1) x (n + 1) block matrix
+    [[A, 0], [0, 0]]: the representation plus a trivial summand C."""
+    n = mats[0].rows
+    return [ExactMatrix(n + 1, n + 1, [
+        e for r in range(n) for e in (*m.row(r), ZERO)] + [ZERO] * (n + 1))
+        for m in mats]
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+@seed(2031)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_h1_dim_matches_the_equation_rows(name, data):
+    """h1_dim ranks the transposed cocycle system, one row per unknown;
+    the reference ranks one row per equation, and rank M = rank M^T. In a
+    drawn GL(n, Z) basis (for sl3 a signed permutation, which keeps its
+    eliminations at milliseconds): the adjoint and the trivial
+    representations, and g ⊕ C (dimension n + 1, so unknown and equation
+    indices of different ranges), conjugated by a unitriangular matrix
+    over 1/11 and i/13 up to dimension 4, so its entries are non-real
+    fractions. H^1 is additive: that of g ⊕ C is that of g plus that of C."""
+    n = _CORPUS[name].n
+    if n <= 6:
+        P = data.draw(gl_z(n), label="P")
+    else:
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=n,
+                                   max_size=n), label="signs")
+        P = [[s * (t == p) for t in range(n)] for p, s in zip(perm, signs)]
+    g = _CORPUS[name].in_basis(P)
+    mats = _with_trivial(g.adjoint_rep())
+    if n <= 4:
+        ks = data.draw(st.lists(st.integers(-3, 3), min_size=(n + 1) ** 2,
+                                max_size=(n + 1) ** 2), label="Q")
+        Q = ExactMatrix.identity(n + 1) + ExactMatrix(n + 1, n + 1, [
+            GaussRat(Fraction(k, 11), Fraction(k, 13))
+            if t % (n + 1) > t // (n + 1) else ZERO for t, k in enumerate(ks)])
+        mats = [Q @ m @ Q.inverse() for m in mats]
+        assert any(x.v and x.d > 1 for m in mats for x in m.entries) or not any(
+            g.nonzero)
+    adjoint, trivial = LinearRep.adjoint(g), LinearRep.trivial(g)
+    plus = LinearRep(g, mats)
+    for rep in (adjoint, trivial, LinearRep.trivial(g, 2), plus):
+        assert h1_dim(rep) == _reference_h1_dim(rep)
+    assert h1_dim(plus) == h1_dim(adjoint) + h1_dim(trivial)
+
+
+def _dense_l(conn):
+    """L_i as an ExactMatrix: column j is gamma[i][j]."""
+    n = conn.g.n
+    return [ExactMatrix.from_rows([[conn.gamma[i][j][k] for j in range(n)]
+                                   for k in range(n)]) for i in range(n)]
+
+
+def test_defects_on_denominators_the_constants_lack_and_sixty_orders():
+    """_defects clears the matrices with the kept constants in one pass
+    and sizes K from a bit-length bound. The standard connection of sl3
+    has the denominator 2 that sl3's integer constants lack; its defects
+    (its curvature) are those of the GaussRat loop. So are the defects of
+    matrices whose entries run from 10^-30 to 10^30 within one matrix,
+    real and non-real, on sl3, heis3 and sl2 scaled by 1/3 + 2i: cleared
+    by d = 10^30, the largest products reach 10^120, and a K too small
+    for them would mix the base-X digits of the sums."""
+    g = sl3()
+    std = standard_connection(g)
+    assert _den(x for L in _l_rows(std) for row in L for x in row.values()) == 2
+    assert list(g._defects(_l_rows(std))) == _reference_defects(g, _dense_l(std))
+    assert any(D for _, _, D in g._defects(_l_rows(std)))
+    rng = random.Random(60)
+    orders = (-30, -29, -1, 0, 1, 29, 30)
+
+    def entry():  # k 10^e, or (k + j i) 10^e: integers, or over 10^-e
+        e = Fraction(10) ** rng.choice(orders)
+        return GaussRat(rng.randint(-9, 9) * e, rng.choice((0, 1, -7)) * e)
+
+    scaled = builtin("sl2").in_basis(ExactMatrix.identity(3).scale(
+        GaussRat(Fraction(1, 3), 2)))
+    for g in (sl3(), builtin("heis3"), scaled):
+        for m in (2, 3):
+            mats = [[entry() for _ in range(m * m)] for _ in range(g.n)]
+            mats[0][:2] = GaussRat(10**30, 1), GaussRat(Fraction(1, 10**30), -3)
+            mats = [ExactMatrix(m, m, M) for M in mats]
+            got = list(g._defects(_rows(mats)))
+            assert got == _reference_defects(g, mats)
+            assert any(D for _, _, D in got)
 
 
 def _fresh_clear(g, mats=()):
