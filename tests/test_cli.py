@@ -866,7 +866,23 @@ _HEIS3_THIRDS = {"name": "heis3_thirds", "dim": 3, "brackets": [
     {"left": 0, "right": 1, "result": _E3},
     {"left": 0, "right": 2, "result": _MINUS_E3},
     {"left": 1, "right": 2, "result": _MINUS_E3}]}
-_INLINE = {"gauss2": _GAUSS2, "heis3_thirds": _HEIS3_THIRDS}
+# gl2 in the basis f_a = sum_b P[a][b] E_b (E11, E12, E21, E22) with
+# P = [[1, 2, 0, -1], [0, 1, 1, 0], [1, 0, 1, 1], [0, -1, 2, 1]], det -3
+_GL2_GL4Z = {"name": "gl2_gl4z", "dim": 4, "brackets": [
+    {"left": i, "right": j, "result": [[x, "0"] for x in v]}
+    for i, j, v in ((0, 1, ["2", "-2", "0", "0"]),
+                    (0, 2, ["8/3", "-4", "-2/3", "4/3"]),
+                    (0, 3, ["16/3", "-8", "-4/3", "8/3"]),
+                    (1, 2, ["5/3", "-2", "-2/3", "4/3"]),
+                    (1, 3, ["13/3", "-5", "-4/3", "8/3"]),
+                    (2, 3, ["4/3", "-2", "-1/3", "2/3"]))]}
+# so(3) + C: [e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2, e4 central; its
+# [g, g] has no nilpotent element over Q, so it is not split
+_SO3_PLUS_C = {"name": "so3_plus_c", "dim": 4, "brackets": [
+    {"left": i, "right": j, "result": [[str(int(k == m)), "0"] for m in range(4)]}
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]}
+_INLINE = {"gauss2": _GAUSS2, "heis3_thirds": _HEIS3_THIRDS,
+           "gl2_gl4z": _GL2_GL4Z, "so3_plus_c": _SO3_PLUS_C}
 # homomorphisms that are not etale: e1 -> (0, f1) into aff(2), whose
 # ambient dimension is not dim g, and abelian3 -> (0, f1), (0, f2), (0, 0),
 # whose translation matrix is square and singular
@@ -968,6 +984,14 @@ _REPORT_SHA256 = {
         "42ce3e874f8b2ea6a01de9b942cb30bdfd8bebc7e475d9aafe5bfa4ba852c834",
     ("search", "heis3_thirds", "text"):
         "9391c07dbbcacb79b5387e8d1c8f890fd51578f28040c1d8e2fde6e677efaa0f",
+    ("analyze", "gl2_gl4z", "json"):
+        "429d228677964d99ea336d6e646b36ec7f61d6f6b214dca4ced2a2f9663b4c15",
+    ("analyze", "gl2_gl4z", "text"):
+        "d53fb0f3c55c33dc38531f98a77865235f6a01534ff62b053c2b5215ae668696",
+    ("analyze", "so3_plus_c", "json"):
+        "c7786c0697df87037cbaac80b39ac5a8e25837559173fce317e3a7224040322a",
+    ("analyze", "so3_plus_c", "text"):
+        "b0b11534bc33cefa913f02d8d7437c2fb99f20218bed375e3b08556b5b0eed57",
 }
 
 
