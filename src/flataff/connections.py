@@ -103,10 +103,18 @@ def zero_connection(g: LieAlgebra) -> InvariantConnection:
 
 
 def standard_connection(g: LieAlgebra) -> InvariantConnection:
-    """nabla_x y = (1/2)[x, y], i.e. gamma = c/2, with the zero rows of c."""
-    return InvariantConnection(g, [
-        [tuple(x if x is ZERO else HALF * x for x in row)
-         if row.count(ZERO) < g.n else row for row in plane] for plane in g.c])
+    """nabla_x y = (1/2)[x, y], i.e. gamma = c/2, with the zero rows of c,
+    from g.nonzero. g keeps one object per constant value: each is halved
+    once."""
+    half = {id(x): HALF * x for x in {id(x): x for e in g.nonzero
+                                       for _, _, x in e}.values()}
+    gamma = [list(plane) for plane in g.c]
+    for rows, entries in zip(gamma, g.nonzero):
+        for b, k, x in entries:
+            if type(rows[b]) is tuple:  # the first entry of a nonzero row
+                rows[b] = list(rows[b])
+            rows[b][k] = half[id(x)]
+    return InvariantConnection(g, tuple(tuple(map(tuple, rows)) for rows in gamma))
 
 
 def torsion(conn: InvariantConnection):

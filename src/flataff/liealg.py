@@ -205,22 +205,28 @@ class LieAlgebra(_Immutable):
     def adjoint_rep(self) -> list:
         return [self.ad_matrix(i) for i in range(self.n)]
 
-    def killing_form(self) -> ExactMatrix:
-        """K[i][j] = trace(ad e_i ∘ ad e_j), a symmetric matrix, as the
-        sum of c[i][k][m] c[j][m][k] = -c[i][k][m] c[m][j][k] over the
-        nonzero constants, on the Gaussian integers d c."""
-        n = self.n
+    def _killing(self) -> tuple:
+        """(d^2, K), K[i] = {j: d^2 κ(e_i, e_j)} of nonzero (re, im) int
+        pairs, d that of _int_constants: κ(e_i, e_j) = trace(ad e_i ∘ ad e_j)
+        is the sum of c[i][k][m] c[j][m][k] = -c[i][k][m] c[m][j][k] over
+        the nonzero constants. killing_form and killing_rank read it."""
         d, C, _ = self._int_constants()
-        K = [[0, 0] for _ in range(n * n)]
-        for i, Ci in enumerate(C):
+        K = [{} for _ in C]
+        for Ki, Ci in zip(K, C):
             for k, row in Ci.items():
                 for m, (a, b) in row.items():
                     for j, row_m in C[m].items():
                         if k in row_m:
-                            (x, y), z = row_m[k], K[i * n + j]
-                            z[:] = z[0] - a * x + b * y, z[1] - a * y - b * x
-        return ExactMatrix(n, n, [_from_ints(u, v, d * d) if u or v else ZERO
-                                  for u, v in K])
+                            (x, y), (u, v) = row_m[k], Ki.get(j, (0, 0))
+                            Ki[j] = u - a * x + b * y, v - a * y - b * x
+        return d * d, [{j: z for j, z in Ki.items() if z != (0, 0)} for Ki in K]
+
+    def killing_form(self) -> ExactMatrix:
+        """K[i][j] = trace(ad e_i ∘ ad e_j), a symmetric matrix."""
+        d2, K = self._killing()
+        return ExactMatrix(self.n, self.n, [
+            _from_ints(*Ki[j], d2) if j in Ki else ZERO
+            for Ki in K for j in range(self.n)])
 
     def _defects(self, mats):
         """For square matrices M_0 ... M_{n-1} of one size m, each given
@@ -331,7 +337,7 @@ class LieAlgebra(_Immutable):
                        for e in self.nonzero)
 
     def killing_rank(self) -> int:
-        return self.killing_form().rank()
+        return len(_echelon(self._killing()[1]))
 
     def is_semisimple(self) -> bool:
         """Cartan's criterion: the Killing form is nondegenerate."""

@@ -7,11 +7,13 @@ is a left-symmetric product: this decides every abelian algebra, heis3
 and sol3 in every permuted basis, and any almost-abelian algebra in a
 basis adapted to its abelian ideal. After the semisimple gate, g =
 [g, g] ⊕ center with dim [g, g] = 3 gets the product of 2x2 matrices,
-in any basis: gl2, sl2 ⊕ C^k, so(3) ⊕ C^k. Every YES, from these rules
-or from the search, is checked once: etale_from_lsa builds the map
-e_i -> (L_i, e_i) and raises unless one pass of the bracket-defect kernel
-(LieAlgebra._defects) finds it a homomorphism, which is exactly flatness
-and torsion-freeness of the connection.
+in any basis: gl2, sl2 ⊕ C^k, so(3) ⊕ C^k. It is summed in closed form
+on Gaussian integers, with no change of basis, from the Killing form's
+cleared int rows (LieAlgebra._killing) that the gate ranks. Every YES,
+from these rules or from the search, is checked once: etale_from_lsa
+builds the map e_i -> (L_i, e_i) and raises unless one pass of the
+bracket-defect kernel (LieAlgebra._defects) finds it a homomorphism,
+which is exactly flatness and torsion-freeness of the connection.
 
 The NO side rests on the semisimplicity obstruction: a semisimple
 algebra admits no flat torsion-free invariant connection (surveyed in
@@ -26,12 +28,12 @@ adjoint representation, which holds for every Lie algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 
-from .exact import (ExactMatrix, MultiPoly, _Immutable, _echelon, _nullspace,
-                    poly_det, HALF, ZERO)
+from .exact import (ExactMatrix, MultiPoly, _Immutable, _den, _echelon,
+                    _from_ints, _ints, _nullspace, poly_det, ZERO)
 from .liealg import LieAlgebra
 from .connections import InvariantConnection
 from .affine import AffMap, DimensionMismatch, etale_from_lsa
@@ -81,16 +83,25 @@ class LinearRep(_Immutable):
     def adjoint(cls, g: LieAlgebra) -> "LinearRep":
         """The adjoint representation, built without the matrix-product
         check: ad is a representation exactly when the Jacobi identity
-        holds, and every LieAlgebra checks it at construction."""
-        rows = [[{} for _ in range(g.n)] for _ in range(g.n)]
-        for i, entries in enumerate(g.nonzero):
-            for j, k, x in entries:
-                rows[i][k][j] = x  # row k of ad(e_i) is {j: c[i][j][k]}
+        holds, and every LieAlgebra checks it at construction. Its _ints
+        are read off g's kept cleared constants C: row k of ad(e_i) is
+        {j: C[i][j][k]}."""
+        d, C, _ = g._cleared
         rep = object.__new__(cls)
         object.__setattr__(rep, "g", g)
         object.__setattr__(rep, "V_dim", g.n)
-        object.__setattr__(rep, "_rows", rows)
+        object.__setattr__(rep, "_ints", (d, C, [
+            [{j: row[k] for j, row in Ci.items() if k in row}
+             for k in range(g.n)] for Ci in C]))
         return rep
+
+    @cached_property
+    def _rows(self) -> list:  # __init__ sets it; the adjoint's is built here
+        return [m._nonzero_rows() for m in self.rho]
+
+    @cached_property
+    def _ints(self) -> tuple:  # the adjoint sets it at construction
+        return self.g._int_constants(self._rows)
 
     @cached_property
     def rho(self) -> tuple:  # __init__ sets it; the adjoint's is built here
@@ -121,7 +132,7 @@ def h1_dim(rep: LinearRep) -> int:
     """
     g = rep.g
     n, dim = g.n, rep.V_dim
-    _, C, rho = g._int_constants(rep._rows)
+    _, C, rho = rep._ints
     # rho[i][a]: {b: d rho(e_i)[a, b]}; z1[j::n] are the rows of f(e_j),
     # and equation (i < j, a) is column e = t * dim + a, (i, j) pair t
     z1 = [{} for _ in range(n * dim)]
@@ -230,49 +241,70 @@ def _abelian_ideal_connection(g: LieAlgebra):
     return None
 
 
-def _reductive_connection(g: LieAlgebra, killing: ExactMatrix):
-    """The product of Mat2 when g = s ⊕ z, s = [g, g] of dimension 3 and
-    z the center, of dimension n - 3 >= 1. Then s = [s, s] is perfect of
-    dimension 3, hence of type sl2. With z1 the first center basis vector,
-    π the z1-coordinate on z and κ the Killing form, x = σ + ζ and
-    y = τ + η (σ, τ in s; ζ, η in z) multiply as
-      x·y = ½[σ, τ] + ⅛κ(σ, τ) z1 + π(ζ) τ + π(η) σ + π(ζ)π(η) z1.
-    For trace-free 2×2 matrices XY = ½[X, Y] + ½tr(XY)I and κ = 4 tr, so
-    this is Mat2 with identity z1, plus a zero product on the rest of the
-    center: associative, hence left-symmetric (Burde,
-    arXiv:math-ph/0509016). Written without an isomorphism to gl2, it
-    stays rational for non-split forms such as so(3) ⊕ C. killing is
-    g's Killing form. None unless g has this shape."""
-    n = g.n
-    if n < 4 or len(s := g._bracket_space()) != 3:
+def _reductive_connection(g: LieAlgebra, killing: tuple):
+    """The product of Mat2 when g = s ⊕ z, s = [g, g] of dimension 3 and z
+    the center, of dimension k = n - 3 >= 1: s is perfect of dimension 3,
+    hence of type sl2. Let z_1 ... z_k be the basis of z read off an rref,
+    β_u the functionals that vanish on s with β_u(z_v) = δ_uv, π = β_1 and
+    κ the Killing form. With σ, τ the s-parts of x, y, the product
+      x·y = ½[σ, τ] + ⅛κ(σ, τ) z_1 + π(x) τ + π(y) σ + π(x)π(y) z_1
+    is Mat2 with identity z_1 (on sl2, XY = ½[X, Y] + ½tr(XY)I and
+    κ = 4 tr) plus a zero product on the rest of z: associative, hence
+    left-symmetric (Burde, arXiv:math-ph/0509016), and rational for
+    non-split forms such as so(3) ⊕ C. As z is central and κ(z, g) = 0,
+    putting σ_j = e_j - Σ_u β_u(e_j) z_u gives it with no change of basis:
+      Γ[i][j] = ½c[i][j] + π_i e_j + π_j e_i + (⅛κ_ij - π_i π_j) z_1
+                - Σ_{u>=2} (π_i β_u(e_j) + π_j β_u(e_i)) z_u
+              = ½c[i][j] + ⅛κ_ij z_1 + π_i τ_j + π_j τ_i,
+    τ_j = e_j - ½π_j z_1 - Σ_{u>=2} β_u(e_j) z_u, summed on Gaussian
+    integers over one denominator. As κ = κ_s ⊕ 0, z is read as the radical
+    of κ (killing is (d^2, d^2 κ), of LieAlgebra._killing). One elimination
+    gives the β_u, and fails unless s ⊕ z = g; then [g, z] ⊆ s ∩ z = 0, as
+    both are ideals, and z is the center. None unless g has this shape."""
+    n, (dk, K) = g.n, killing
+    z = _nullspace(_echelon(K, reduced=True), n)
+    if n < 4 or (k := len(z)) != n - 3:
         return None
-    # x is central when ad(e_i) x = 0 for every i: rows {j: c[i][j][k]}
-    z = _nullspace(_echelon(({j: row[k] for j, row in Ci.items() if k in row}
-                             for Ci in g._int_constants()[1] for k in range(n)),
-                            reduced=True), n)
-    try:  # one elimination, which fails unless s + z is a basis
-        coords = ExactMatrix.from_rows(s + z).inverse()
-    except ValueError:  # not square (dim z != n - 3) or singular
+    d, C, _ = g._cleared
+    e = _den(x for zu in z for x in zu)
+    Z = [_ints(dict(enumerate(zu)), e) for zu in z]
+    # rows [d c[i][j] | 0] and [e z_v | e δ_uv]: the rref is [1 | β] when
+    # s ⊕ z = g, with a pivot past column n when s ∩ z != 0
+    beta = _echelon(chain((r for i, Ci in enumerate(C) for j, r in Ci.items()
+                           if j > i),
+                          ({**Zv, n + v: (e, 0)} for v, Zv in enumerate(Z))),
+                    reduced=True)
+    if len(beta) != n or max(beta) >= n:
         return None
-    # row i of coords: e_i in the basis s, z; sigma[i]: σ_i's nonzeros
-    sigma = (ExactMatrix(n, 3, [coords[i, a] for i in range(n) for a in range(3)])
-             @ ExactMatrix.from_rows(s))._nonzero_rows()
-    pi = [coords[i, 3] for i in range(n)]
-    z1 = {k: x for k, x in enumerate(z[0]) if x}
-    # z is central, so [σ_i, σ_j] = [e_i, e_j] and κ(σ_i, σ_j) = κ(e_i, e_j).
-    # Only nonzero terms are summed; zeros are stored as ZERO, as in LieAlgebra
-    kappa = killing.scale(Fraction(1, 8))  # ⅛κ
-    gamma = [[[x and HALF * x for x in row] for row in plane] for plane in g.c]
-    for i in range(n):
-        for j in range(n):
-            for k, x in sigma[j].items() if pi[i] else ():
-                gamma[i][j][k] += pi[i] * x
-                gamma[j][i][k] += pi[i] * x
-            if w := kappa[i, j] + pi[i] * pi[j]:
-                for k, x in z1.items():
-                    gamma[i][j][k] += w * x
-    return InvariantConnection(g, [[[x or ZERO for x in row] for row in plane]
-                                   for plane in gamma])
+    b = _den(x for row in beta.values() for x in row.values())
+    pi, *B = (_ints({c: row.get(n + u, ZERO) for c, row in beta.items()}, b)
+              for u in range(k))
+    D = lcm(2 * d, 8 * dk * e, 2 * b * b * e)
+
+    def add(acc, key, f, p, q):  # acc[key] += f p q on (re, im) pairs
+        (x, y), (u, v), (s, t) = p, q, acc.get(key, (0, 0))
+        acc[key] = s + f * (x * u - y * v), t + f * (x * v + y * u)
+
+    f, fk, fp = D // (2 * d), D // (8 * dk * e), D // (2 * b * b * e)
+    # G[(i n + j) n + m]: D Γ[i][j][m], starting from ½c = (d c) / 2d
+    G = {(i * n + j) * n + m: (u * f, v * f) for i, Ci in enumerate(C)
+         for j, row in Ci.items() for m, (u, v) in row.items()}
+    for i, Ki in enumerate(K):  # ⅛κ z_1 = (d^2 κ)(e z_1) / 8 d^2 e
+        for j, x in Ki.items():
+            for m, y in Z[0].items():
+                add(G, (i * n + j) * n + m, fk, x, y)
+    T = {(j, j): (2 * b * e, 0) for j in range(n)}  # T[j, m]: 2 b e τ_j[m]
+    for u, (Bu, Zu) in enumerate(zip((pi, *B), Z)):
+        for j, p in Bu.items():
+            for m, q in Zu.items():
+                add(T, (j, m), -2 if u else -1, p, q)
+    for a, p in pi.items():  # π_a τ_j = (b π_a)(2 b e τ_j) / 2 b^2 e
+        for (j, m), t in T.items():
+            add(G, (a * n + j) * n + m, fp, p, t)
+            add(G, (j * n + a) * n + m, fp, p, t)
+    return InvariantConnection(g, tuple(tuple(tuple(
+        _from_ints(*x, D) if (x := G.get((i * n + j) * n + m, (0, 0))) != (0, 0)
+        else ZERO for m in range(n)) for j in range(n)) for i in range(n)))
 
 
 def decide_existence(g: LieAlgebra,
@@ -301,8 +333,8 @@ def decide_existence(g: LieAlgebra,
 
     # one Killing form for the gate and the reductive rule; n >= 2 here,
     # as the abelian rule decides n <= 1
-    killing = g.killing_form()
-    if killing.rank() == g.n:
+    killing = g._killing()
+    if len(_echelon(killing[1])) == g.n:
         # the gate passed, so the Killing form has full rank; H1 and the
         # determinant polynomial follow by theorem (ObstructionEvidence)
         evidence = ObstructionEvidence(

@@ -324,13 +324,13 @@ def test_each_certificate_is_verified_once(monkeypatch):
     monkeypatch.setattr(obstructions, "h1_dim", refuse("h1_dim"))
     monkeypatch.setattr(LinearRep, "adjoint", refuse("LinearRep.adjoint"))
     forms = []
-    killing_form = LieAlgebra.killing_form
+    killing = LieAlgebra._killing
 
     def counted_form(self):
         forms.append(self.n)
-        return killing_form(self)
+        return killing(self)
 
-    monkeypatch.setattr(LieAlgebra, "killing_form", counted_form)
+    monkeypatch.setattr(LieAlgebra, "_killing", counted_form)
     for g in (builtin("sl2"), sl2_plus_sl2(), sl3(), _sl4()):
         forms.clear()
         report = decide_existence(g)
@@ -630,7 +630,9 @@ _REDUCTIVE = {
     "gl2": gl2(),
     "sl2+C": _plus_center(SL2, 1),
     "sl2+C2": _plus_center(SL2, 2),
+    "sl2+C3": _plus_center(SL2, 3),
     "so3+C": _plus_center(_SO3, 1),
+    "so3+C2": _plus_center(_SO3, 2),
 }
 
 
@@ -728,7 +730,29 @@ def test_reductive_rule_is_fast_and_runs_no_check(monkeypatch):
     monkeypatch.setattr(obstructions, "run_search", refuse)
     monkeypatch.setattr(LieAlgebra, "_defects", refuse)
     for g in _REDUCTIVE.values():
-        assert obstructions._reductive_connection(g, g.killing_form()) is not None
+        assert obstructions._reductive_connection(g, g._killing()) is not None
+
+
+def test_reductive_rule_makes_no_change_of_basis(monkeypatch):
+    """A reductive YES, aligned and in a GL(n, Z) basis, solves, inverts,
+    multiplies and scales no ExactMatrix: the product is summed in closed
+    form from the Killing rows and one elimination."""
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"ExactMatrix.{name} called")
+        return refused
+
+    # a block of det -3 on the first four basis vectors
+    block = [[1, 2, 0, -1], [0, 1, 1, 0], [1, 0, 1, 1], [0, -1, 2, 1]]
+    moved = [g.in_basis([row + [0] * (g.n - 4) for row in block]
+                        + [[int(a == b) for a in range(g.n)]
+                           for b in range(4, g.n)])
+             for g in _REDUCTIVE.values()]
+    for name in ("solve", "inverse", "__matmul__", "scale"):
+        monkeypatch.setattr(ExactMatrix, name, refuse(name))
+    for g in [*_REDUCTIVE.values(), *moved]:
+        report = decide_existence(g)
+        assert report.verdict == "YES" and report.notes == (_REDUCTIVE_NOTE,)
 
 
 def _free_two_step(k):
@@ -751,7 +775,7 @@ def test_reductive_rule_declines_other_shapes():
     assert free.n == 6 and free.derived_series_dims() == [6, 3, 0]
     for g in (builtin("sl2"), sl2_plus_sl2(), sl3(), aff1_squared,
               _search_only_algebra(), free):
-        assert obstructions._reductive_connection(g, g.killing_form()) is None
+        assert obstructions._reductive_connection(g, g._killing()) is None
 
 
 def test_equal_decisions_compare_equal():
