@@ -210,13 +210,18 @@ def check_homomorphism(m: AffMap) -> HomVerdict:
     return HomVerdict(ok=counter is None, counterexample=counter, injective=injective)
 
 
+def _require_homomorphism(m: AffMap):
+    """NotHomomorphism at the first bad pair of one defect check."""
+    counter = m.g._first_defect(_image_rows(m))
+    if counter is not None:
+        raise NotHomomorphism(f"bracket mismatch at basis pair {counter}")
+
+
 def is_etale(m: AffMap) -> bool:
     """True when the translation parts of the basis images form a basis
     of the ambient space, which makes m injective. Requires a
     homomorphism: one defect check, with no rank of the images."""
-    counter = m.g._first_defect(_image_rows(m))
-    if counter is not None:
-        raise NotHomomorphism(f"bracket mismatch at basis pair {counter}")
+    _require_homomorphism(m)
     return m.ambient == m.g.n and m.translation_matrix().rank() == m.g.n
 
 
@@ -252,9 +257,7 @@ def canonical_embedding(kind: str) -> AffMap:
 def lsa_from_etale(m: AffMap) -> InvariantConnection:
     """Connection induced by an étale affine representation:
     Γ[i][j][·] = V^{-1} (A_i v_j) with V the translation matrix."""
-    counter = m.g._first_defect(_image_rows(m))
-    if counter is not None:
-        raise NotHomomorphism(f"bracket mismatch at basis pair {counter}")
+    _require_homomorphism(m)
     if (conn := _induced_connection(m)) is None:
         raise NotEtale("translation parts are not a basis")
     return conn

@@ -19,6 +19,7 @@ from functools import cache
 
 from .exact import GaussRat, ExactMatrix, ZERO, _gauss, _ratio
 from .liealg import (
+    JacobiViolation,
     LieAlgebra,
     from_structure_constants,
     builtin,
@@ -167,7 +168,10 @@ def parse_algebra_data(data, source: str = "<input>") -> LieAlgebra:
             raise ParseError(where, f"brackets ({right}, {left}) and "
                              f"({left}, {right}) are not antisymmetric")
         table[(left, right)] = vec
-    return from_structure_constants(n, names=basis, brackets=table)
+    try:
+        return from_structure_constants(n, names=basis, brackets=table)
+    except JacobiViolation as e:
+        raise ParseError(f"{source}.brackets", str(e)) from e
 
 
 def parse_algebra(path: str) -> LieAlgebra:
@@ -413,10 +417,13 @@ def _algebra_from_args(args) -> tuple:
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(**{
-        k: v for k, v in vars(args).items()
-        if k in ("starts", "seed") and v is not None
-    })
+    try:
+        return SearchConfig(**{
+            k: v for k, v in vars(args).items()
+            if k in ("starts", "seed") and v is not None
+        })
+    except ValueError as e:  # named by its field, which is the flag
+        raise ParseError("<args>", f"--{e}") from None
 
 
 def _add_algebra_arguments(sub):

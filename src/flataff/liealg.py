@@ -5,8 +5,10 @@ A LieAlgebra stores the full array c[i][j][k] with
 that completes and checks antisymmetry, then checked for the Jacobi
 identity. Its nonzero entries (`nonzero`) index that check, equality,
 the bracket, the Killing form, the traces of ad, [g, g] and `_defects`,
-the one check that matrices represent g. Sums run on the cleared
-constants of `_int_constants`. `in_basis` rewrites g in another basis.
+the one check that matrices represent g. Sums run on ints. From their
+first use g keeps its constants cleared of their denominators
+(`_cleared`), its Killing form with its rank (`_killing`) and the rref
+rows of [g, g] (`_derived`). `in_basis` rewrites g in another basis.
 Entries are GaussRat.
 """
 
@@ -138,12 +140,26 @@ class LieAlgebra(_Immutable):
                   for k, x in enumerate(row) if x is not ZERO) for plane in c))
         self._check_jacobi()
 
+    @cached_property
+    def _cleared(self) -> tuple:
+        """(d, C, top), kept from the first use: d the lcm of the
+        denominators of the constants, C[i] = {j: {k: d c[i][j][k]}} (j, k
+        increasing) of nonzero (re, im) int pairs, top the OR of every |re|,
+        |im|. The Jacobi check clears without keeping: kept, the table would
+        more than double an unused algebra's memory (sl3: 10 to 23 KiB)."""
+        d = _den(x for entries in self.nonzero for _, _, x in entries)
+        C = [{j: _ints({k: x for _, k, x in group}, d)
+              for j, group in groupby(entries, lambda e: e[0])}
+             for entries in self.nonzero]
+        return d, C, reduce(or_, (abs(t) for Ci in C for row in Ci.values()
+                                  for z in row.values() for t in z), 0)
+
     def _check_jacobi(self):
         """JacobiViolation at the first (i, j, k, l), i < j < k, where
         sum_m c[i][j][m] c[m][k][l] + (cyclic in i, j, k) is not zero.
         A nonzero c[a][b][m] c[m][x][l], a < b, x not in {a, b}, is a term
         for the triple {a, b, x}, negated if a < x < b (c[k][i] = -c[i][k])."""
-        sums, C = {}, self._clear()[1]
+        sums, C = {}, LieAlgebra._cleared.func(self)[1]
         for a, Ca in enumerate(C):
             for b, row in Ca.items():
                 if b <= a:
@@ -160,33 +176,6 @@ class LieAlgebra(_Immutable):
         for key in sorted(sums):
             if sums[key] != (0, 0):
                 raise JacobiViolation(key)
-
-    def _clear(self) -> tuple:
-        """The (d, C) of _int_constants, for the constants alone."""
-        d = _den(v for entries in self.nonzero for _, _, v in entries)
-        return d, [{j: _ints({k: v for _, k, v in group}, d)
-                    for j, group in groupby(entries, lambda e: e[0])}
-                   for entries in self.nonzero]
-
-    @cached_property
-    def _cleared(self) -> tuple:  # _clear(), and the OR of every |a|, |b|
-        d, C = self._clear()
-        return d, C, reduce(or_, (abs(t) for Ci in C for row in Ci.values()
-                                  for z in row.values() for t in z), 0)
-
-    def _int_constants(self, mats=()) -> tuple:
-        """(d, C, N), d the lcm of all denominators of the constants and
-        the matrices mats, each its rows as {col: GaussRat} dicts (as from
-        ExactMatrix._nonzero_rows), C[i] = {j: {k: d c[i][j][k]}} (j, k
-        increasing) and N[t][r] = {s: d mats[t][r][s]}, nonzero (re, im)
-        int pairs. The constants are cleared at the first call and kept
-        (_cleared); the Jacobi check does not keep its clear."""
-        d, C, _ = self._cleared
-        f = lcm(d, _den(x for p in mats for row in p for x in row.values())) // d
-        if f > 1:
-            d, C = d * f, [{j: {k: (a * f, b * f) for k, (a, b) in row.items()}
-                            for j, row in Ci.items()} for Ci in C]
-        return d, C, [[_ints(row, d) for row in p] for p in mats]
 
     def bracket(self, x, y) -> list:
         """Bracket of two coordinate vectors."""
@@ -205,12 +194,14 @@ class LieAlgebra(_Immutable):
     def adjoint_rep(self) -> list:
         return [self.ad_matrix(i) for i in range(self.n)]
 
+    @cached_property
     def _killing(self) -> tuple:
-        """(d^2, K), K[i] = {j: d^2 κ(e_i, e_j)} of nonzero (re, im) int
-        pairs, d that of _int_constants: κ(e_i, e_j) = trace(ad e_i ∘ ad e_j)
-        is the sum of c[i][k][m] c[j][m][k] = -c[i][k][m] c[m][j][k] over
-        the nonzero constants. killing_form and killing_rank read it."""
-        d, C, _ = self._int_constants()
+        """(d^2, K, rank), K[i] = {j: d^2 κ(e_i, e_j)} of nonzero (re, im)
+        int pairs, d that of _cleared, and rank that of κ, kept from the
+        first use: κ(e_i, e_j) = trace(ad e_i ∘ ad e_j) is the sum of
+        c[i][k][m] c[j][m][k] = -c[i][k][m] c[m][j][k] over the nonzero
+        constants. killing_form, killing_rank and the reductive rule read it."""
+        d, C, _ = self._cleared
         K = [{} for _ in C]
         for Ki, Ci in zip(K, C):
             for k, row in Ci.items():
@@ -219,11 +210,12 @@ class LieAlgebra(_Immutable):
                         if k in row_m:
                             (x, y), (u, v) = row_m[k], Ki.get(j, (0, 0))
                             Ki[j] = u - a * x + b * y, v - a * y - b * x
-        return d * d, [{j: z for j, z in Ki.items() if z != (0, 0)} for Ki in K]
+        K = [{j: z for j, z in Ki.items() if z != (0, 0)} for Ki in K]
+        return d * d, K, len(_echelon(K))
 
     def killing_form(self) -> ExactMatrix:
         """K[i][j] = trace(ad e_i ∘ ad e_j), a symmetric matrix."""
-        d2, K = self._killing()
+        d2, K, _ = self._killing
         return ExactMatrix(self.n, self.n, [
             _from_ints(*Ki[j], d2) if j in Ki else ZERO
             for Ki in K for j in range(self.n)])
@@ -298,7 +290,7 @@ class LieAlgebra(_Immutable):
         """The rref rows of [span(basis_a), span(basis_b)]; with no bases,
         of [g, g], spanned by the rows c[i][j], i < j, of the index."""
         if basis_a is None:
-            rows = (row for i, Ci in enumerate(self._int_constants()[1])
+            rows = (row for i, Ci in enumerate(self._cleared[1])
                     for j, row in Ci.items() if j > i)
         else:
             rows = _int_rows({k: x for k, x in enumerate(self.bracket(a, b))
@@ -306,6 +298,10 @@ class LieAlgebra(_Immutable):
         piv = _echelon(rows, reduced=True)
         return [[row.get(k, ZERO) for k in range(self.n)]
                 for _, row in sorted(piv.items())]
+
+    @cached_property
+    def _derived(self) -> list:  # the rref rows of [g, g], kept
+        return self._bracket_space()
 
     def derived_series_dims(self) -> list:
         """Dimensions of g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ... until stable."""
@@ -319,7 +315,7 @@ class LieAlgebra(_Immutable):
     def _series_dims(self, step) -> list:
         """Dimensions of g ⊇ [g, g] = s_1 ⊇ step(s_1) ⊇ ..., each s_r a row
         basis, until the dimension stops falling or reaches 0."""
-        dims, cur = [self.n], self._bracket_space()
+        dims, cur = [self.n], self._derived
         while len(cur) < dims[-1]:
             dims.append(len(cur))
             cur = step(cur)
@@ -337,16 +333,15 @@ class LieAlgebra(_Immutable):
                        for e in self.nonzero)
 
     def killing_rank(self) -> int:
-        return len(_echelon(self._killing()[1]))
+        return self._killing[2]
 
     def is_semisimple(self) -> bool:
         """Cartan's criterion: the Killing form is nondegenerate."""
         return self.n > 0 and self.killing_rank() == self.n
 
     def structural_profile(self) -> "StructuralProfile":
-        """All profile fields from one Killing rank, one derived series
-        and one lower central series."""
-        rank = self.killing_rank()
+        """All profile fields from the kept Killing rank and [g, g], one
+        derived series and one lower central series."""
         derived = self.derived_series_dims()
         lower = self.lower_central_dims()
         return StructuralProfile(
@@ -354,8 +349,8 @@ class LieAlgebra(_Immutable):
             solvable=derived[-1] == 0,
             nilpotent=lower[-1] == 0,
             unimodular=self.is_unimodular(),
-            semisimple=self.n > 0 and rank == self.n,
-            killing_rank=rank,
+            semisimple=self.is_semisimple(),
+            killing_rank=self.killing_rank(),
             derived_series_dims=derived,
             lower_central_dims=lower,
         )

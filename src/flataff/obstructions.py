@@ -9,7 +9,8 @@ basis adapted to its abelian ideal. After the semisimple gate, g =
 [g, g] ⊕ center with dim [g, g] = 3 gets the product of 2x2 matrices,
 in any basis: gl2, sl2 ⊕ C^k, so(3) ⊕ C^k. It is summed in closed form
 on Gaussian integers, with no change of basis, from the Killing form's
-cleared int rows (LieAlgebra._killing) that the gate ranks. Every YES,
+cleared int rows, which g keeps with the rank the gate reads
+(LieAlgebra._killing). Every YES,
 from these rules or from the search, is checked once: etale_from_lsa
 builds the map e_i -> (L_i, e_i) and raises unless one pass of the
 bracket-defect kernel (LieAlgebra._defects) finds it a homomorphism,
@@ -18,8 +19,8 @@ which is exactly flatness and torsion-freeness of the connection.
 The NO side rests on the semisimplicity obstruction: a semisimple
 algebra admits no flat torsion-free invariant connection (surveyed in
 Burde, arXiv:math-ph/0509016). The one computation behind it is the
-exact Killing rank (Cartan's criterion). The evidence attached to it
-follows by theorem and is not computed (see ObstructionEvidence):
+exact Killing rank that g keeps (Cartan's criterion). The evidence
+attached to it follows by theorem and is not computed (see ObstructionEvidence):
 vanishing first cohomology of the adjoint representation (Whitehead),
 and the identically zero fundamental determinant polynomial of the
 adjoint representation, which holds for every Lie algebra.
@@ -56,27 +57,32 @@ class InvalidRep(ValueError):
 
 class LinearRep(_Immutable):
     """A representation rho: g -> gl(V), one exact matrix per basis
-    element, validated exactly at construction on its kept rows (_rows)."""
+    element, validated exactly at construction. Both constructors keep
+    _ints = (d, C, N), d the lcm of all denominators, C[i] = {j: {k:
+    d c[i][j][k]}} and N[i][r] = {s: d rho(e_i)[r, s]} as (re, im) ints."""
 
     def __init__(self, g: LieAlgebra, rho):
         rho = tuple(rho)
         if len(rho) != g.n:
             raise InvalidRep("need one matrix per basis element")
-        if rho:
-            d = rho[0].rows
-            for m in rho:
-                if m.rows != m.cols or m.rows != d:
-                    raise InvalidRep("matrices must be square, equal size")
-        else:
-            d = 0
+        d = rho[0].rows if rho else 0
+        if any(m.rows != m.cols or m.rows != d for m in rho):
+            raise InvalidRep("matrices must be square, equal size")
         rows = [m._nonzero_rows() for m in rho]
         pair = g._first_defect(rows)
         if pair is not None:
             raise InvalidRep(
                 "representation property fails at pair (%d, %d)" % pair)
+        # g's kept constants, rescaled to the common denominator D
+        e, C, _ = g._cleared
+        D = lcm(e, _den(x for p in rows for row in p for x in row.values()))
+        if (f := D // e) > 1:
+            C = [{j: {k: (a * f, b * f) for k, (a, b) in row.items()}
+                  for j, row in Ci.items()} for Ci in C]
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "V_dim", d)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_ints", (D, C, [[_ints(row, D) for row in p]
+                                                  for p in rows]))
         object.__setattr__(self, "rho", rho)
 
     @classmethod
@@ -94,14 +100,6 @@ class LinearRep(_Immutable):
             [{j: row[k] for j, row in Ci.items() if k in row}
              for k in range(g.n)] for Ci in C]))
         return rep
-
-    @cached_property
-    def _rows(self) -> list:  # __init__ sets it; the adjoint's is built here
-        return [m._nonzero_rows() for m in self.rho]
-
-    @cached_property
-    def _ints(self) -> tuple:  # the adjoint sets it at construction
-        return self.g._int_constants(self._rows)
 
     @cached_property
     def rho(self) -> tuple:  # __init__ sets it; the adjoint's is built here
@@ -169,9 +167,11 @@ def fundamental_det_poly(rep: LinearRep):
         )
     if n == 0:
         raise DimensionMismatch("empty algebra")
-    # entry (r, i) is sum_s rho(e_i)[r, s] p_s, from the kept rows
+    # entry (r, i) is sum_s rho(e_i)[r, s] p_s, from the kept ints
     x = [tuple(int(s == t) for t in range(n)) for s in range(n)]
-    d = poly_det([[MultiPoly(n, {x[s]: v for s, v in rep._rows[i][r].items()})
+    e, _, N = rep._ints
+    d = poly_det([[MultiPoly(n, {x[s]: _from_ints(*z, e)
+                                 for s, z in N[i][r].items()})
                    for i in range(n)] for r in range(n)])
     return d, not d.is_zero()
 
@@ -241,7 +241,7 @@ def _abelian_ideal_connection(g: LieAlgebra):
     return None
 
 
-def _reductive_connection(g: LieAlgebra, killing: tuple):
+def _reductive_connection(g: LieAlgebra):
     """The product of Mat2 when g = s ⊕ z, s = [g, g] of dimension 3 and z
     the center, of dimension k = n - 3 >= 1: s is perfect of dimension 3,
     hence of type sl2. Let z_1 ... z_k be the basis of z read off an rref,
@@ -258,10 +258,11 @@ def _reductive_connection(g: LieAlgebra, killing: tuple):
               = ½c[i][j] + ⅛κ_ij z_1 + π_i τ_j + π_j τ_i,
     τ_j = e_j - ½π_j z_1 - Σ_{u>=2} β_u(e_j) z_u, summed on Gaussian
     integers over one denominator. As κ = κ_s ⊕ 0, z is read as the radical
-    of κ (killing is (d^2, d^2 κ), of LieAlgebra._killing). One elimination
+    of κ, from the cleared rows d^2 κ that g keeps (LieAlgebra._killing),
+    ranked by the semisimple gate before this rule runs. One elimination
     gives the β_u, and fails unless s ⊕ z = g; then [g, z] ⊆ s ∩ z = 0, as
     both are ideals, and z is the center. None unless g has this shape."""
-    n, (dk, K) = g.n, killing
+    n, (dk, K, _) = g.n, g._killing
     z = _nullspace(_echelon(K, reduced=True), n)
     if n < 4 or (k := len(z)) != n - 3:
         return None
@@ -331,12 +332,9 @@ def decide_existence(g: LieAlgebra,
             "connection ad on that vector and 0 on the ideal is flat and "
             "torsion-free"))
 
-    # one Killing form for the gate and the reductive rule; n >= 2 here,
-    # as the abelian rule decides n <= 1
-    killing = g._killing()
-    if len(_echelon(killing[1])) == g.n:
-        # the gate passed, so the Killing form has full rank; H1 and the
-        # determinant polynomial follow by theorem (ObstructionEvidence)
+    # the gate ranks the Killing form g keeps, which the reductive rule
+    # reads; H1 and the determinant polynomial follow by theorem
+    if g.is_semisimple():
         evidence = ObstructionEvidence(
             killing_rank=g.n, h1_adjoint=0, det_poly_is_zero=True,
             statement=(
@@ -347,7 +345,7 @@ def decide_existence(g: LieAlgebra,
             "evidence: H1(adjoint) = 0, fundamental determinant "
             "polynomial vanishes identically"))
 
-    conn = _reductive_connection(g, killing)
+    conn = _reductive_connection(g)
     if conn is not None:
         return _yes(conn, (
             "g is [g, g] of dimension 3 plus the center: the product of "
@@ -360,15 +358,8 @@ def decide_existence(g: LieAlgebra,
             f"numeric search over {cfg.starts} starts found an exactly "
             f"verified certificate at start {outcome.certificate_start}"),
             outcome.embedding)
-    return DecisionReport(
-        verdict="UNKNOWN",
-        connection=None,
-        embedding=None,
-        obstruction=None,
-        notes=(
-            f"numeric search exhausted {cfg.starts} starts: "
-            f"{len(outcome.candidates)} converged numerically, none snapped "
-            "to an exactly verified certificate (denominators up to "
-            f"{_DENOMINATOR_LADDER[-1]})",
-        ),
-    )
+    return DecisionReport("UNKNOWN", None, None, None, (
+        f"numeric search exhausted {cfg.starts} starts: "
+        f"{len(outcome.candidates)} converged numerically, none snapped "
+        "to an exactly verified certificate (denominators up to "
+        f"{_DENOMINATOR_LADDER[-1]})",))

@@ -37,6 +37,7 @@ import os
 from contextlib import suppress
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
+from sys import maxsize
 
 from .exact import GaussRat, HALF, _gauss
 from .liealg import LieAlgebra
@@ -84,8 +85,10 @@ class SearchConfig:
             # bool is refused as a count
             if type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer")
-            if f.name != "seed" and value <= 0:
-                raise ValueError(f"{f.name} must be positive")
+            # a count is the length of a range, at most sys.maxsize
+            if f.name != "seed" and not 0 < value <= maxsize:
+                raise ValueError(f"{f.name} must be positive" if value <= 0
+                                 else f"{f.name} must be at most {maxsize}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

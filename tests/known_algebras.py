@@ -1,14 +1,29 @@
-"""Lie algebras, GL(n, Z) bases and random entries that several test
-modules use. Not a test module: pytest collects only test_*.py files."""
+"""Lie algebras, GL(n, Z) bases, random entries and a counter of the
+values an algebra keeps, which several test modules use. Not a test
+module: pytest collects only test_*.py files."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from flataff.exact import ExactMatrix, GaussRat
-from flataff.liealg import from_structure_constants
+from flataff.liealg import LieAlgebra, from_structure_constants
 
 SL2 = {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}
+
+
+def count_computations(monkeypatch, name):
+    """A list that gets g.n each time an algebra g computes the value it
+    keeps as the cached property LieAlgebra.<name>, for the test's rest."""
+    prop, calls = vars(LieAlgebra)[name], []
+    compute = prop.func
+
+    def counted(g):
+        calls.append(g.n)
+        return compute(g)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return calls
 
 
 def gl2():

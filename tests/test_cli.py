@@ -13,7 +13,8 @@ import pytest
 
 import flataff
 from flataff.exact import GaussRat, ZERO, ONE
-from flataff.liealg import LieAlgebra, builtin, JacobiViolation
+from flataff.liealg import (LieAlgebra, builtin, from_structure_constants,
+                            JacobiViolation)
 from flataff.connections import InvariantConnection, is_flat, is_torsion_free
 from flataff.cli import (
     ParseError,
@@ -28,6 +29,7 @@ from flataff.cli import (
     main,
 )
 from flataff.search import SearchConfig
+from known_algebras import count_computations
 
 
 def _write(tmp_path, name, data):
@@ -203,24 +205,57 @@ def test_deeply_nested_json_is_a_positioned_error(tmp_path):
         assert "Traceback" not in run.stderr
 
 
-def test_parse_algebra_rejects_jacobi_violation(tmp_path):
-    path = _write(
-        tmp_path,
-        "nojacobi.json",
-        {
-            "dim": 3,
-            "brackets": [
-                {"left": 0, "right": 1,
-                 "result": [["1", "0"], _zero_pair(), _zero_pair()]},
-                {"left": 1, "right": 2,
-                 "result": [_zero_pair(), ["1", "0"], _zero_pair()]},
-                {"left": 2, "right": 0,
-                 "result": [_zero_pair(), _zero_pair(), ["1", "0"]]},
-            ],
-        },
-    )
-    with pytest.raises(JacobiViolation):
+def test_parse_algebra_rejects_jacobi_violation(tmp_path, capsys):
+    """A file whose constants fail the Jacobi identity is an input error
+    at its brackets that keeps the indices of JacobiViolation, which the
+    library still raises: exit 1 and one error line."""
+    brackets = {(0, 1): [1, 0, 0], (1, 2): [0, 1, 0], (2, 0): [0, 0, 1]}
+    path = _write(tmp_path, "nojacobi.json", {"dim": 3, "brackets": [
+        {"left": i, "right": j, "result": [[str(x), "0"] for x in v]}
+        for (i, j), v in brackets.items()]})
+    with pytest.raises(JacobiViolation) as lib:
+        from_structure_constants(3, brackets=brackets)
+    assert lib.value.indices == (0, 1, 2, 0)
+    with pytest.raises(ParseError) as exc:
         parse_algebra(path)
+    assert exc.value.position == f"{path}.brackets"
+    assert isinstance(exc.value.__cause__, JacobiViolation)
+    assert main(["analyze", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}.brackets: Jacobi identity fails "
+                            "at (i, j, k, l) = (0, 1, 2, 0)\n")
+
+
+def test_search_budget_flags_are_positioned_errors(capsys):
+    """A count of starts below 1 or past sys.maxsize (the longest range),
+    and a negative seed, end in one <args> error line and exit 1, for the
+    search and for analyze, which passes its budget to the search."""
+    huge = "99999999999999999999"
+    for command in ("search", "analyze"):
+        for flags, message in (
+            (["--starts", "0"], "--starts must be positive"),
+            (["--starts", "-3"], "--starts must be positive"),
+            (["--starts", huge], f"--starts must be at most {sys.maxsize}"),
+            (["--seed", "-1"], "--seed must be nonnegative"),
+        ):
+            assert main([command, "--builtin", "sl2", *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: <args>: {message}\n"
+
+
+def test_analyze_computes_the_killing_form_once(monkeypatch):
+    """One report computes the Killing form once: the profile, and the
+    semisimple gate and the reductive rule of the decision, read what g
+    keeps. heis3 is decided before the gate, so only its profile asks."""
+    forms = count_computations(monkeypatch, "_killing")
+    for name in ("heis3", "sl2", "gl2", "sl3", "sl2xsl2"):
+        g = parse_algebra(str(_CORPUS / f"{name}.json"))
+        forms.clear()
+        report = analyze(g)
+        assert forms == [g.n]
+        assert report["profile"]["killing_rank"] == g.killing_rank()
 
 
 def test_parse_errors_are_positioned(tmp_path):

@@ -316,3 +316,27 @@ def test_in_basis_refuses_a_singular_or_wrongly_sized_matrix():
     for n, P in ((0, [[1]]), (1, []), (1, [[0]]), (1, [[1, 0], [0, 1]])):
         with pytest.raises(ValueError):
             from_structure_constants(n).in_basis(P)
+
+
+def test_the_profile_eliminates_the_derived_algebra_once(monkeypatch):
+    """structural_profile starts both series from the rref of [g, g] that g
+    keeps: one elimination of [g, g] per algebra, none on a second
+    profile, and the series of an algebra built afresh."""
+    calls = []
+    space = LieAlgebra._bracket_space
+
+    def counted(self, basis_a=None, basis_b=None):
+        if basis_a is None:
+            calls.append(self.n)
+        return space(self, basis_a, basis_b)
+
+    monkeypatch.setattr(LieAlgebra, "_bracket_space", counted)
+    for g in (*(builtin(name) for name in BUILTIN_NAMES), gl2(), sl3()):
+        calls.clear()
+        profile = g.structural_profile()
+        assert calls == [g.n]
+        assert g.structural_profile() == profile and calls == [g.n]
+        fresh = LieAlgebra(g.n, g.c)
+        assert profile.derived_series_dims == fresh.derived_series_dims()
+        assert profile.lower_central_dims == fresh.lower_central_dims()
+        assert g._derived == fresh._bracket_space()

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flataff import affine, cli, connections, obstructions
+from flataff import affine, cli, connections, liealg, obstructions
 from flataff import search as search_module
 from flataff.exact import GaussRat, ExactMatrix, MultiPoly, ZERO, ONE, _unit_vectors
 from flataff.liealg import LieAlgebra, builtin, from_structure_constants
@@ -39,7 +39,8 @@ from flataff.obstructions import (
     decide_existence,
 )
 from flataff.search import SearchConfig, SearchOutcome
-from known_algebras import SL2, filiform, gl2, gl_z, sl2_plus_sl2, sl3
+from known_algebras import (SL2, count_computations, filiform, gl2, gl_z,
+                            sl2_plus_sl2, sl3)
 
 
 def _sl2_irreducible_3dim():
@@ -323,14 +324,7 @@ def test_each_certificate_is_verified_once(monkeypatch):
                         refuse("fundamental_det_poly"))
     monkeypatch.setattr(obstructions, "h1_dim", refuse("h1_dim"))
     monkeypatch.setattr(LinearRep, "adjoint", refuse("LinearRep.adjoint"))
-    forms = []
-    killing = LieAlgebra._killing
-
-    def counted_form(self):
-        forms.append(self.n)
-        return killing(self)
-
-    monkeypatch.setattr(LieAlgebra, "_killing", counted_form)
+    forms = count_computations(monkeypatch, "_killing")
     for g in (builtin("sl2"), sl2_plus_sl2(), sl3(), _sl4()):
         forms.clear()
         report = decide_existence(g)
@@ -339,10 +333,38 @@ def test_each_certificate_is_verified_once(monkeypatch):
         assert report.obstruction.h1_adjoint == 0
         assert report.obstruction.killing_rank == g.n
         assert forms == [g.n]
-    # the reductive rule reuses the gate's Killing form
+    # the reductive rule reads the Killing form the gate computed
     forms.clear()
     assert decide_existence(gl2()).verdict == "YES"
     assert forms == [4]
+
+
+def test_a_decision_and_a_profile_rank_the_killing_form_once(monkeypatch):
+    """decide_existence and then structural_profile on one algebra compute
+    the Killing form once and rank it once: the gate and the profile read
+    the rank g keeps. A second decision and profile compute and rank
+    nothing more; only the reductive rule reduces the kept rows, once per
+    decision, to read the center."""
+    calls = []
+    for module in (liealg, obstructions):
+        def counted(rows, reduced=False, echelon=module._echelon):
+            calls.append((rows, reduced))
+            return echelon(rows, reduced)
+        monkeypatch.setattr(module, "_echelon", counted)
+    forms = count_computations(monkeypatch, "_killing")
+    for g, verdict, rank in ((builtin("sl2"), "NO", 3), (sl3(), "NO", 8),
+                             (sl2_plus_sl2(), "NO", 6), (gl2(), "YES", 3)):
+        calls.clear()
+        forms.clear()
+        for _ in range(2):
+            assert decide_existence(g).verdict == verdict
+            profile = g.structural_profile()
+            assert profile.killing_rank == rank
+            assert profile.semisimple == (verdict == "NO")
+        K = g._killing[1]
+        ranked = [reduced for rows, reduced in calls if rows is K]
+        assert ranked == [False] + [True] * (2 if verdict == "YES" else 0)
+        assert forms == [g.n]
 
 
 def test_adjoint_matches_the_validated_representation():
@@ -607,8 +629,7 @@ def test_a_broken_certificate_raises(monkeypatch):
     assert is_torsion_free(curved) and not is_flat(curved)
     for bad in (with_torsion, curved):
         with monkeypatch.context() as m:
-            m.setattr(obstructions, "_reductive_connection",
-                      lambda g, killing: bad)
+            m.setattr(obstructions, "_reductive_connection", lambda g: bad)
             with pytest.raises(NotFlatTorsionFree):
                 decide_existence(g)
 
@@ -716,9 +737,9 @@ def test_semisimple_algebras_stay_no_in_a_drawn_basis(name, data):
 
 
 def test_reductive_rule_is_fast_and_runs_no_check(monkeypatch):
-    """The rule builds the product without the Killing rank, an exact
-    check (the defect kernel) or the search; aligned gl2 decides in
-    under 0.1 s."""
+    """The rule reads the Killing form g keeps and builds the product
+    without killing_rank, an exact check (the defect kernel) or the
+    search; aligned gl2 decides in under 0.1 s."""
     start = time.perf_counter()
     assert decide_existence(gl2()).notes == (_REDUCTIVE_NOTE,)
     assert time.perf_counter() - start < 0.1
@@ -730,7 +751,7 @@ def test_reductive_rule_is_fast_and_runs_no_check(monkeypatch):
     monkeypatch.setattr(obstructions, "run_search", refuse)
     monkeypatch.setattr(LieAlgebra, "_defects", refuse)
     for g in _REDUCTIVE.values():
-        assert obstructions._reductive_connection(g, g._killing()) is not None
+        assert obstructions._reductive_connection(g) is not None
 
 
 def test_reductive_rule_makes_no_change_of_basis(monkeypatch):
@@ -775,7 +796,7 @@ def test_reductive_rule_declines_other_shapes():
     assert free.n == 6 and free.derived_series_dims() == [6, 3, 0]
     for g in (builtin("sl2"), sl2_plus_sl2(), sl3(), aff1_squared,
               _search_only_algebra(), free):
-        assert obstructions._reductive_connection(g, g._killing()) is None
+        assert obstructions._reductive_connection(g) is None
 
 
 def test_equal_decisions_compare_equal():

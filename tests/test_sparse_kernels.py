@@ -8,7 +8,9 @@ references."""
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -916,8 +918,8 @@ def test_is_flat_of_l12_in_a_generic_basis():
 
 
 # The Killing form, [g, g] and the H^1 rows sum on the constants cleared
-# of their denominators (LieAlgebra._int_constants); the GaussRat loops
-# they replaced are the references.
+# of their denominators (LieAlgebra._cleared, LinearRep._ints); the
+# GaussRat loops they replaced are the references.
 
 _CORPUS = {p.stem: parse_algebra(str(p)) for p in sorted(
     (Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -961,7 +963,7 @@ def _assert_matches_the_gaussrat_loops(g, reps=()):
     adjoint, the trivial and the given representations."""
     assert g.killing_form() == _reference_killing_form(g)
     full = _unit_vectors(g.n)
-    assert g._bracket_space() == g._bracket_space(full, full)
+    assert g._derived == g._bracket_space(full, full)
     for rep in (LinearRep.adjoint(g), LinearRep.trivial(g), *reps):
         assert h1_dim(rep) == _reference_h1_dim(rep)
 
@@ -1095,8 +1097,9 @@ def test_defects_on_denominators_the_constants_lack_and_sixty_orders():
 
 
 def _fresh_clear(g, mats=()):
-    """(d, C, N) as LieAlgebra._int_constants documents it, cleared in
-    one pass from the Fraction parts of the constants and the mats."""
+    """(d, C, N) as LinearRep._ints holds it for the matrices mats (d, C
+    of LieAlgebra._cleared with none), cleared in one pass from the
+    Fraction parts of the constants and the mats."""
     rows = [m._nonzero_rows() for m in mats]
     values = [x for e in g.nonzero for _, _, x in e] + [
         x for p in rows for row in p for x in row.values()]
@@ -1118,12 +1121,16 @@ def _fresh_clear(g, mats=()):
 @given(data=st.data())
 def test_cleared_constants_are_kept_from_the_first_use(name, data):
     """In a drawn GL(n, Z) basis scaled by a rational or non-real factor,
-    a built algebra keeps no cleared constants; _int_constants() then
-    returns a fresh clear and keeps it, returning the same C on every later
-    call. With matrices of other denominators (the adjoint representation
-    conjugated by a matrix over 1/11 and i/13, and random ones over 1/17
-    and i/19) it equals a fresh clear of both at their common d, _defects
-    gives the GaussRat loop's D, and the kept pair does not change."""
+    a built algebra keeps no cleared constants (its Jacobi check clears
+    without keeping); the first read keeps a fresh clear, with top the OR
+    of every |re|, |im|, and every later read returns that table. A
+    representation of other denominators (the adjoint
+    representation conjugated by a matrix over 1/11 and i/13, and the
+    adjoint plus a trivial summand conjugated by one over 1/17 and i/19)
+    keeps the fresh clear of the constants and its matrices at their
+    common d. On these and on random matrices over 1/17 and i/19,
+    _defects gives the GaussRat loop's D, and the kept table does not
+    change."""
     base = _CORPUS[name]
     n = base.n
     lam = data.draw(st.sampled_from(
@@ -1132,24 +1139,31 @@ def test_cleared_constants_are_kept_from_the_first_use(name, data):
     g = base.in_basis(ExactMatrix.from_rows(
         data.draw(gl_z(n), label="P")).scale(lam))
     assert "_cleared" not in vars(g)
-    kept = _fresh_clear(g)
-    assert g._int_constants() == kept
-    assert g._int_constants()[1] is g._int_constants()[1]
-    ks = data.draw(st.lists(st.integers(-3, 3), min_size=n * n,
-                            max_size=n * n), label="Q")
-    # unitriangular, so invertible
-    Q = ExactMatrix.identity(n) + ExactMatrix(n, n, [
-        GaussRat(Fraction(k, 11), Fraction(k, 13)) if t % n > t // n else ZERO
-        for t, k in enumerate(ks)])
+    kept = g._cleared
+    d, C, _ = _fresh_clear(g)
+    assert kept == (d, C, reduce(or_, (abs(t) for Ci in C for row in Ci.values()
+                                       for z in row.values() for t in z), 0))
+    assert g._cleared is kept
+
+    def unitriangular(m, p, q):  # invertible, off-diagonal over 1/p, i/q
+        ks = data.draw(st.lists(st.integers(-3, 3), min_size=m * m,
+                                max_size=m * m), label="Q")
+        return ExactMatrix.identity(m) + ExactMatrix(m, m, [
+            GaussRat(Fraction(k, p), Fraction(k, q)) if t % m > t // m
+            else ZERO for t, k in enumerate(ks)])
+
+    Q, R = unitriangular(n, 11, 13), unitriangular(n + 1, 17, 19)
     conj = [Q @ a @ Q.inverse() for a in g.adjoint_rep()]
+    plus = [R @ a @ R.inverse() for a in _with_trivial(g.adjoint_rep())]
     m = data.draw(st.integers(1, 3), label="m")
     entries = st.lists(st.integers(-4, 4), min_size=2 * m * m,
                        max_size=2 * m * m)
     random_mats = [ExactMatrix(m, m, [GaussRat(Fraction(a, 17), Fraction(b, 19))
                                       for a, b in zip(e[::2], e[1::2])])
                    for e in (data.draw(entries, label="M") for _ in range(n))]
-    for mats in (conj, random_mats):
-        assert g._int_constants(_rows(mats)) == _fresh_clear(g, mats)
+    for mats in (conj, plus):
+        assert LinearRep(g, mats)._ints == _fresh_clear(g, mats)
+    for mats in (conj, plus, random_mats):
         assert list(g._defects(_rows(mats))) == _reference_defects(g, mats)
     assert g._first_defect(_rows(conj)) is None
-    assert g._int_constants() == kept
+    assert g._cleared is kept and kept[:2] == (d, C)
