@@ -7,9 +7,9 @@ identity. Its nonzero entries (`nonzero`) index that check, equality,
 the bracket, the Killing form, the traces of ad, [g, g] and `_defects`,
 the one check that matrices represent g. Sums run on ints. From their
 first use g keeps its constants cleared of their denominators
-(`_cleared`), its Killing form with its rank (`_killing`) and the rref
-rows of [g, g] (`_derived`). `in_basis` rewrites g in another basis.
-Entries are GaussRat.
+(`_cleared`), its Killing form with its rank (`_killing`), the radical
+of κ (`_radical`) and the rref rows of [g, g] (`_derived`). `in_basis`
+rewrites g in another basis. Entries are GaussRat.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import lcm
 from operator import or_
 
 from .exact import (ExactMatrix, _Immutable, _den, _echelon, _from_ints,
-                    _int_rows, _ints, _unit_vectors, as_gauss, ZERO)
+                    _int_rows, _ints, _nullspace, _unit_vectors, as_gauss, ZERO)
 
 __all__ = [
     "LieAlgebra",
@@ -212,6 +212,10 @@ class LieAlgebra(_Immutable):
                             Ki[j] = u - a * x + b * y, v - a * y - b * x
         K = [{j: z for j, z in Ki.items() if z != (0, 0)} for Ki in K]
         return d * d, K, len(_echelon(K))
+
+    @cached_property
+    def _radical(self) -> list:  # a basis of the radical of κ, kept
+        return _nullspace(_echelon(self._killing[1], reduced=True), self.n)
 
     def killing_form(self) -> ExactMatrix:
         """K[i][j] = trace(ad e_i ∘ ad e_j), a symmetric matrix."""

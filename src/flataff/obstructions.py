@@ -9,12 +9,12 @@ basis adapted to its abelian ideal. After the semisimple gate, g =
 [g, g] ⊕ center with dim [g, g] = 3 gets the product of 2x2 matrices,
 in any basis: gl2, sl2 ⊕ C^k, so(3) ⊕ C^k. It is summed in closed form
 on Gaussian integers, with no change of basis, from the Killing form's
-cleared int rows, which g keeps with the rank the gate reads
-(LieAlgebra._killing). Every YES,
-from these rules or from the search, is checked once: etale_from_lsa
-builds the map e_i -> (L_i, e_i) and raises unless one pass of the
-bracket-defect kernel (LieAlgebra._defects) finds it a homomorphism,
-which is exactly flatness and torsion-freeness of the connection.
+cleared int rows and its radical, which g keeps (LieAlgebra._killing,
+_radical). Every YES, from these rules or from the search, is checked
+once: etale_from_lsa builds the map e_i -> (L_i, e_i) and raises unless
+one pass of the bracket-defect kernel (LieAlgebra._defects) finds it a
+homomorphism, which is exactly flatness and torsion-freeness of the
+connection.
 
 The NO side rests on the semisimplicity obstruction: a semisimple
 algebra admits no flat torsion-free invariant connection (surveyed in
@@ -34,7 +34,7 @@ from itertools import chain, combinations
 from math import lcm
 
 from .exact import (ExactMatrix, MultiPoly, _Immutable, _den, _echelon,
-                    _from_ints, _ints, _nullspace, poly_det, ZERO)
+                    _from_ints, _ints, poly_det, ZERO)
 from .liealg import LieAlgebra
 from .connections import InvariantConnection
 from .affine import AffMap, DimensionMismatch, etale_from_lsa
@@ -258,12 +258,11 @@ def _reductive_connection(g: LieAlgebra):
               = ½c[i][j] + ⅛κ_ij z_1 + π_i τ_j + π_j τ_i,
     τ_j = e_j - ½π_j z_1 - Σ_{u>=2} β_u(e_j) z_u, summed on Gaussian
     integers over one denominator. As κ = κ_s ⊕ 0, z is read as the radical
-    of κ, from the cleared rows d^2 κ that g keeps (LieAlgebra._killing),
-    ranked by the semisimple gate before this rule runs. One elimination
-    gives the β_u, and fails unless s ⊕ z = g; then [g, z] ⊆ s ∩ z = 0, as
-    both are ideals, and z is the center. None unless g has this shape."""
-    n, (dk, K, _) = g.n, g._killing
-    z = _nullspace(_echelon(K, reduced=True), n)
+    of κ that g keeps (LieAlgebra._radical), reduced from the cleared rows
+    d^2 κ (LieAlgebra._killing) once per algebra. One elimination gives the
+    β_u, and fails unless s ⊕ z = g; then [g, z] ⊆ s ∩ z = 0, as both are
+    ideals, and z is the center. None unless g has this shape."""
+    n, (dk, K, _), z = g.n, g._killing, g._radical
     if n < 4 or (k := len(z)) != n - 3:
         return None
     d, C, _ = g._cleared

@@ -9,11 +9,13 @@ affine in s: FlatnessSystem builds J(0) and the sparse constant second
 derivatives once, and each LM step solves the complex normal equations
 (J^H J + lam I) dz = -J^H r. The starts run in a lockstep pool that
 gives each slot one damping trial per round, in one stacked solve and
-one stacked residual; a start makes the float operations of a lone run,
-and memory grows with the pool (_POOL_BYTES), not with the starts.
-Forked workers, one per CPU of the process's affinity set, share the
-starts; reports do not depend on them, and `taskset -c 0` runs the
-search serially. numpy loads with one BLAS thread where no count is set.
+one stacked residual (n products of the stacked planes Gamma[i] with one
+plane); a start makes the float operations of a lone run, and memory
+grows with the pool (_POOL_BYTES), not with the starts. Past half a
+pool of starts, forked workers, one per CPU of the process's affinity
+set, share them; reports do not depend on them, and `taskset -c 0`
+runs the search serially. numpy loads with one BLAS thread where no
+count is set.
 
 The floats are those of c/lam, g's constants in the basis e_i/lam (see
 FlatnessSystem), so each lies in [-1, 1] whatever the scale of g. A point
@@ -66,9 +68,10 @@ _DENOMINATOR_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 48, 96, 240, 1000,
                        10000)
 _RATIONALIZE_TOL = 1e-6
 _GATE_TOL = 1e-9  # tau in _snap_may_be_flat
-# byte budget of the LM pool's stacked J^H J (50 slots at n = 3, 10 for
-# gl2); its Jacobians are built in chunks of an eighth of it
-_POOL_BYTES = 256 * 1024
+# byte budget of the LM pool's stacked J^H J: 101 slots at n = 3, 20 for
+# gl2, one pool per shard for 200 starts on 2 CPUs; a search forks past
+# half a pool, as at 256 KiB. Jacobians come in quarter-budget chunks
+_POOL_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -122,14 +125,12 @@ class FlatnessSystem:
             os.environ.setdefault(f"{blas}_NUM_THREADS", "1")
         import numpy as np
         self.g = g
-        n = g.n
-        self.n = n
+        n = self.n = g.n
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
         self.pair_index = {p: t for t, p in enumerate(self.pairs)}
-        self.residual_components = [
-            (l, k, i, j) for l in range(n) for k in range(n)
-            for i in range(n) for j in range(i + 1, n)
-        ]
+        self.residual_components = [(l, k, i, j) for l in range(n)
+                                    for k in range(n) for i in range(n)
+                                    for j in range(i + 1, n)]
         self.scale = GaussRat(max((Fraction(max(abs(x.u), abs(x.v)), x.d)
                                    for e in g.nonzero for *_, x in e), default=1))
         self.c_float = np.zeros((n, n, n), dtype=complex)
@@ -143,13 +144,12 @@ class FlatnessSystem:
         pair_of = np.zeros((n, n), dtype=np.intp)
         for t, (i, j) in enumerate(self.pairs):
             pair_of[i, j] = pair_of[j, i] = t
-        unk = pair_of[:, :, None] * n + np.arange(n)
-        self._gamma_index = unk
-        # flat positions of the residual components in the curvature
-        # array that residual() builds, indexed [i, j, k, l]
+        self._gamma_index = unk = pair_of[:, :, None] * n + np.arange(n)
+        # flat [i, j, k, l] and [j, i, k, l] of each residual (l, k, i, j)
         comp = np.array(self.residual_components, dtype=np.intp).reshape(-1, 4)
-        self._residual_index = np.ravel_multi_index(
-            comp[:, [2, 3, 1, 0]].T, (n,) * 4)
+        l, k, i, j = comp.T
+        self._ij_kl = ((i * n + j) * n + k) * n + l
+        self._ji_kl = ((j * n + i) * n + k) * n + l
 
         # J(s) = J0 + H.s. In residual r, the term sign G[a] G[b] adds
         # sign G[b] to J[r, unk[a]] and sign G[a] to J[r, unk[b]]; the
@@ -177,7 +177,7 @@ class FlatnessSystem:
                             minlength=key.size)
         nz = total != 0
         self._h_dest, self._h_var = np.divmod(key[nz], max(m, 1))
-        self._h_val = total[nz]
+        self._h_val = total[nz].astype(complex)  # as s casts it
 
     @property
     def unknown_count(self) -> int:
@@ -194,24 +194,24 @@ class FlatnessSystem:
     def residual(self, s: np.ndarray) -> np.ndarray:
         """The residual at s, or at each row of a stack of s."""
         # with the matrices G_i = Gamma[i], the curvature R[l,k,i,j] is
-        # entry (k, l) of G_j G_i - G_i G_j - sum_m c[i,j,m] G_m
-        n = self.n
+        # entry (k, l) of G_j G_i - G_i G_j - sum_m c[i,j,m] G_m; the
+        # stacked planes [G_0; ...; G_{n-1}] times G_i give each G_j G_i
+        n, ij, ji = self.n, self._ij_kl, self._ji_kl
         gm = self.gamma_from_s(s)
         lead = gm.shape[:-3]
-        prod = np.matmul(gm[..., None, :, :, :], gm[..., None, :, :],
-                         order="C")  # a C-order r needs no buffers below
-        r = prod - prod.swapaxes(-4, -3)
+        prod = np.matmul(gm.reshape(lead + (1, n * n, n)), gm)
         lin = self.c_float.reshape(n * n, n) @ gm.reshape(lead + (n, n * n))
-        r -= lin.reshape(lead + (n,) * 4)
-        return r.reshape(lead + (n ** 4,))[..., self._residual_index]
+        prod, lin = (x.reshape(lead + (n ** 4,)) for x in (prod, lin))
+        return prod[..., ij] - prod[..., ji] - lin[..., ij]
 
     def jacobian(self, s: np.ndarray) -> np.ndarray:
         """Complex Jacobian of the residual at s, or at each row of a
-        stack of s: J0 plus one scatter of H times s, row by row."""
+        stack of s: J0 plus one scatter of H times s over the stack."""
         S = np.atleast_2d(s)
         J = np.repeat(self._j0[None], len(S), axis=0)
-        for Jk, sk in zip(J.reshape(len(S), -1), S):
-            np.add.at(Jk, self._h_dest, self._h_val * sk[self._h_var])
+        at = self._h_dest + self._j0.size * np.arange(len(S))[:, None]
+        np.add.at(J.reshape(-1), at.ravel(),
+                  (self._h_val * S[:, self._h_var]).ravel())
         return J if s.ndim > 1 else J[0]
 
     def connection_from_rational_s(self, s_exact) -> InvariantConnection:
@@ -220,12 +220,10 @@ class FlatnessSystem:
         if len(s_exact) != self.unknown_count:
             raise ValueError("wrong number of unknowns")
         s = [self.scale * x for x in s_exact]
-        gamma = [
+        return InvariantConnection(self.g, [
             [[HALF * c + s[u] for c, u in zip(row_c, row_u)]
              for row_c, row_u in zip(plane_c, plane_u)]
-            for plane_c, plane_u in zip(self.g.c, self._gamma_index.tolist())
-        ]
-        return InvariantConnection(self.g, gamma)
+            for plane_c, plane_u in zip(self.g.c, self._gamma_index.tolist())])
 
 
 def assemble(g: LieAlgebra) -> FlatnessSystem:
@@ -238,10 +236,9 @@ def _norms(r: np.ndarray) -> np.ndarray:
 
 
 def _solve(A: np.ndarray, lam: np.ndarray, b: np.ndarray):
-    """Damp each stacked A in place and solve (A + lam I) dz = b. A
-    singular system fails (ok False, dz 0) only its own row."""
+    """Damp each stacked A (no -0.0 in it) in place and solve (A + lam I)
+    dz = b. A singular system fails (ok False, dz 0) only its own row."""
     m = A.shape[-1]
-    A += 0.0  # turns -0.0 into 0.0, as A + lam * eye does
     A.reshape(len(A), m * m)[:, ::m + 1] += lam[:, None]
     ok = np.ones(len(A), dtype=bool)
     try:
@@ -266,7 +263,7 @@ def _lm_minimize(sys: FlatnessSystem, cfg: SearchConfig, finish, starts=None):
     starts = range(cfg.starts) if starts is None else starts
     m, R = sys.unknown_count, sys.residual_count
     size = min(len(starts), sys._pool_slots)
-    chunk = max(1, _POOL_BYTES // 8 // (16 * max(R * m, 1)))
+    chunk = max(1, _POOL_BYTES // 4 // (16 * max(R * m, 1)))
     s, b = np.zeros((2, size, m), dtype=complex)
     r, A = np.zeros((size, R), complex), np.zeros((size, m, m), complex)
     cost, lam = np.zeros((2, size))
@@ -297,7 +294,7 @@ def _lm_minimize(sys: FlatnessSystem, cfg: SearchConfig, finish, starts=None):
             k = go[c:c + chunk]
             J = sys.jacobian(s[k])
             Jh = J.conj().swapaxes(1, 2)
-            A[k] = Jh @ J
+            A[k] = Jh @ J + 0.0  # -0.0 to 0.0, as A + lam * eye turns it
             b[k] = -(Jh @ r[k, :, None])[..., 0]
         idx = np.flatnonzero(live)  # one damping trial per live slot
         dz, ok = _solve(A[idx], lam[idx], b[idx])
@@ -331,16 +328,16 @@ def newton_multistart(sys: FlatnessSystem, cfg: SearchConfig) -> list:
     vector (the standard connection); the rest are uniform in the
     complex box of radius 2, seeded per start index. The converged
     starts are returned as candidates, in start-index order. With W =
-    _cpu_count(), at most one per pool, shard w runs the starts w, w + W,
-    ...: shard 0 here, the others in forked workers (here if a fork fails).
-    A start runs as if alone, so W changes nothing."""
+    _cpu_count(), at most one per half pool, shard w runs the starts w,
+    w + W, ...: shard 0 here, the others in forked workers (here if a fork
+    fails). A start runs as if alone, so W changes nothing."""
     out = []
 
     def keep(start, s, cost, iterations):
         if cost < _RESIDUAL_TOL:
             out.append(Candidate(start, tuple(s.tolist()), cost, iterations))
 
-    w = min(_cpu_count(), -(-cfg.starts // sys._pool_slots))
+    w = min(_cpu_count(), -(-cfg.starts // max(1, sys._pool_slots // 2)))
     record = np.dtype(f"p, ({sys.unknown_count},)c16, f8, p")  # Candidate
     workers, here = {}, [0]  # pid -> the read end of its pipe; own shards
     try:

@@ -344,7 +344,7 @@ def test_a_decision_and_a_profile_rank_the_killing_form_once(monkeypatch):
     the Killing form once and rank it once: the gate and the profile read
     the rank g keeps. A second decision and profile compute and rank
     nothing more; only the reductive rule reduces the kept rows, once per
-    decision, to read the center."""
+    algebra, to read the center from the radical g keeps."""
     calls = []
     for module in (liealg, obstructions):
         def counted(rows, reduced=False, echelon=module._echelon):
@@ -363,7 +363,7 @@ def test_a_decision_and_a_profile_rank_the_killing_form_once(monkeypatch):
             assert profile.semisimple == (verdict == "NO")
         K = g._killing[1]
         ranked = [reduced for rows, reduced in calls if rows is K]
-        assert ranked == [False] + [True] * (2 if verdict == "YES" else 0)
+        assert ranked == [False] + [True] * (verdict == "YES")
         assert forms == [g.n]
 
 

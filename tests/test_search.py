@@ -119,6 +119,65 @@ def test_residual_matches_exact_curvature():
     assert checked == 100
 
 
+def _reference_residual(sys, s):
+    """The residual by n^2 separate products G_j G_i: the full
+    [i, j, k, l] curvature array, then a gather of the components."""
+    n = sys.n
+    gm = sys.gamma_from_s(s)
+    lead = gm.shape[:-3]
+    prod = np.matmul(gm[..., None, :, :, :], gm[..., None, :, :], order="C")
+    r = prod - prod.swapaxes(-4, -3)
+    lin = sys.c_float.reshape(n * n, n) @ gm.reshape(lead + (n, n * n))
+    r -= lin.reshape(lead + (n,) * 4)
+    comp = np.array(sys.residual_components, dtype=np.intp).reshape(-1, 4)
+    index = np.ravel_multi_index(comp[:, [2, 3, 1, 0]].T, (n,) * 4)
+    return r.reshape(lead + (n ** 4,))[..., index]
+
+
+def _residual_test_algebras(n):
+    """Algebras of dimension n with real and with non-real constants:
+    e_0 acting on the abelian ideal of the others by a Jordan-like
+    matrix, sl2 plus a center, and both times the scale 1/2 - 3i (a
+    multiple of a Lie bracket is one)."""
+    jordan = {}
+    for k in range(1, n):  # [e_0, e_k] = (k - 2)/3 e_k + e_(k+1)
+        v = [0] * (n + 1)
+        v[k], v[k + 1] = Fraction(k - 2, 3), 1
+        jordan[(0, k)] = v[:n]
+    bases = [jordan]
+    if n >= 3:
+        bases.append({(0, 1): [0, 2, 0] + [0] * (n - 3),
+                      (0, 2): [0, 0, -2] + [0] * (n - 3),
+                      (1, 2): [1, 0, 0] + [0] * (n - 3)})
+    t = GaussRat(Fraction(1, 2), -3)
+    for brackets in bases:
+        yield from_structure_constants(n, brackets=brackets)
+        yield from_structure_constants(n, brackets={
+            p: [t * x for x in v] for p, v in brackets.items()})
+
+
+def test_residual_matches_the_pairwise_products_bit_for_bit():
+    """The stacked-plane residual equals the n^2-product one in every
+    bit, on stacks of 1 to 101 rows and on single vectors (the float
+    gate's call), for n = 0 to 6, real and non-real constants, and
+    entries from 1e-3 to 1e3."""
+    rng = np.random.default_rng(37)
+    checked = 0
+    for n in range(7):
+        for g in _residual_test_algebras(n):
+            sys = assemble(g)
+            m = sys.unknown_count
+            for shape in ((1, m), (7, m), (50, m), (101, m), (m,), (m,)):
+                scale = 10.0 ** rng.uniform(-3, 3, shape)
+                s = scale * (rng.uniform(-1, 1, shape)
+                             + 1j * rng.uniform(-1, 1, shape))
+                got = sys.residual(s)
+                assert got.shape == shape[:-1] + (sys.residual_count,)
+                assert np.array_equal(got, _reference_residual(sys, s))
+                checked += 1
+    assert checked == 6 * (2 + 2 + 2 + 4 + 4 + 4 + 4)
+
+
 def test_connection_from_rational_s_is_torsion_free():
     rng = random.Random(17)
     for name in ("heis3", "sol3", "sl2"):
@@ -501,7 +560,7 @@ def test_pool_matches_per_start_reference():
     for g in [builtin(name) for name in ("heis3", "sol3", "sl2")] + [gl2()]:
         sys = assemble(g)
         pool_size = _pool_size(sys)
-        assert pool_size == (50 if g.n == 3 else 10)
+        assert pool_size == (101 if g.n == 3 else 20)
         all_starts = (1, pool_size - 1, pool_size, pool_size + 1, 37)
         for max_iters in (1, 3, 100):
             ref = _reference_runs(sys, SearchConfig(
